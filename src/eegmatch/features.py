@@ -43,7 +43,6 @@ _ALIASES = {
     "vc": "vowel_consonant",
     "vowel/consonant": "vowel_consonant",
     "vowel/consonant_onset": "vowel_consonant_onset",
-    "anyphoneme_onset": "anyphoneme_onset",
     "word_embedding": "wordemb",
 }
 
@@ -117,9 +116,13 @@ def extract_part(part: str, assets: StoryAssets) -> TimeSeriesTensor:
     raise InvalidSpecError(f"unknown feature part {part!r}")
 
 
-def extract_feature(name: str, assets: StoryAssets) -> TimeSeriesTensor:
-    """Stacked 64 Hz tensor for a (possibly concatenated) feature name."""
-    tensors = [extract_part(p, assets) for p in canonical_parts(name)]
+def join_parts(tensors: list[TimeSeriesTensor]) -> TimeSeriesTensor:
+    """Trim part tensors to the shortest and stack them in order."""
     n = min(t.n_samples for t in tensors)
     trimmed = [t.with_data(t.data[:, :n]) for t in tensors]
     return trimmed[0] if len(trimmed) == 1 else concat_features(trimmed)
+
+
+def extract_feature(name: str, assets: StoryAssets) -> TimeSeriesTensor:
+    """Stacked 64 Hz tensor for a (possibly concatenated) feature name."""
+    return join_parts([extract_part(p, assets) for p in canonical_parts(name)])

@@ -218,23 +218,33 @@ def _relu_bwd(dout: np.ndarray, mask: np.ndarray):
 
 
 def _maxpool(x: np.ndarray):
-    """Window-3 stride-3 max over time, remainder frames dropped."""
-    n_b, n_c, n_t = x.shape
-    j = n_t // POOL
-    xw = x[:, :, : j * POOL].reshape(n_b, n_c, j, POOL)
-    arg = xw.argmax(axis=3)
-    out = np.take_along_axis(xw, arg[..., None], axis=3)[..., 0]
-    return out, (arg, x.shape)
+    """Window-3 stride-3 max over time, remainder frames dropped.
+
+    The taps are compared as strided views, latest tap first. On a tie,
+    ``np.maximum`` has been seen to return its second operand, so the
+    earliest tap is kept, as ``argmax`` would, down to the sign of a zero.
+    NumPy does not document that order; it is pinned by
+    ``TestMaxPool::test_matches_argmax_reference_bit_for_bit``, which is the
+    test to re-run after a NumPy upgrade. The backward pass does not rely on
+    it: ``_maxpool_bwd`` finds the first maximum by ``==``.
+    """
+    n = x.shape[2] // POOL * POOL
+    out = x[:, :, 0:n:POOL]
+    for k in range(1, POOL):
+        out = np.maximum(x[:, :, k:n:POOL], out)
+    return out, (x, out)
 
 
 def _maxpool_bwd(dout: np.ndarray, cache):
-    arg, x_shape = cache
-    n_b, n_c, n_t = x_shape
-    j = n_t // POOL
-    dxw = np.zeros((n_b, n_c, j, POOL), dtype=dout.dtype)
-    np.put_along_axis(dxw, arg[..., None], dout[..., None], axis=3)
-    dx = np.zeros(x_shape, dtype=dout.dtype)
-    dx[:, :, : j * POOL] = dxw.reshape(n_b, n_c, j * POOL)
+    """Route each gradient to the first tap holding its window's maximum."""
+    x, out = cache
+    n = out.shape[2] * POOL
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    for k in range(POOL):
+        first = free & (x[:, :, k:n:POOL] == out) if k < POOL - 1 else free
+        np.copyto(dx[:, :, k:n:POOL], dout, where=first)
+        free &= ~first
     return dx
 
 
@@ -427,15 +437,15 @@ def _split_parts(x: np.ndarray, config: ArchitectureConfig) -> list[np.ndarray]:
     return out
 
 
-def _check_batch_shapes(config: ArchitectureConfig, eeg, sa, sb) -> None:
+def _check_batch_shapes(config: ArchitectureConfig, eeg, speech: dict, batch_sizes) -> None:
     want_eeg = (config.eeg_channels, config.frames)
     want_sp = (config.feature_dim, config.frames)
     if eeg.shape[1:] != want_eeg:
         raise InvalidInputError(f"EEG batch shape {eeg.shape[1:]} != {want_eeg}")
-    for name, arr in (("speech_a", sa), ("speech_b", sb)):
+    for name, arr in speech.items():
         if arr.shape[1:] != want_sp:
             raise InvalidInputError(f"{name} batch shape {arr.shape[1:]} != {want_sp}")
-    if not (eeg.shape[0] == sa.shape[0] == sb.shape[0]):
+    if any(n != eeg.shape[0] for n in batch_sizes):
         raise InvalidInputError("batch sizes disagree")
 
 
@@ -520,6 +530,27 @@ def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: di
         # maxpool-variant input gradients stop at the data
 
 
+def _lstm_rep(params: ModelParams, fronts: list[np.ndarray]):
+    """Shared LSTM over the stacked fronts: (sum of B, H, T_out) and its cache."""
+    t = params.tensors
+    lstm_in = np.concatenate(fronts).transpose(0, 2, 1)
+    hs, cache = _lstm(lstm_in, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    return hs.transpose(0, 2, 1), cache
+
+
+def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.ndarray):
+    """Logit that ``a`` is the match, and the cosine caches behind it.
+
+    One shared dense on each similarity sequence; their difference cancels
+    the bias, so the logit is exactly antisymmetric under swapping a and b.
+    """
+    sim_a, cos_a = _cosine_seq(r_eeg, rep_a)
+    sim_b, cos_b = _cosine_seq(r_eeg, rep_b)
+    diff = sim_a - sim_b
+    m = params.tensors["head_w"][0] * diff.mean(axis=1)
+    return m, (cos_a, cos_b, diff)
+
+
 def forward_batch(
     params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -529,37 +560,58 @@ def forward_batch(
     eeg = np.ascontiguousarray(eeg, dtype=dt)
     speech_a = np.ascontiguousarray(speech_a, dtype=dt)
     speech_b = np.ascontiguousarray(speech_b, dtype=dt)
-    _check_batch_shapes(cfg, eeg, speech_a, speech_b)
+    _check_batch_shapes(cfg, eeg, {"speech_a": speech_a, "speech_b": speech_b},
+                        (speech_a.shape[0], speech_b.shape[0]))
 
     r_eeg, eeg_cache = _eeg_path(params, eeg)
     front_a, cache_a = _speech_front(params, _split_parts(speech_a, cfg))
     front_b, cache_b = _speech_front(params, _split_parts(speech_b, cfg))
     # Both speech inputs share the LSTM, so they run as one stacked batch and
     # the time loop runs once.
-    t = params.tensors
-    lstm_in = np.concatenate([front_a, front_b]).transpose(0, 2, 1)
-    hs, lstm_cache = _lstm(lstm_in, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    rep = hs.transpose(0, 2, 1)  # (2B, H, T_out)
+    rep, lstm_cache = _lstm_rep(params, [front_a, front_b])
     n = eeg.shape[0]
-    rep_a, rep_b = rep[:n], rep[n:]
-    sim_a, cos_a = _cosine_seq(r_eeg, rep_a)
-    sim_b, cos_b = _cosine_seq(r_eeg, rep_b)
-    # Shared head dense on each sequence; the difference cancels the bias, so
-    # p is exactly antisymmetric under swapping the speech inputs.
-    w = params.tensors["head_w"][0]
-    diff = sim_a - sim_b
-    m = w * diff.mean(axis=1)
+    m, sims = _head(params, r_eeg, rep[:n], rep[n:])
     p = _sigmoid(m)
     trace = ForwardTrace(
-        batch=eeg.shape[0],
+        batch=n,
         eeg=eeg_cache,
         branches=(cache_a, cache_b),
         lstm=lstm_cache,
-        sims=(cos_a, cos_b, diff),
+        sims=sims,
         head={"m": m, "p": p},
         p=p,
     )
     return p, trace
+
+
+def forward_segments(
+    params: ModelParams,
+    eeg: np.ndarray,
+    segments: np.ndarray,
+    match_row: np.ndarray,
+    mismatch_row: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of both orders of triples that share speech segments.
+
+    Triple ``j`` pairs ``eeg[j]`` with matched segment
+    ``segments[match_row[j]]`` and mismatched segment
+    ``segments[mismatch_row[j]]``. The speech front and the LSTM run once per
+    row of ``segments``, however many triples use it. Returns the
+    probability of the (match, mismatch) order and of the swapped order;
+    the swapped logit is exactly the negated one, so both are bit for bit
+    what :func:`forward_batch` returns for each order.
+    """
+    cfg = params.config
+    dt = cfg.np_dtype
+    eeg = np.ascontiguousarray(eeg, dtype=dt)
+    segments = np.ascontiguousarray(segments, dtype=dt)
+    _check_batch_shapes(cfg, eeg, {"segments": segments}, (len(match_row), len(mismatch_row)))
+
+    r_eeg, _ = _eeg_path(params, eeg)
+    front, _ = _speech_front(params, _split_parts(segments, cfg))
+    rep, _ = _lstm_rep(params, [front])
+    m, _ = _head(params, r_eeg, rep[match_row], rep[mismatch_row])
+    return _sigmoid(m), _sigmoid(-m)
 
 
 def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) -> dict[str, np.ndarray]:
@@ -597,19 +649,6 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     _speech_front_bwd(params, dconcat[trace.batch :], trace.branches[1], grads)
     _eeg_path_bwd(params, du_a + du_b, trace.eeg, grads)
     return grads
-
-
-def forward_both_orders(
-    params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities for the (a, b) order and the swapped (b, a) order.
-
-    One pass serves both: the swapped order's logit is exactly the negated
-    logit, so its probability is bit for bit what a pass over the swapped
-    inputs returns.
-    """
-    p, trace = forward_batch(params, eeg, speech_a, speech_b)
-    return p, _sigmoid(-trace.head["m"])
 
 
 def forward(

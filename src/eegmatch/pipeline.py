@@ -14,6 +14,7 @@ import hashlib
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -21,8 +22,8 @@ import yaml
 from .acoustic import read_wav
 from .alignments import read_alignment, read_embeddings, read_inventory
 from .checkpoint import save_checkpoint
-from .errors import InvalidInputError
-from .features import StoryAssets, extract_feature, feature_dims
+from .errors import DegenerateSampleError, InvalidInputError
+from .features import StoryAssets, canonical_parts, extract_feature, feature_dims, join_parts
 from .model import config_for_feature, init_params
 from .preproc import PreprocConfig, preprocess_eeg
 from .stats import (
@@ -164,13 +165,22 @@ def config_hash(obj) -> str:
 
 
 def feature_slug(name: str) -> str:
-    return name.replace("/", "_").replace("+", "+")
+    return name.replace("/", "_")
 
 
 def preprocess_recording_cached(
-    entry: RecordingEntry, cfg: PreprocConfig, cache_dir: Path
+    entry: RecordingEntry,
+    cfg: PreprocConfig,
+    cache_dir: Path,
+    file_hash: Callable[[Path], str] | None = None,
 ) -> TimeSeriesTensor:
-    key = config_hash({"cfg": asdict(cfg), "input": file_sha256(entry.eeg_path)})
+    """Preprocessed EEG, cached under the config and the input's hash.
+
+    ``file_hash`` defaults to ``file_sha256``; a run passes its loader's
+    memo so that each EEG file is read for hashing once.
+    """
+    digest = (file_hash or file_sha256)(entry.eeg_path)
+    key = config_hash({"cfg": asdict(cfg), "input": digest})
     cache_dir.mkdir(parents=True, exist_ok=True)
     target = cache_dir / f"{entry.recording_id}_{key}.ndmm"
     if target.exists():
@@ -182,7 +192,11 @@ def preprocess_recording_cached(
 
 
 class AssetLoader:
-    """Loads story assets once per run (stories are shared across subjects)."""
+    """Loads story assets once per run (stories are shared across subjects).
+
+    It also hashes each input file at most once, so every cache key of a run
+    reads a file's bytes once.
+    """
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
@@ -192,8 +206,15 @@ class AssetLoader:
         )
         self._assets: dict[str, StoryAssets] = {}
         self._by_story = {}
+        self._sha256: dict[Path, str] = {}
         for rec in manifest.recordings:
             self._by_story.setdefault(rec.story_id, rec)
+
+    def file_hash(self, path: Path) -> str:
+        """SHA-256 of an input file, read on the first request only."""
+        if path not in self._sha256:
+            self._sha256[path] = file_sha256(path)
+        return self._sha256[path]
 
     def assets(self, story_id: str) -> StoryAssets:
         if story_id not in self._assets:
@@ -208,20 +229,33 @@ class AssetLoader:
         return self._assets[story_id]
 
     def feature_cached(self, story_id: str, name: str, cache_dir: Path) -> TimeSeriesTensor:
+        """A story's feature, read from or written to ``cache_dir``.
+
+        The key covers every input file a feature can read. A ``+`` name that
+        misses is joined from its parts' own entries, so a part shared by
+        several features is extracted once.
+        """
         rec = self._by_story[story_id]
+        embeddings = self.manifest.embeddings_path
         key = config_hash(
             {
                 "feature": name,
-                "audio": file_sha256(rec.audio_path),
-                "phonemes": file_sha256(rec.phonemes_path),
-                "words": file_sha256(rec.words_path),
+                "audio": self.file_hash(rec.audio_path),
+                "phonemes": self.file_hash(rec.phonemes_path),
+                "words": self.file_hash(rec.words_path),
+                "inventory": self.file_hash(self.manifest.inventory_path),
+                "embeddings": self.file_hash(embeddings) if embeddings else None,
             }
         )
         cache_dir.mkdir(parents=True, exist_ok=True)
         target = cache_dir / f"{story_id}_{feature_slug(name)}_{key}.ndmm"
         if target.exists():
             return read_timeseries(target)
-        out = extract_feature(name, self.assets(story_id))
+        parts = canonical_parts(name)
+        if len(parts) == 1:
+            out = extract_feature(name, self.assets(story_id))
+        else:
+            out = join_parts([self.feature_cached(story_id, p, cache_dir) for p in parts])
         write_timeseries(target, out)
         return out
 
@@ -236,7 +270,9 @@ def build_recordings(
     """Preprocessed EEG paired with the named feature for every recording."""
     recordings = []
     for entry in manifest.recordings:
-        eeg = preprocess_recording_cached(entry, preproc_cfg, out_dir / "cache" / "preproc")
+        eeg = preprocess_recording_cached(
+            entry, preproc_cfg, out_dir / "cache" / "preproc", loader.file_hash
+        )
         feat = loader.feature_cached(entry.story_id, feature_name, out_dir / "cache" / "features")
         if eeg.fs != feat.fs:
             raise InvalidInputError(
@@ -282,7 +318,7 @@ def run_feature_cell(
         "windowing": spec.windowing,
         "split": spec.split,
         "preproc": spec.preproc,
-        "inputs": sorted(file_sha256(r.eeg_path) for r in manifest.recordings),
+        "inputs": sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings),
     }
     key = config_hash(cell_cfg)
     stamp = out / "models" / slug / "cell.yaml"
@@ -353,7 +389,7 @@ def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
                     writer.writerow(
                         [name_a, name_b, f"{res.z:.4f}", f"{res.p:.6g}", res.n_effective, ""]
                     )
-                except InvalidInputError as exc:
+                except (InvalidInputError, DegenerateSampleError) as exc:
                     writer.writerow([name_a, name_b, "", "", "", str(exc)])
 
 

@@ -20,7 +20,7 @@ from .model import (
     ModelParams,
     backward_batch,
     forward_batch,
-    forward_both_orders,
+    forward_segments,
     loss,
     loss_grad,
 )
@@ -103,15 +103,16 @@ def evaluate_set(
     """(mean loss, accuracy, per-sample correctness) over both orderings.
 
     Each forward pass covers ``batch_size // 2`` triples and scores both of
-    their samples (see :func:`forward_both_orders`).
+    their samples, running the speech branch once per distinct segment of
+    those triples (see :func:`forward_segments`).
     """
     if ws.n_samples == 0:
         raise InvalidInputError("cannot evaluate an empty window set")
     losses = np.empty(ws.n_samples)
     correct = np.empty(ws.n_samples, dtype=bool)
     for idx in _batched(ws.n_triples, max(1, batch_size // 2)):
-        eeg, match, mismatch = ws.gather_triples(idx)
-        p_match, p_swapped = forward_both_orders(params, eeg, match, mismatch)
+        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, params.config.np_dtype)
+        p_match, p_swapped = forward_segments(params, eeg, segments, match_row, mismatch_row)
         losses[2 * idx] = loss(p_match, np.ones(idx.size))
         losses[2 * idx + 1] = loss(p_swapped, np.zeros(idx.size))
         correct[2 * idx] = p_match >= 0.5
@@ -141,7 +142,7 @@ def train(
         total = 0.0
         for batch_no, idx in enumerate(_batched(train_set.n_samples, cfg.batch_size)):
             sample_idx = order[idx]
-            eeg, a, b, labels = train_set.gather_samples(sample_idx)
+            eeg, a, b, labels = train_set.gather_samples(sample_idx, params.config.np_dtype)
             p, trace = forward_batch(params, eeg, a, b)
             batch_losses = loss(p, labels)
             batch_loss = float(np.mean(batch_losses))

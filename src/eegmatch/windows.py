@@ -143,33 +143,70 @@ class DecisionWindowSet:
     def triple_subjects(self) -> list[str]:
         return [self.subject_of_triple(i) for i in range(self.n_triples)]
 
-    def gather_triples(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize (eeg, match, mismatch) stacks for triple indices."""
+    @property
+    def mismatch_offset(self) -> int:
+        """Frames from a triple's matched segment to its mismatched one."""
+        return self.spec.window_frames + self.spec.gap_frames
+
+    def _windows(self, arrays, rows: int, rec_idx: np.ndarray, starts: np.ndarray, dtype):
+        """Windows ``arrays[rec_idx[j]][:, starts[j]:][:, :window]``, cast once into ``dtype``."""
         w = self.spec.window_frames
-        off = w + self.spec.gap_frames
-        eeg = np.empty((len(idx), self.eeg_channels, w))
-        match = np.empty((len(idx), self.feature_dim, w))
-        mismatch = np.empty_like(match)
-        for j, i in enumerate(np.asarray(idx, dtype=np.int64)):
-            rec = self.recordings[self.rec_index[i]]
-            s = int(self.start_frame[i])
-            eeg[j] = rec.eeg[:, s : s + w]
-            match[j] = rec.feature[:, s : s + w]
-            mismatch[j] = rec.feature[:, s + off : s + off + w]
-        return eeg, match, mismatch
+        out = np.empty((len(starts), rows, w), dtype=dtype)
+        for j, (r, s) in enumerate(zip(rec_idx.tolist(), starts.tolist())):
+            out[j] = arrays[r][:, s : s + w]
+        return out
+
+    def _eeg_windows(self, rec_idx: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
+        eeg = [r.eeg for r in self.recordings]
+        return self._windows(eeg, self.eeg_channels, rec_idx, starts, dtype)
+
+    def _feature_windows(self, rec_idx: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
+        feature = [r.feature for r in self.recordings]
+        return self._windows(feature, self.feature_dim, rec_idx, starts, dtype)
+
+    def gather_triples(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Materialize float64 (eeg, match, mismatch) stacks for triple indices."""
+        idx = np.asarray(idx, dtype=np.int64)
+        rec, start = self.rec_index[idx], self.start_frame[idx]
+        return (
+            self._eeg_windows(rec, start, np.float64),
+            self._feature_windows(rec, start, np.float64),
+            self._feature_windows(rec, start + self.mismatch_offset, np.float64),
+        )
 
     def gather_samples(
-        self, sample_idx: np.ndarray
+        self, sample_idx: np.ndarray, dtype
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Materialize (eeg, speech_a, speech_b, labels) for sample indices."""
         sample_idx = np.asarray(sample_idx, dtype=np.int64)
         triples = sample_idx // 2
         swapped = (sample_idx % 2).astype(bool)
-        eeg, match, mismatch = self.gather_triples(triples)
-        a = np.where(swapped[:, None, None], mismatch, match)
-        b = np.where(swapped[:, None, None], match, mismatch)
+        rec, start = self.rec_index[triples], self.start_frame[triples]
+        other = start + self.mismatch_offset
+        a = self._feature_windows(rec, np.where(swapped, other, start), dtype)
+        b = self._feature_windows(rec, np.where(swapped, start, other), dtype)
         labels = (~swapped).astype(np.float64)
-        return eeg, a, b, labels
+        return self._eeg_windows(rec, start, dtype), a, b, labels
+
+    def gather_segments(
+        self, idx: np.ndarray, dtype
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(eeg, segments, match_row, mismatch_row) for triple indices.
+
+        ``segments`` holds each distinct speech segment of the triples once;
+        triple ``j``'s matched segment is ``segments[match_row[j]]`` and its
+        mismatched one ``segments[mismatch_row[j]]``. With the paper's
+        windows a mismatched segment starts 12 hops after its matched one, so
+        it is the matched segment of the triple 12 hops on.
+        """
+        idx = np.asarray(idx, dtype=np.int64)
+        rec, start = self.rec_index[idx], self.start_frame[idx]
+        stride = max(r.feature.shape[1] for r in self.recordings)
+        keys = np.concatenate([rec * stride + start, rec * stride + start + self.mismatch_offset])
+        unique, rows = np.unique(keys, return_inverse=True)
+        segments = self._feature_windows(unique // stride, unique % stride, dtype)
+        eeg = self._eeg_windows(rec, start, dtype)
+        return eeg, segments, rows[: idx.size], rows[idx.size :]
 
     def subject_of_sample(self, s: int) -> str:
         return self.subject_of_triple(int(s) // 2)

@@ -6,8 +6,11 @@ import pytest
 from conftest import generic_params, max_relative_error, numeric_gradients
 from eegmatch.errors import InvalidInputError, InvalidSpecError
 from eegmatch.model import (
+    POOL,
     ArchitectureConfig,
     SpeechPart,
+    _maxpool,
+    _maxpool_bwd,
     backward,
     backward_batch,
     cosine_step,
@@ -37,6 +40,54 @@ def random_inputs(cfg, rng):
         rng.standard_normal((cfg.feature_dim, cfg.frames)),
         rng.standard_normal((cfg.feature_dim, cfg.frames)),
     )
+
+
+def argmax_maxpool(x):
+    """Reference max-pool: argmax per window, then take_along_axis."""
+    n_b, n_c, n_t = x.shape
+    j = n_t // POOL
+    xw = x[:, :, : j * POOL].reshape(n_b, n_c, j, POOL)
+    arg = xw.argmax(axis=3)
+    return np.take_along_axis(xw, arg[..., None], axis=3)[..., 0], arg
+
+
+def argmax_maxpool_bwd(dout, arg, x_shape):
+    """Reference max-pool gradient: scatter to the argmax of each window."""
+    n_b, n_c, n_t = x_shape
+    j = n_t // POOL
+    dxw = np.zeros((n_b, n_c, j, POOL), dtype=dout.dtype)
+    np.put_along_axis(dxw, arg[..., None], dout[..., None], axis=3)
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    dx[:, :, : j * POOL] = dxw.reshape(n_b, n_c, j * POOL)
+    return dx
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(f"u{actual.itemsize}"),
+                                  expected.view(f"u{expected.itemsize}"))
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_argmax_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        # rounding makes tied maxima common, and signed zeros among them
+        x = np.round(rng.standard_normal((4, 5, 62)))
+        x[0] = np.maximum(x[0], 0.0)  # post-ReLU: windows of zeros only
+        x[1, :, :30] = 0.0
+        x[2, 0, :9] = [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0]
+        x[3, :, 60:] = 99.0  # frames 60-61 are dropped, so never the max
+        x = x.astype(dtype)
+        assert np.signbit(x[x == 0]).any() and (~np.signbit(x[x == 0])).any()
+
+        out, cache = _maxpool(x)
+        ref, arg = argmax_maxpool(x)
+        assert_same_bits(out, ref)
+        assert (arg != 0).any() and (ref == 0).any()
+
+        dout = rng.standard_normal(out.shape).astype(dtype)
+        assert_same_bits(_maxpool_bwd(dout, cache), argmax_maxpool_bwd(dout, arg, x.shape))
 
 
 class TestCosineStep:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import yaml
@@ -123,14 +125,22 @@ class TestRunPipeline:
         rows = read_subject_results(out / "results" / "vad.csv")
         assert {r.subject_id for r in rows} == {"sub00", "sub01"}
 
-    def test_rerun_is_cached_and_hashes_stable(self, dataset, tmp_path):
+    def test_rerun_is_cached_and_hashes_stable(self, dataset, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.yaml"
         out = tmp_path / "out"
-        cfg.write_text(yaml.safe_dump(experiment_yaml(dataset, out, max_epochs=1)))
+        cfg.write_text(yaml.safe_dump(experiment_yaml(dataset, out, features=("vad", "envelope"),
+                                                      max_epochs=1)))
         spec = pipeline.load_experiment(cfg)
         first = yaml.safe_load(pipeline.run_pipeline(spec).read_text())
+        hashed = []
+        file_sha256 = pipeline.file_sha256
+        monkeypatch.setattr(pipeline, "file_sha256",
+                            lambda path: hashed.append(path) or file_sha256(path))
         second = yaml.safe_load(pipeline.run_pipeline(pipeline.load_experiment(cfg)).read_text())
         assert first == second
+        # each input file is read once per run, however many cells key on it
+        eeg = [r.eeg_path for r in pipeline.load_manifest(dataset).recordings]
+        assert sorted(p for p in hashed if p in eeg) == sorted(eeg)
 
     def test_unknown_feature_rejected_at_load(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -138,6 +148,74 @@ class TestRunPipeline:
         cfg.write_text(yaml.safe_dump(spec))
         with pytest.raises(InvalidSpecError):
             pipeline.load_experiment(cfg)
+
+
+class TestRunStats:
+    def test_features_tied_on_every_subject_get_a_note(self, dataset, tmp_path, monkeypatch):
+        from eegmatch.training import SubjectResult, write_subject_results
+
+        def fake_cell(spec, manifest, loader, feature_name):
+            path = spec.out_dir / "results" / f"{feature_name}.csv"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tied = [0.5, 0.6, 0.7, 0.8, 0.9, 0.55]
+            accuracy = {"vad": tied, "envelope": tied,
+                        "mel": [0.51, 0.63, 0.66, 0.85, 0.92, 0.5]}[feature_name]
+            write_subject_results(path, [SubjectResult(f"s{i}", a, 10, feature_name)
+                                         for i, a in enumerate(accuracy)])
+            return path
+
+        monkeypatch.setattr(pipeline, "run_feature_cell", fake_cell)
+        cfg = tmp_path / "exp.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(yaml.safe_dump(experiment_yaml(dataset, out, features=("vad", "envelope", "mel"))))
+        artifacts = yaml.safe_load(pipeline.run_pipeline(pipeline.load_experiment(cfg)).read_text())
+        assert "stats/comparisons.csv" in artifacts
+        rows = list(csv.DictReader((out / "stats" / "comparisons.csv").read_text().splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            tied = {row["feature_a"], row["feature_b"]} == {"vad", "envelope"}
+            assert (row["z"] == "") == tied and bool(row["note"]) == tied
+
+
+@pytest.fixture
+def two_stories(tmp_path):
+    return pipeline.load_manifest(write_synth_dataset(
+        tmp_path / "ds", n_subjects=1, n_stories=2, duration_s=20.0, seed=3,
+    ))
+
+
+class TestFeatureCache:
+    def test_concatenated_feature_reuses_its_parts(self, two_stories, tmp_path, monkeypatch):
+        from eegmatch import features
+
+        calls = []
+        extract = features.envelope_powerlaw
+        monkeypatch.setattr(features, "envelope_powerlaw",
+                            lambda audio: calls.append(audio) or extract(audio))
+        loader = pipeline.AssetLoader(two_stories)
+        cache = tmp_path / "cache"
+        got = {(story, name): loader.feature_cached(story, name, cache)
+               for name in ("envelope", "env+bpc") for story in two_stories.story_ids}
+        assert len(calls) == 2
+        for story in two_stories.story_ids:
+            fresh = extract_feature("env+bpc", loader.assets(story))
+            np.testing.assert_array_equal(got[story, "env+bpc"].data, fresh.data)
+            assert len(list(cache.glob(f"{story}_env+bpc_*.ndmm"))) == 1
+
+    def test_key_covers_the_embedding_table(self, two_stories, tmp_path):
+        cache = tmp_path / "cache"
+        story = two_stories.story_ids[0]
+        old = pipeline.AssetLoader(two_stories).feature_cached(story, "wordemb", cache)
+        path = two_stories.embeddings_path
+        rows = [line.split(" ") for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            " ".join([r[0]] + [f"{-float(v) + 0.25:.6f}" for v in r[1:]]) + "\n" for r in rows
+        ))
+        loader = pipeline.AssetLoader(two_stories)
+        new = loader.feature_cached(story, "wordemb", cache)
+        fresh = extract_feature("wordemb", loader.assets(story))
+        assert not np.array_equal(new.data, old.data)
+        np.testing.assert_array_equal(new.data, fresh.data)
 
 
 class TestCheckpointRoundtrip:

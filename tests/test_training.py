@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,12 +142,38 @@ class TestEvaluation:
         params.tensors["head_w"][:] = 30.0  # spread p away from 0.5
         ws = noise_sets["test"]
         mean_loss, acc, correct = evaluate_set(params, ws, batch_size=16)
-        eeg, a, b, labels = ws.gather_samples(np.arange(ws.n_samples))
+        eeg, a, b, labels = ws.gather_samples(np.arange(ws.n_samples), np.float64)
         p, _ = forward_batch(params, eeg, a, b)
         np.testing.assert_array_equal(correct, (p >= 0.5) == (labels > 0.5))
         assert acc == correct.mean()
         assert np.abs(p - 0.5).min() > 1e-3  # no decision sits on a tie
         assert mean_loss == pytest.approx(float(loss(p, labels).mean()), rel=1e-9)
+
+    @pytest.mark.parametrize("part", [SpeechPart(1, "no-conv"), SpeechPart(3, "conv"),
+                                      SpeechPart(3, "maxpool")])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_segment_indexed_matches_forward_batch_bit_for_bit(self, part, dtype):
+        from eegmatch.model import forward_batch, loss
+
+        recs = noise_recordings(length=12000, feat_dim=part.dim, seed=24)
+        ws = assemble_dataset(recs, seed=5)["test"]
+        arch = replace(small_arch(dtype=dtype), parts=(part,))
+        params = init_params(arch, np.random.default_rng(25))
+        params.tensors["head_w"][:] = 30.0
+        batch = 12
+        mean_loss, _, correct = evaluate_set(params, ws, batch_size=batch)
+        losses = np.empty(ws.n_samples)
+        ref = np.empty(ws.n_samples, dtype=bool)
+        for lo in range(0, ws.n_triples, batch // 2):
+            idx = np.arange(lo, min(lo + batch // 2, ws.n_triples))
+            eeg, match, mismatch = ws.gather_triples(idx)
+            p, _ = forward_batch(params, eeg, match, mismatch)
+            q, _ = forward_batch(params, eeg, mismatch, match)
+            losses[2 * idx], losses[2 * idx + 1] = loss(p, 1.0), loss(q, 0.0)
+            ref[2 * idx], ref[2 * idx + 1] = p >= 0.5, q < 0.5
+        np.testing.assert_array_equal(correct, ref)
+        assert mean_loss == float(losses.mean())
+        assert 0.0 < correct.mean() < 1.0
 
     def test_degenerate_model_scores_exactly_half(self, noise_sets):
         params = init_params(small_arch(), np.random.default_rng(21))
@@ -167,7 +195,7 @@ class TestEvaluation:
             for s in range(ws.n_samples):
                 if ws.subject_of_sample(s) != res.subject_id:
                     continue
-                eeg, a, b, label = ws.gather_samples(np.array([s]))
+                eeg, a, b, label = ws.gather_samples(np.array([s]), np.float64)
                 p, _ = forward(params, eeg[0], a[0], b[0])
                 hits += int((p >= 0.5) == (label[0] > 0.5))
                 n += 1

@@ -104,7 +104,7 @@ class TestMakeWindows:
         ws = make_windows(
             TimeSeriesTensor(rec.eeg, 64.0), TimeSeriesTensor(rec.feature, 64.0), SPEC
         )
-        eeg, a, b, labels = ws.gather_samples(np.array([0, 1]))
+        eeg, a, b, labels = ws.gather_samples(np.array([0, 1]), np.float64)
         np.testing.assert_array_equal(labels, [1.0, 0.0])
         np.testing.assert_array_equal(a[0], b[1])
         np.testing.assert_array_equal(b[0], a[1])
@@ -180,6 +180,71 @@ class TestAssembleDataset:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             assemble_dataset([])
+
+
+def where_gather(ws, sample_idx):
+    """Reference gather: float64 triple stacks, then the order swap by np.where."""
+    w = ws.spec.window_frames
+    off = w + ws.spec.gap_frames
+    triples = sample_idx // 2
+    swapped = (sample_idx % 2).astype(bool)
+    eeg = np.empty((len(triples), ws.eeg_channels, w))
+    match = np.empty((len(triples), ws.feature_dim, w))
+    mismatch = np.empty_like(match)
+    for j, i in enumerate(triples):
+        rec = ws.recordings[ws.rec_index[i]]
+        s = int(ws.start_frame[i])
+        eeg[j] = rec.eeg[:, s : s + w]
+        match[j] = rec.feature[:, s : s + w]
+        mismatch[j] = rec.feature[:, s + off : s + off + w]
+    a = np.where(swapped[:, None, None], mismatch, match)
+    b = np.where(swapped[:, None, None], match, mismatch)
+    return eeg, a, b, (~swapped).astype(np.float64)
+
+
+class TestGather:
+    @pytest.fixture(scope="class")
+    def sets(self):
+        recs = [recording(12000, seed=k, subject=f"s{k}", rec_id=f"r{k}") for k in range(3)]
+        recs[1].feature = recs[1].feature.astype(np.float32)
+        return assemble_dataset(recs, seed=5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_direct_gather_matches_where_then_cast(self, sets, dtype):
+        train_set = sets["train"]
+        sample_idx = np.random.default_rng(6).permutation(train_set.n_samples)[:97]
+        assert len(set(train_set.rec_index[sample_idx // 2])) == 3
+        got = train_set.gather_samples(sample_idx, dtype)
+        want = where_gather(train_set, sample_idx)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, w.astype(dtype))
+        np.testing.assert_array_equal(got[3], want[3])
+
+    def test_consecutive_triples_share_segments(self):
+        rec = recording(5000, seed=8)
+        ws = make_windows(
+            TimeSeriesTensor(rec.eeg, 64.0), TimeSeriesTensor(rec.feature, 64.0), SPEC
+        )
+        idx = np.arange(128)
+        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, np.float64)
+        # the mismatch offset is 12 hops, so 128 triples span 140 segments
+        assert segments.shape == (140, 2, 320)
+        ref_eeg, match, mismatch = ws.gather_triples(idx)
+        np.testing.assert_array_equal(eeg, ref_eeg)
+        np.testing.assert_array_equal(segments[match_row], match)
+        np.testing.assert_array_equal(segments[mismatch_row], mismatch)
+
+    def test_segments_of_different_recordings_stay_apart(self, sets):
+        ws = sets["test"]  # recordings in turn, the same start frames in each
+        idx = np.arange(ws.n_triples)
+        assert len(set(ws.rec_index)) == 3
+        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, np.float32)
+        ref_eeg, match, mismatch = ws.gather_triples(idx)
+        assert segments.shape[0] == idx.size + 3 * 12
+        np.testing.assert_array_equal(eeg, ref_eeg.astype(np.float32))
+        np.testing.assert_array_equal(segments[match_row], match.astype(np.float32))
+        np.testing.assert_array_equal(segments[mismatch_row], mismatch.astype(np.float32))
 
 
 class TestSerialization:
