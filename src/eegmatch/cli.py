@@ -5,15 +5,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import pipeline
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .errors import EegMatchError
-from .features import feature_dims
-from .model import config_for_feature, init_params
 from .preproc import PreprocConfig, load_preproc_config
 from .stats import (
     PairedSample,
@@ -24,15 +23,8 @@ from .stats import (
 )
 from .synth import write_synth_dataset
 from .tensors import write_timeseries
-from .training import (
-    TrainConfig,
-    evaluate_per_subject,
-    read_subject_results,
-    train,
-    write_subject_results,
-    write_training_log,
-)
-from .windows import SplitSpec, WindowingSpec, assemble_dataset, write_window_set
+from .training import evaluate_per_subject, read_subject_results, write_subject_results
+from .windows import write_window_set
 
 logger = logging.getLogger("eegmatch")
 
@@ -42,12 +34,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, required=True)
 
 
-def _build_sets(args, feature: str):
-    manifest = pipeline.load_manifest(args.manifest)
-    loader = pipeline.AssetLoader(manifest)
-    cfg = load_preproc_config(args.preproc_config) if getattr(args, "preproc_config", None) else PreprocConfig()
-    recordings = pipeline.build_recordings(manifest, feature, loader, cfg, args.out)
-    return manifest, assemble_dataset(recordings, WindowingSpec(), SplitSpec(), seed=args.seed)
+def _one_feature(args, **settings):
+    """The one-feature experiment that a stage command's flags describe."""
+    preproc = asdict(load_preproc_config(args.preproc_config)) if args.preproc_config else {}
+    spec = pipeline.ExperimentSpec(features=[args.feature], manifest=args.manifest,
+                                   out_dir=args.out, seed=args.seed, preproc=preproc, **settings)
+    manifest = pipeline.load_manifest(spec.manifest)
+    return spec, manifest, pipeline.AssetLoader(manifest)
+
+
+def _window_sets(args):
+    sets, _, _ = pipeline.build_cell(*_one_feature(args), args.feature)
+    return sets
 
 
 def cmd_synth_make(args) -> int:
@@ -88,37 +86,23 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    _, sets = _build_sets(args, args.feature)
-    for part, ws in sets.items():
+    for part, ws in _window_sets(args).items():
         write_window_set(args.out / part, ws)
         print(f"{part}: {ws.n_triples} triples")
     return 0
 
 
 def cmd_train(args) -> int:
-    _, sets = _build_sets(args, args.feature)
-    dims, flags = feature_dims(args.feature)
-    arch = config_for_feature(dims, flags, dtype=args.dtype,
-                              eeg_channels=sets["train"].eeg_channels)
-    params0 = init_params(arch, np.random.default_rng(args.seed))
-    cfg = TrainConfig(
-        rng_seed=args.seed,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-    )
-    result = train(params0, sets["train"], sets["val"], cfg)
-    save_checkpoint(args.out, result.params)
-    write_training_log(args.out / "train_log.csv", result.log)
-    print(f"best epoch {result.best_epoch}, val loss {min(r.val_loss for r in result.log):.4f}")
+    """A one-cell ``run``: model under ``<out>/models/``, CSV under ``<out>/results/``."""
+    train = {"batch_size": args.batch_size, "learning_rate": args.learning_rate,
+             "max_epochs": args.max_epochs, "patience": args.patience}
+    print(pipeline.run_feature_cell(*_one_feature(args, dtype=args.dtype, train=train), args.feature))
     return 0
 
 
 def cmd_evaluate(args) -> int:
     params = load_checkpoint(args.model)
-    _, sets = _build_sets(args, args.feature)
-    results = evaluate_per_subject(params, sets["test"], feature_name=args.feature)
+    results = evaluate_per_subject(params, _window_sets(args)["test"], feature_name=args.feature)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{pipeline.feature_slug(args.feature)}.csv"
     write_subject_results(path, results)

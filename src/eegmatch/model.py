@@ -5,16 +5,16 @@ dense layer; each speech input runs a variant-specific front (1-D conv for
 features with two or more channels, nothing for one-channel features, or a
 stride-3 max-pool for word embeddings), a time-distributed dense layer and a
 shared LSTM. Per-step cosine similarity between the EEG and each speech
-representation gives two similarity sequences; the head applies one shared
-time-distributed dense to each sequence and subtracts, so its bias cancels
-and the output probability is exactly antisymmetric in the two speech
-inputs. Everything is computed in 64-bit floats unless the architecture
-selects 32-bit.
+representation gives two similarity sequences; the head scales the mean of
+their difference by one weight. A bias would cancel in that difference, so
+the head has none, and the output probability is exactly antisymmetric in
+the two speech inputs. Everything is computed in 64-bit floats unless the
+architecture selects 32-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +44,6 @@ class SpeechPart:
             raise InvalidSpecError("conv variant requires >= 2 feature channels")
         if self.variant == "no-conv" and self.dim != 1:
             raise InvalidSpecError("no-conv variant is for one-channel features")
-
-
-def default_variant(dim: int) -> str:
-    return "no-conv" if dim == 1 else "conv"
 
 
 @dataclass(frozen=True)
@@ -95,17 +91,12 @@ class ArchitectureConfig:
     def lstm_input_dim(self) -> int:
         return self.embed_dim * len(self.parts)
 
-    def with_dtype(self, dtype: str) -> "ArchitectureConfig":
-        return replace(self, dtype=dtype)
 
-
-def config_for_feature(dims: Sequence[int], wordemb_flags: Sequence[bool] | None = None,
+def config_for_feature(dims: Sequence[int], wordemb_flags: Sequence[bool],
                        **overrides) -> ArchitectureConfig:
     """Architecture for a (possibly concatenated) feature given part dims."""
-    if wordemb_flags is None:
-        wordemb_flags = [False] * len(dims)
     parts = tuple(
-        SpeechPart(d, "maxpool" if w else default_variant(d))
+        SpeechPart(d, "maxpool" if w else "no-conv" if d == 1 else "conv")
         for d, w in zip(dims, wordemb_flags)
     )
     return ArchitectureConfig(parts=parts, **overrides)
@@ -155,7 +146,6 @@ def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelPa
     b[h : 2 * h] = 1.0
     t["lstm_b"] = b
     t["head_w"] = np.ones(1, dtype=dt)
-    t["head_b"] = np.zeros(1, dtype=dt)
     return ModelParams(config, t)
 
 
@@ -202,11 +192,16 @@ def _td_dense(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, x
 
 
-def _td_dense_bwd(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
+def _td_dense_bwd(dout: np.ndarray, x: np.ndarray):
+    """Weight and bias gradients of :func:`_td_dense`."""
     dw = np.tensordot(dout, x, axes=([0, 2], [0, 2]))
     db = dout.sum(axis=(0, 2))
-    dx = np.tensordot(w, dout, axes=([0], [1])).transpose(1, 0, 2)
-    return dx, dw, db
+    return dw, db
+
+
+def _td_dense_dx(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of :func:`_td_dense`, needed only where a conv follows."""
+    return np.tensordot(w, dout, axes=([0], [1])).transpose(1, 0, 2)
 
 
 def _relu(x: np.ndarray):
@@ -364,37 +359,6 @@ def _cosine_seq_bwd(ds: np.ndarray, cache):
     return du, dv
 
 
-# ---------------------------------------------------------------------------
-# spec-level single-step operations
-# ---------------------------------------------------------------------------
-
-def cosine_step(u: np.ndarray, v: np.ndarray, eps: float = COSINE_EPS) -> float:
-    """Epsilon-guarded cosine similarity of two vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return float(u @ v / (max(np.linalg.norm(u), eps) * max(np.linalg.norm(v), eps)))
-
-
-def lstm_step(
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    wx: np.ndarray,
-    wh: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM recurrence step (gate order: input, forget, cell, output)."""
-    h_units = h_prev.shape[-1]
-    z = wx @ x_t + wh @ h_prev + b
-    i = _sigmoid(z[:h_units])
-    f = _sigmoid(z[h_units : 2 * h_units])
-    g = np.tanh(z[2 * h_units : 3 * h_units])
-    o = _sigmoid(z[3 * h_units :])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
-
-
 def loss(p: float | np.ndarray, label: float | np.ndarray) -> float | np.ndarray:
     """Binary cross-entropy with probability clamping at 1e-7."""
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -423,7 +387,6 @@ class ForwardTrace:
     branches: tuple = ()
     lstm: dict = field(default_factory=dict)
     sims: tuple = ()
-    head: dict = field(default_factory=dict)
     p: np.ndarray = field(default_factory=lambda: np.empty(0))
     consumed: bool = False
 
@@ -468,10 +431,10 @@ def _eeg_path_bwd(params: ModelParams, dout: np.ndarray, cache, grads: dict) -> 
     if params.config.pooled:
         dout = _maxpool_bwd(dout, cache["pool"])
     dout = _relu_bwd(dout, cache["mask2"])
-    dout, dw, db = _td_dense_bwd(dout, cache["dense_x"], t["eeg_dense_w"])
+    dw, db = _td_dense_bwd(dout, cache["dense_x"])
     grads["eeg_dense_w"] += dw
     grads["eeg_dense_b"] += db
-    dout = _relu_bwd(dout, cache["mask1"])
+    dout = _relu_bwd(_td_dense_dx(dout, t["eeg_dense_w"]), cache["mask1"])
     dw, db = _conv1d_same_bwd(dout, cache["conv"], t["eeg_conv_w"])
     grads["eeg_conv_w"] += dw
     grads["eeg_conv_b"] += db
@@ -519,15 +482,15 @@ def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: di
         if cfg.pooled and part.variant != "maxpool":
             dact = _maxpool_bwd(dact, pc["pool_out"])
         dact = _relu_bwd(dact, pc["dense_mask"])
-        dx, dw, db2 = _td_dense_bwd(dact, pc["dense_x"], t[f"sp{i}_dense_w"])
+        dw, db2 = _td_dense_bwd(dact, pc["dense_x"])
         grads[f"sp{i}_dense_w"] += dw
         grads[f"sp{i}_dense_b"] += db2
+        # no-conv and maxpool parts read the data directly: their gradients stop here
         if part.variant == "conv":
-            dx = _relu_bwd(dx, pc["conv_mask"])
+            dx = _relu_bwd(_td_dense_dx(dact, t[f"sp{i}_dense_w"]), pc["conv_mask"])
             dw, db2 = _conv1d_same_bwd(dx, pc["conv"], t[f"sp{i}_conv_w"])
             grads[f"sp{i}_conv_w"] += dw
             grads[f"sp{i}_conv_b"] += db2
-        # maxpool-variant input gradients stop at the data
 
 
 def _lstm_rep(params: ModelParams, fronts: list[np.ndarray]):
@@ -541,8 +504,8 @@ def _lstm_rep(params: ModelParams, fronts: list[np.ndarray]):
 def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.ndarray):
     """Logit that ``a`` is the match, and the cosine caches behind it.
 
-    One shared dense on each similarity sequence; their difference cancels
-    the bias, so the logit is exactly antisymmetric under swapping a and b.
+    One shared weight on the difference of the similarity sequences, so the
+    logit is exactly antisymmetric under swapping a and b.
     """
     sim_a, cos_a = _cosine_seq(r_eeg, rep_a)
     sim_b, cos_b = _cosine_seq(r_eeg, rep_b)
@@ -578,7 +541,6 @@ def forward_batch(
         branches=(cache_a, cache_b),
         lstm=lstm_cache,
         sims=sims,
-        head={"m": m, "p": p},
         p=p,
     )
     return p, trace
@@ -625,14 +587,13 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
         raise InvalidInputError(f"dloss shape {dloss.shape} != ({trace.batch},)")
     grads = zeros_like_params(params)
     cos_a, cos_b, diff = trace.sims
-    p = trace.head["p"]
+    p = trace.p
     t_out = diff.shape[1]
     w = params.tensors["head_w"][0]
 
     dm = dloss * p * (1.0 - p)
     ddiff = (dm / t_out)[:, None] * np.ones_like(diff)
     grads["head_w"][0] = float((dm * diff.mean(axis=1)).sum())
-    # head bias cancels structurally; its gradient is identically zero
     dsim_a = ddiff * w
     dsim_b = -ddiff * w
 
@@ -649,28 +610,3 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     _speech_front_bwd(params, dconcat[trace.batch :], trace.branches[1], grads)
     _eeg_path_bwd(params, du_a + du_b, trace.eeg, grads)
     return grads
-
-
-def forward(
-    params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
-) -> tuple[float, ForwardTrace]:
-    """Single-triple forward; see :func:`forward_batch`."""
-    p, trace = forward_batch(params, eeg[None], speech_a[None], speech_b[None])
-    return float(p[0]), trace
-
-
-def backward(params: ModelParams, trace: ForwardTrace, dloss: float) -> dict[str, np.ndarray]:
-    """Single-triple backward matching :func:`forward`."""
-    return backward_batch(params, trace, np.array([dloss]))
-
-
-def predict(params: ModelParams, triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
-    """1 when input ``a`` is called the match (ties break toward ``a``)."""
-    eeg, speech_a, speech_b = triple
-    p, _ = forward(params, eeg, speech_a, speech_b)
-    return int(p >= 0.5)
-
-
-def predict_batch(params: ModelParams, eeg, speech_a, speech_b) -> np.ndarray:
-    p, _ = forward_batch(params, eeg, speech_a, speech_b)
-    return (p >= 0.5).astype(np.int64)

@@ -24,7 +24,7 @@ from .alignments import read_alignment, read_embeddings, read_inventory
 from .checkpoint import save_checkpoint
 from .errors import DegenerateSampleError, InvalidInputError
 from .features import StoryAssets, canonical_parts, extract_feature, feature_dims, join_parts
-from .model import config_for_feature, init_params
+from .model import ModelParams, config_for_feature, init_params
 from .preproc import PreprocConfig, preprocess_eeg
 from .stats import (
     PairedSample,
@@ -40,7 +40,7 @@ from .training import (
     write_subject_results,
     write_training_log,
 )
-from .windows import RecordingData, SplitSpec, WindowingSpec, assemble_dataset
+from .windows import DecisionWindowSet, RecordingData, SplitSpec, WindowingSpec, assemble_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -299,6 +299,35 @@ def child_seed(seed: int, name: str) -> int:
     )
 
 
+def build_cell(
+    spec: ExperimentSpec,
+    manifest: DatasetManifest,
+    loader: AssetLoader,
+    feature_name: str,
+) -> tuple[dict[str, DecisionWindowSet], ModelParams, TrainConfig]:
+    """Window sets, initial parameters and training config of one feature cell.
+
+    Every command that trains or scores a cell builds it here, so one spec
+    gives the same data, architecture and seeds wherever it is used.
+    """
+    win = WindowingSpec(**spec.windowing)
+    recordings = build_recordings(
+        manifest, feature_name, loader, PreprocConfig(**spec.preproc), spec.out_dir
+    )
+    seed = child_seed(spec.seed, feature_name)
+    sets = assemble_dataset(recordings, win, SplitSpec(**spec.split), seed=seed)
+    dims, flags = feature_dims(feature_name)
+    arch_kwargs = {
+        "dtype": spec.dtype,
+        "frames": win.window_frames,
+        "eeg_channels": recordings[0].eeg.shape[0],
+        **spec.arch,
+    }
+    arch = config_for_feature(dims, flags, **arch_kwargs)
+    params0 = init_params(arch, np.random.default_rng(seed))
+    return sets, params0, TrainConfig(rng_seed=seed, **spec.train)
+
+
 def run_feature_cell(
     spec: ExperimentSpec,
     manifest: DatasetManifest,
@@ -328,22 +357,7 @@ def run_feature_cell(
                 logger.info("cell %s cached, skipping", feature_name)
                 return results_path
 
-    preproc_cfg = PreprocConfig(**spec.preproc)
-    win = WindowingSpec(**spec.windowing)
-    split = SplitSpec(**spec.split)
-    recordings = build_recordings(manifest, feature_name, loader, preproc_cfg, out)
-    seed = child_seed(spec.seed, feature_name)
-    sets = assemble_dataset(recordings, win, split, seed=seed)
-    dims, flags = feature_dims(feature_name)
-    arch_kwargs = {
-        "dtype": spec.dtype,
-        "frames": win.window_frames,
-        "eeg_channels": recordings[0].eeg.shape[0],
-        **spec.arch,
-    }
-    arch = config_for_feature(dims, flags, **arch_kwargs)
-    params0 = init_params(arch, np.random.default_rng(seed))
-    tcfg = TrainConfig(rng_seed=seed, **spec.train)
+    sets, params0, tcfg = build_cell(spec, manifest, loader, feature_name)
     logger.info(
         "training %s: %d train / %d val / %d test samples",
         feature_name, sets["train"].n_samples, sets["val"].n_samples, sets["test"].n_samples,

@@ -7,6 +7,7 @@ f64, then the payload row-major.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,17 +67,29 @@ class TimeSeriesTensor:
 
 
 def write_tensor(path: str | Path, data: np.ndarray, fs: float) -> None:
-    """Write an n-d array plus its sampling rate in the repo tensor format."""
+    """Write an n-d array plus its sampling rate in the repo tensor format.
+
+    The file appears at ``path`` whole or not at all: it is written under a
+    temporary name in the same directory, then renamed. The temporary name
+    does not end in ``.ndmm``, so cache lookups never see a partial file.
+    """
+    path = Path(path)
     data = np.asarray(data)
     if data.dtype not in _CODES_BY_KIND:
         data = data.astype(np.float64)
     code = _CODES_BY_KIND[data.dtype]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, code, data.ndim))
-        fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-        fh.write(struct.pack("<d", float(fs)))
-        fh.write(np.ascontiguousarray(data).astype(f"<f{data.itemsize}").tobytes())
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<III", FORMAT_VERSION, code, data.ndim))
+            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+            fh.write(struct.pack("<d", float(fs)))
+            fh.write(np.ascontiguousarray(data).astype(f"<f{data.itemsize}").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, float]:

@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eegmatch.model import ArchitectureConfig, forward, init_params
+from eegmatch.model import ArchitectureConfig, backward_batch, forward_batch, init_params
+
+
+# One (eeg, a, b) triple through the batched model, for the finite-difference oracle.
+def forward(params, eeg, sa, sb):
+    p, trace = forward_batch(params, eeg[None], sa[None], sb[None])
+    return float(p[0]), trace
+
+
+def backward(params, trace, dloss):
+    return backward_batch(params, trace, np.array([dloss]))
 
 
 def generic_params(cfg: ArchitectureConfig, seed: int = 0):

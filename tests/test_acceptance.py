@@ -13,17 +13,10 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from conftest import generic_params, max_relative_error, numeric_gradients
+from conftest import backward, forward, generic_params, max_relative_error, numeric_gradients
 from eegmatch.acoustic import envelope_powerlaw, vad_frames
 from eegmatch.features import StoryAssets, extract_feature, feature_dims
-from eegmatch.model import (
-    ArchitectureConfig,
-    SpeechPart,
-    backward,
-    config_for_feature,
-    forward,
-    init_params,
-)
+from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
 from eegmatch.preproc import BandpassSpec, PreprocConfig, design_bandpass, preprocess_eeg, resample
 from eegmatch.stats import wilcoxon_exact, wilcoxon_signed_rank
 from eegmatch.synth import (

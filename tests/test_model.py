@@ -3,25 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import generic_params, max_relative_error, numeric_gradients
+from conftest import backward, forward, generic_params, max_relative_error, numeric_gradients
 from eegmatch.errors import InvalidInputError, InvalidSpecError
 from eegmatch.model import (
     POOL,
     ArchitectureConfig,
     SpeechPart,
+    _cosine_seq,
+    _lstm,
     _maxpool,
     _maxpool_bwd,
-    backward,
     backward_batch,
-    cosine_step,
-    forward,
     forward_batch,
     init_params,
     loss,
     loss_grad,
-    lstm_step,
-    predict,
-    predict_batch,
 )
 
 TINY = dict(
@@ -91,56 +87,68 @@ class TestMaxPool:
 
 
 class TestCosineStep:
+    """Per-step cosine similarity of two (B, D, T) stacks."""
+
     def test_parallel(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert cosine_step(e1, e1) == pytest.approx(1.0)
+        u = np.random.default_rng(0).standard_normal((2, 3, 5))
+        s, _ = _cosine_seq(u, 2.5 * u)
+        np.testing.assert_allclose(s, 1.0, atol=1e-12)
 
     def test_antiparallel(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert cosine_step(e1, -e1) == pytest.approx(-1.0)
+        u = np.random.default_rng(1).standard_normal((2, 3, 5))
+        s, _ = _cosine_seq(u, -u)
+        np.testing.assert_allclose(s, -1.0, atol=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            u = rng.standard_normal(5)
-            v = rng.standard_normal(5)
-            direct = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-            assert abs(cosine_step(u, v) - direct) < 1e-12
+        u = rng.standard_normal((4, 5, 20))
+        v = rng.standard_normal((4, 5, 20))
+        s, _ = _cosine_seq(u, v)
+        for b in range(4):
+            for t in range(20):
+                x, y = u[b, :, t], v[b, :, t]
+                direct = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
+                assert abs(s[b, t] - direct) < 1e-12
 
     def test_zero_vector_guarded(self):
-        v = np.array([3.0, 4.0])
-        assert cosine_step(np.zeros(2), v) == 0.0
-        assert -1.0 <= cosine_step(np.zeros(2), np.zeros(2)) <= 1.0
+        u = np.zeros((1, 2, 3))
+        v = np.zeros((1, 2, 3))
+        u[0, :, 0] = [3.0, 4.0]  # step 0: v is zero
+        v[0, :, 1] = [3.0, 4.0]  # step 1: u is zero; step 2: both are
+        s, _ = _cosine_seq(u, v)
+        assert s[0, 0] == 0.0 and s[0, 1] == 0.0
+        assert -1.0 <= s[0, 2] <= 1.0
 
 
 class TestLstmStep:
+    """The batched LSTM over short sequences (gate order: input, forget, cell, output)."""
+
     def test_zero_weights_zero_state(self):
-        h, c = lstm_step(
-            np.ones(3), np.zeros(2), np.zeros(2),
-            np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8),
-        )
-        np.testing.assert_allclose(h, 0.0)
-        np.testing.assert_allclose(c, 0.0)
+        hs, cache = _lstm(np.ones((2, 5, 3)), np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
+        np.testing.assert_array_equal(hs, 0.0)
+        np.testing.assert_array_equal(cache["c_prev"], 0.0)
 
     def test_saturated_forget_gate_preserves_cell(self):
-        h_units = 2
+        h_units, n_t = 2, 6
+        wx = np.zeros((4 * h_units, 2))
         b = np.zeros(4 * h_units)
         b[h_units : 2 * h_units] = 50.0        # forget gate ~ 1
-        b[0:h_units] = -50.0                   # input gate ~ 0
-        c_prev = np.array([0.7, -1.2])
-        _, c = lstm_step(
-            np.ones(3), np.zeros(h_units), c_prev,
-            np.zeros((8, 3)), np.zeros((8, 2)), b,
-        )
-        np.testing.assert_allclose(c, c_prev, atol=1e-9)
+        b[0:h_units] = -50.0                   # input gate ~ 0 ...
+        wx[0:h_units, 0] = 100.0               # ... except while input 0 is on
+        wx[2 * h_units : 3 * h_units, 1] = [1.0, -2.0]
+        x = np.zeros((1, n_t, 2))
+        x[0, 0] = [1.0, 0.5]                   # step 0 writes tanh([0.5, -1.0])
+        x[0, 1:, 1] = np.random.default_rng(0).standard_normal(n_t - 1)
+        _, cache = _lstm(x, wx, np.zeros((4 * h_units, h_units)), b)
+        c_after = cache["c_prev"][1:, 0]       # cell state after steps 0..T-2
+        np.testing.assert_allclose(c_after, np.tile(np.tanh([0.5, -1.0]), (n_t - 1, 1)),
+                                   atol=1e-9)
 
     def test_matches_scalar_loop_reference(self):
-        """Independent oracle: per-unit scalar recurrence."""
+        """Independent oracle: per-unit scalar recurrence, row by row."""
         rng = np.random.default_rng(1)
-        d_in, h_units = 4, 3
-        x = rng.standard_normal(d_in)
-        h_prev = rng.standard_normal(h_units)
-        c_prev = rng.standard_normal(h_units)
+        n_b, n_t, d_in, h_units = 3, 6, 4, 3
+        x = rng.standard_normal((n_b, n_t, d_in))
         wx = rng.standard_normal((4 * h_units, d_in))
         wh = rng.standard_normal((4 * h_units, h_units))
         b = rng.standard_normal(4 * h_units)
@@ -148,22 +156,22 @@ class TestLstmStep:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        h_ref = np.empty(h_units)
-        c_ref = np.empty(h_units)
-        for u in range(h_units):
-            zi = sum(wx[u, j] * x[j] for j in range(d_in)) + sum(
-                wh[u, j] * h_prev[j] for j in range(h_units)) + b[u]
-            zf = sum(wx[h_units + u, j] * x[j] for j in range(d_in)) + sum(
-                wh[h_units + u, j] * h_prev[j] for j in range(h_units)) + b[h_units + u]
-            zg = sum(wx[2 * h_units + u, j] * x[j] for j in range(d_in)) + sum(
-                wh[2 * h_units + u, j] * h_prev[j] for j in range(h_units)) + b[2 * h_units + u]
-            zo = sum(wx[3 * h_units + u, j] * x[j] for j in range(d_in)) + sum(
-                wh[3 * h_units + u, j] * h_prev[j] for j in range(h_units)) + b[3 * h_units + u]
-            c_ref[u] = sig(zf) * c_prev[u] + sig(zi) * math.tanh(zg)
-            h_ref[u] = sig(zo) * math.tanh(c_ref[u])
-        h, c = lstm_step(x, h_prev, c_prev, wx, wh, b)
-        np.testing.assert_allclose(h, h_ref, atol=1e-12)
-        np.testing.assert_allclose(c, c_ref, atol=1e-12)
+        hs, cache = _lstm(x, wx, wh, b)
+        for row in range(n_b):
+            h = [0.0] * h_units
+            c = [0.0] * h_units
+            for t in range(n_t):
+                z = [
+                    sum(wx[r, j] * x[row, t, j] for j in range(d_in))
+                    + sum(wh[r, j] * h[j] for j in range(h_units)) + b[r]
+                    for r in range(4 * h_units)
+                ]
+                c = [sig(z[h_units + u]) * c[u] + sig(z[u]) * math.tanh(z[2 * h_units + u])
+                     for u in range(h_units)]
+                h = [sig(z[3 * h_units + u]) * math.tanh(c[u]) for u in range(h_units)]
+                np.testing.assert_allclose(hs[row, t], h, atol=1e-12)
+                if t + 1 < n_t:  # the cache holds the cell state entering each step
+                    np.testing.assert_allclose(cache["c_prev"][t + 1, row], c, atol=1e-12)
 
 
 class TestLoss:
@@ -280,14 +288,16 @@ class TestBackward:
             rel = max_relative_error(grads[key], numeric)
             assert rel < 1e-4, f"{variant}/{key}: rel={rel:.2e}"
 
-    def test_head_bias_gradient_zero_on_symmetric_pair(self):
+    def test_head_has_no_bias(self):
+        """A head bias would cancel in the difference of the two similarities."""
         cfg = tiny_cfg((SpeechPart(2, "conv"),))
-        params, rng = generic_params(cfg, 7)
-        eeg = rng.standard_normal((4, 20))
-        s = rng.standard_normal((2, 20))
-        _, trace = forward(params, eeg, s, s.copy())
-        grads = backward(params, trace, 1.0)
-        np.testing.assert_array_equal(grads["head_b"], 0.0)
+        rng = np.random.default_rng(7)
+        params = init_params(cfg, rng)
+        eeg, sa, sb = random_inputs(cfg, rng)
+        _, trace = forward_batch(params, eeg[None], sa[None], sb[None])
+        grads = backward_batch(params, trace, np.ones(1))
+        assert [k for k in params.tensors if k.startswith("head")] == ["head_w"]
+        assert set(grads) == set(params.tensors)
 
     def test_zero_upstream_gives_zero_grads(self):
         cfg = tiny_cfg((SpeechPart(3, "conv"),))
@@ -324,31 +334,6 @@ class TestBackward:
             g_sum = g_i if g_sum is None else {k: g_sum[k] + g_i[k] for k in g_i}
         for key in g_batch:
             np.testing.assert_allclose(g_batch[key], g_sum[key], atol=1e-10, err_msg=key)
-
-
-class TestPredict:
-    def test_threshold_and_ties(self):
-        cfg = tiny_cfg((SpeechPart(2, "conv"),))
-        params, rng = generic_params(cfg, 11)
-        eeg, sa, sb = random_inputs(cfg, rng)
-        p, _ = forward(params, eeg, sa, sb)
-        assert predict(params, (eeg, sa, sb)) == int(p >= 0.5)
-        s = rng.standard_normal((2, 20))
-        assert predict(params, (eeg, s, s)) == 1  # tie rule: toward input a
-
-    def test_batch_accuracy_matches_recount(self):
-        cfg = tiny_cfg((SpeechPart(2, "conv"),))
-        params, rng = generic_params(cfg, 12)
-        eeg = rng.standard_normal((8, 4, 20))
-        sa = rng.standard_normal((8, 2, 20))
-        sb = rng.standard_normal((8, 2, 20))
-        labels = rng.integers(0, 2, size=8)
-        preds = predict_batch(params, eeg, sa, sb)
-        accuracy = float((preds == labels).mean())
-        recount = np.mean(
-            [predict(params, (eeg[i], sa[i], sb[i])) == labels[i] for i in range(8)]
-        )
-        assert accuracy == recount
 
 
 class TestConfigValidation:

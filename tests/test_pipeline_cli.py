@@ -1,4 +1,5 @@
 import csv
+import errno
 
 import numpy as np
 import pytest
@@ -218,6 +219,45 @@ class TestFeatureCache:
         np.testing.assert_array_equal(new.data, fresh.data)
 
 
+class TestAtomicWrites:
+    def test_failed_write_leaves_no_cache_entry(self, two_stories, tmp_path, monkeypatch):
+        from eegmatch import tensors
+
+        class FullDisk:
+            """Takes a rank-2 tensor's header, then fails the way a full disk does."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 4 + 12 + 2 * 8 + 8  # magic, version/dtype/rank, dims, rate
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return self.fh.write(data)
+
+        def full_disk(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        cache = tmp_path / "cache"
+        story = two_stories.story_ids[0]
+        monkeypatch.setattr(tensors, "open", full_disk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            pipeline.AssetLoader(two_stories).feature_cached(story, "vad", cache)
+        assert list(cache.iterdir()) == []
+        monkeypatch.undo()
+        loader = pipeline.AssetLoader(two_stories)
+        got = loader.feature_cached(story, "vad", cache)
+        np.testing.assert_array_equal(got.data, extract_feature("vad", loader.assets(story)).data)
+        assert [p.suffix for p in cache.iterdir()] == [".ndmm"]
+
+
 class TestCheckpointRoundtrip:
     def test_save_load(self, tmp_path):
         from eegmatch.checkpoint import load_checkpoint, save_checkpoint
@@ -308,6 +348,32 @@ class TestCli:
         out = read_timeseries(tmp_path / "pre" / "sub00_story00.ndmm")
         assert out.fs == 64.0
         assert abs(out.data.mean(axis=1)).max() < 1e-9
+
+    def test_train_is_a_one_cell_run(self, dataset, tmp_path):
+        train_out, run_out, eval_out = tmp_path / "train", tmp_path / "run", tmp_path / "eval"
+        rc = cli.main(["train", "--manifest", str(dataset), "--feature", "vad",
+                       "--max-epochs", "1", "--seed", "7", "--out", str(train_out)])
+        assert rc == 0
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "features": ["vad"], "manifest": str(dataset), "out": str(run_out), "seed": 7,
+            "dtype": "float32",
+            "train": {"batch_size": 64, "learning_rate": 1e-3, "max_epochs": 1, "patience": 5},
+        }))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        model = train_out / "models" / "vad"
+        files = sorted(p.name for p in model.iterdir())
+        assert "checkpoint.yaml" in files and "head_w.ndmm" in files
+        assert "head_b.ndmm" not in files
+        assert files == sorted(p.name for p in (run_out / "models" / "vad").iterdir())
+        for name in files:
+            assert (model / name).read_bytes() == (run_out / "models" / "vad" / name).read_bytes()
+        results = (train_out / "results" / "vad.csv").read_bytes()
+        assert results == (run_out / "results" / "vad.csv").read_bytes()
+        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
+                       "--feature", "vad", "--seed", "7", "--out", str(eval_out)])
+        assert rc == 0
+        assert (eval_out / "vad.csv").read_bytes() == results
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = cli.main([

@@ -182,8 +182,26 @@ class TestEvaluation:
         _, acc, _ = evaluate_set(params, noise_sets["test"])
         assert acc == 0.5
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_equal_segments_score_one_of_two(self, dtype):
+        """Tie rule: p = 0.5 calls input a the match.
+
+        So a triple whose two segments are equal scores its (match,
+        mismatch) sample and misses the swapped one.
+        """
+        recs = noise_recordings(length=12000, seed=26)
+        ws = assemble_dataset(recs, seed=6)["test"]
+        for rec in recs:  # period = mismatch offset: every triple's segments are equal
+            n, period = rec.feature.shape[1], rec.feature[:, : ws.mismatch_offset]
+            rec.feature = np.tile(period, (1, n // period.shape[1] + 1))[:, :n]
+        params = init_params(small_arch(dtype=dtype), np.random.default_rng(27))
+        params.tensors["head_w"][:] = 30.0
+        _, acc, correct = evaluate_set(params, ws, batch_size=12)
+        assert correct[0::2].all() and not correct[1::2].any()
+        assert acc == 0.5
+
     def test_per_subject_recount(self, noise_sets):
-        from eegmatch.model import forward
+        from conftest import forward
 
         params = init_params(small_arch(), np.random.default_rng(22))
         results = evaluate_per_subject(params, noise_sets["test"], feature_name="noise")
