@@ -120,10 +120,6 @@ class PhonemeInventory:
                 f"phoneme {symbol!r} not in the declared inventory"
             ) from None
 
-    def class_of(self, symbol: str) -> str:
-        self.index_of(symbol)
-        return self.class_map[symbol]
-
 
 def read_inventory(path: str | Path) -> PhonemeInventory:
     with open(path, "r", encoding="utf-8") as fh:
@@ -157,9 +153,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self._vectors)
-
-    def __contains__(self, word: str) -> bool:
-        return word.casefold() in self._vectors
 
     def lookup(self, word: str) -> np.ndarray | None:
         return self._vectors.get(word.casefold())

@@ -10,7 +10,7 @@ import yaml
 
 from .errors import InvalidInputError
 from .model import ArchitectureConfig, ModelParams, SpeechPart
-from .tensors import read_tensor, write_tensor
+from .tensors import atomic_path, read_tensor, write_tensor
 
 
 def save_checkpoint(out_dir: str | Path, params: ModelParams) -> Path:
@@ -25,7 +25,7 @@ def save_checkpoint(out_dir: str | Path, params: ModelParams) -> Path:
         write_tensor(out_dir / filename, tensor, fs=0.0)
         manifest["tensors"][name] = filename
     path = out_dir / "checkpoint.yaml"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     return path
 

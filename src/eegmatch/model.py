@@ -112,9 +112,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.tensors[key]
-
 
 def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
     """He/Glorot-style initialization; LSTM forget bias starts at 1."""

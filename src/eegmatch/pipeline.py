@@ -32,7 +32,7 @@ from .stats import (
     summarize,
     wilcoxon_signed_rank,
 )
-from .tensors import TimeSeriesTensor, read_timeseries, write_timeseries
+from .tensors import TimeSeriesTensor, atomic_path, read_timeseries, write_timeseries
 from .training import (
     TrainConfig,
     evaluate_per_subject,
@@ -43,6 +43,11 @@ from .training import (
 from .windows import DecisionWindowSet, RecordingData, SplitSpec, WindowingSpec, assemble_dataset
 
 logger = logging.getLogger(__name__)
+
+# libyaml's parser where PyYAML was built with it: a cell stamp, which carries
+# its cell's description, parses about 10x faster, and a warm re-run reads one
+# stamp per cell.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -353,7 +358,7 @@ def run_feature_cell(
     stamp = out / "models" / slug / "cell.yaml"
     if results_path.exists() and stamp.exists():
         with open(stamp, "r", encoding="utf-8") as fh:
-            if yaml.safe_load(fh).get("key") == key:
+            if yaml.load(fh, Loader=_SafeLoader).get("key") == key:
                 logger.info("cell %s cached, skipping", feature_name)
                 return results_path
 
@@ -369,9 +374,25 @@ def run_feature_cell(
     subject_results = evaluate_per_subject(result.params, sets["test"], feature_name=feature_name)
     results_path.parent.mkdir(parents=True, exist_ok=True)
     write_subject_results(results_path, subject_results)
-    with open(stamp, "w", encoding="utf-8") as fh:
-        yaml.safe_dump({"key": key, "best_epoch": result.best_epoch}, fh)
+    with atomic_path(stamp) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yaml.safe_dump({"key": key, "best_epoch": result.best_epoch, "cell": cell_cfg}, fh)
     return results_path
+
+
+def trained_cell(model_dir: Path, manifest: Path, out_dir: Path) -> ExperimentSpec:
+    """The one-feature experiment that ``model_dir``'s ``cell.yaml`` records, over ``manifest``.
+
+    Building its cell with :func:`build_cell` gives the windowing, split,
+    preprocessing and seed that the model was trained with.
+    """
+    path = model_dir / "cell.yaml"
+    stamp = yaml.safe_load(path.read_text(encoding="utf-8")) if path.exists() else None
+    cell = stamp.get("cell") if isinstance(stamp, dict) else None
+    if not isinstance(cell, dict):
+        raise InvalidInputError(f"{path} does not record the cell its model was trained as")
+    settings = {k: v for k, v in cell.items() if k not in ("feature", "inputs")}
+    return ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out_dir,
+                          **settings)
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
@@ -390,7 +411,8 @@ def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
     emit_figure_data(out / "figures", summaries)
     comp_path = out / "stats"
     comp_path.mkdir(parents=True, exist_ok=True)
-    with open(comp_path / "comparisons.csv", "w", newline="", encoding="utf-8") as fh:
+    with (atomic_path(comp_path / "comparisons.csv") as tmp,
+          open(tmp, "w", newline="", encoding="utf-8") as fh):
         writer = csv.writer(fh)
         writer.writerow(["feature_a", "feature_b", "z", "p", "n_effective", "note"])
         for i, name_a in enumerate(spec.features):
@@ -413,7 +435,7 @@ def write_artifact_manifest(out_dir: Path) -> Path:
         if path.is_file() and path.name != "artifacts.yaml":
             entries[str(path.relative_to(out_dir))] = file_sha256(path)
     target = out_dir / "artifacts.yaml"
-    with open(target, "w", encoding="utf-8") as fh:
+    with atomic_path(target) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         yaml.safe_dump(entries, fh, sort_keys=True)
     return target
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
-import yaml
 from scipy import signal
 
 from .errors import (
@@ -184,12 +182,6 @@ class PreprocConfig:
     @property
     def band(self) -> BandpassSpec:
         return BandpassSpec(self.low_hz, self.high_hz, self.stop_atten_db)
-
-
-def load_preproc_config(path: str | Path) -> PreprocConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    return PreprocConfig(**raw)
 
 
 def preprocess_eeg(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()) -> TimeSeriesTensor:

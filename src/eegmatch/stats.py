@@ -18,6 +18,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DegenerateSampleError, InvalidInputError
+from .tensors import atomic_path
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def summarize(
 
 
 def write_condition_csv(path: str | Path, summary: ConditionSummary) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject", "accuracy"])
         for subject, acc in zip(summary.subjects, summary.accuracies):
@@ -238,6 +239,7 @@ def emit_figure_data(out_dir: str | Path, summaries: list[ConditionSummary]) -> 
         write_condition_csv(path, s)
         written[s.name] = path
     svg_path = out_dir / "violin.svg"
-    svg_path.write_text(violin_svg(summaries), encoding="utf-8")
+    with atomic_path(svg_path) as tmp:
+        tmp.write_text(violin_svg(summaries), encoding="utf-8")
     written["violin"] = svg_path
     return written

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ class TimeSeriesTensor:
 
     data: np.ndarray
     fs: float
-    labels: list[str] | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data)
@@ -43,10 +43,6 @@ class TimeSeriesTensor:
             raise InvalidInputError(f"sampling rate must be positive, got {self.fs}")
         if not np.all(np.isfinite(self.data)):
             raise InvalidInputError("tensor contains non-finite values")
-        if self.labels is not None and len(self.labels) != c:
-            raise InvalidInputError(
-                f"{len(self.labels)} labels for {c} channels"
-            )
 
     @property
     def n_channels(self) -> int:
@@ -62,34 +58,39 @@ class TimeSeriesTensor:
 
     def with_data(self, data: np.ndarray, fs: float | None = None) -> "TimeSeriesTensor":
         """Copy of this tensor with new data (and optionally a new rate)."""
-        labels = self.labels if data.shape[0] == self.n_channels else None
-        return TimeSeriesTensor(data, self.fs if fs is None else fs, labels)
+        return TimeSeriesTensor(data, self.fs if fs is None else fs)
 
 
-def write_tensor(path: str | Path, data: np.ndarray, fs: float) -> None:
-    """Write an n-d array plus its sampling rate in the repo tensor format.
+@contextmanager
+def atomic_path(path: str | Path):
+    """A temporary path to write ``path``'s content to, renamed onto ``path`` on success.
 
-    The file appears at ``path`` whole or not at all: it is written under a
-    temporary name in the same directory, then renamed. The temporary name
-    does not end in ``.ndmm``, so cache lookups never see a partial file.
+    The file appears at ``path`` whole or not at all: the temporary file sits
+    in the same directory and is removed if the body raises. Its name ends in
+    ``.tmp``, so lookups by a file's own suffix never see a partial file.
     """
     path = Path(path)
-    data = np.asarray(data)
-    if data.dtype not in _CODES_BY_KIND:
-        data = data.astype(np.float64)
-    code = _CODES_BY_KIND[data.dtype]
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<III", FORMAT_VERSION, code, data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(struct.pack("<d", float(fs)))
-            fh.write(np.ascontiguousarray(data).astype(f"<f{data.itemsize}").tobytes())
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_tensor(path: str | Path, data: np.ndarray, fs: float) -> None:
+    """Write an n-d array plus its sampling rate in the repo tensor format, atomically."""
+    data = np.asarray(data)
+    if data.dtype not in _CODES_BY_KIND:
+        data = data.astype(np.float64)
+    code = _CODES_BY_KIND[data.dtype]
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<III", FORMAT_VERSION, code, data.ndim))
+        fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+        fh.write(struct.pack("<d", float(fs)))
+        fh.write(np.ascontiguousarray(data).astype(f"<f{data.itemsize}").tobytes())
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, float]:

@@ -24,6 +24,7 @@ from .model import (
     loss,
     loss_grad,
 )
+from .tensors import atomic_path
 from .windows import DecisionWindowSet
 
 
@@ -199,7 +200,7 @@ def evaluate_per_subject(
 
 
 def write_training_log(path: str | Path, log: list[EpochLog]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss", "val_acc"])
         for row in log:
@@ -207,7 +208,7 @@ def write_training_log(path: str | Path, log: list[EpochLog]) -> None:
 
 
 def write_subject_results(path: str | Path, results: list[SubjectResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject", "accuracy", "n_windows", "feature"])
         for r in results:

@@ -1,5 +1,6 @@
 import csv
 import errno
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from eegmatch.errors import InvalidInputError, InvalidSpecError
 from eegmatch.features import StoryAssets, canonical_parts, extract_feature, feature_dims
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
 from eegmatch.tensors import read_timeseries
+from eegmatch.training import read_subject_results
+from eegmatch.windows import read_window_set
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,21 @@ def experiment_yaml(dataset, out_dir, features=("vad",), max_epochs=2):
     }
 
 
+def write_experiment(dataset, tmp_path, **settings):
+    """An ``experiment.yaml`` with ``out`` under ``tmp_path``; returns (config, out)."""
+    cfg, out = tmp_path / "exp.yaml", tmp_path / "out"
+    cfg.write_text(yaml.safe_dump({**experiment_yaml(dataset, out, max_epochs=1), **settings}))
+    return cfg, out
+
+
+def count_training(monkeypatch) -> list:
+    """The training config of every ``pipeline.train`` call from now on."""
+    calls = []
+    train = pipeline.train
+    monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args[-1]) or train(*args))
+    return calls
+
+
 class TestRunPipeline:
     def test_full_run_emits_artifacts(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -121,8 +139,6 @@ class TestRunPipeline:
         assert "results/vad.csv" in artifacts
         # one SubjectResult CSV per feature in the grid
         assert len(list((out / "results").glob("*.csv"))) == 2
-        from eegmatch.training import read_subject_results
-
         rows = read_subject_results(out / "results" / "vad.csv")
         assert {r.subject_id for r in rows} == {"sub00", "sub01"}
 
@@ -219,35 +235,46 @@ class TestFeatureCache:
         np.testing.assert_array_equal(new.data, fresh.data)
 
 
+class FullDisk:
+    """A file that takes ``room`` bytes, then fails the way a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[:self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+
+def full_disk(room, name_prefix=""):
+    """An ``open`` whose writes to files named ``name_prefix...`` hit a full disk."""
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        full = "w" in mode and Path(path).name.startswith(name_prefix)
+        return FullDisk(fh, room) if full else fh
+
+    return open_
+
+
 class TestAtomicWrites:
     def test_failed_write_leaves_no_cache_entry(self, two_stories, tmp_path, monkeypatch):
         from eegmatch import tensors
 
-        class FullDisk:
-            """Takes a rank-2 tensor's header, then fails the way a full disk does."""
-
-            def __init__(self, fh):
-                self.fh, self.room = fh, 4 + 12 + 2 * 8 + 8  # magic, version/dtype/rank, dims, rate
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                if len(data) > self.room:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                self.room -= len(data)
-                return self.fh.write(data)
-
-        def full_disk(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            return FullDisk(fh) if "w" in mode else fh
-
         cache = tmp_path / "cache"
         story = two_stories.story_ids[0]
-        monkeypatch.setattr(tensors, "open", full_disk, raising=False)
+        header = 4 + 12 + 2 * 8 + 8  # magic, version/dtype/rank, dims, rate of a rank-2 tensor
+        monkeypatch.setattr(tensors, "open", full_disk(header), raising=False)
         with pytest.raises(OSError, match="No space"):
             pipeline.AssetLoader(two_stories).feature_cached(story, "vad", cache)
         assert list(cache.iterdir()) == []
@@ -256,6 +283,20 @@ class TestAtomicWrites:
         got = loader.feature_cached(story, "vad", cache)
         np.testing.assert_array_equal(got.data, extract_feature("vad", loader.assets(story)).data)
         assert [p.suffix for p in cache.iterdir()] == [".ndmm"]
+
+    def test_failed_cell_stamp_write_retrains_the_cell(self, dataset, tmp_path, monkeypatch):
+        cfg, out = write_experiment(dataset, tmp_path)
+        monkeypatch.setattr(pipeline, "open", full_disk(20, "cell.yaml"), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        model = out / "models" / "vad"
+        assert (out / "results" / "vad.csv").exists()
+        assert not [p.name for p in model.iterdir() if p.name.startswith("cell.yaml")]
+        monkeypatch.undo()
+        trained = count_training(monkeypatch)
+        pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        assert len(trained) == 1
+        assert yaml.safe_load((model / "cell.yaml").read_text())["cell"]["feature"] == "vad"
 
 
 class TestCheckpointRoundtrip:
@@ -290,6 +331,7 @@ class TestCli:
     def test_stats_compare(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
+        b_figure = tmp_path / "b_figure.csv"
         a.write_text(
             "subject,accuracy,n_windows,feature\n"
             + "".join(f"s{i},{0.7 + 0.02 * i},10,x\n" for i in range(6))
@@ -298,10 +340,16 @@ class TestCli:
             "subject,accuracy,n_windows,feature\n"
             + "".join(f"s{i},{0.65 + 0.02 * i},10,y\n" for i in range(6))
         )
-        rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(b)])
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert "z=" in printed and "n_effective=6" in printed
+        b_figure.write_text(  # the figure-data layout of the same accuracies
+            "subject,accuracy\n" + "".join(f"s{i},{0.65 + 0.02 * i}\n" for i in range(6))
+        )
+        printed = []
+        for other in (b, b_figure):
+            rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(other)])
+            assert rc == 0
+            printed.append(capsys.readouterr().out)
+        assert "z=" in printed[0] and "n_effective=6" in printed[0]
+        assert printed[1] == printed[0]
 
     def test_stats_compare_too_few_subjects_errors(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -319,65 +367,75 @@ class TestCli:
         for name in ("vad", "envelope"):
             rows = "".join(f"s{i},{rng.uniform(0.6, 0.9):.4f},10,{name}\n" for i in range(8))
             (d / f"{name}.csv").write_text("subject,accuracy,n_windows,feature\n" + rows)
+        rows = "".join(f"s{i},{rng.uniform(0.6, 0.9):.6f}\n" for i in range(8))
+        (d / "mel.csv").write_text("subject,accuracy\n" + rows)  # figure-data layout
         svg = tmp_path / "violin.svg"
         rc = cli.main(["stats", "violin", "--in", str(d), "--out", str(svg)])
         assert rc == 0
-        assert svg.read_text().startswith("<svg")
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        assert all(f">{name}</text>" in text for name in ("vad", "envelope", "mel"))
 
     def test_featurize_and_build_dataset(self, dataset, tmp_path, capsys):
-        rc = cli.main([
-            "featurize", "--manifest", str(dataset), "--features", "vad",
-            "--out", str(tmp_path / "feat"),
-        ])
+        cfg, _ = write_experiment(dataset, tmp_path, features=["vad", "envelope"])
+        rc = cli.main(["featurize", "--config", str(cfg), "--out", str(tmp_path / "feat")])
         assert rc == 0
-        rc = cli.main([
-            "build-dataset", "--manifest", str(dataset), "--feature", "vad",
-            "--out", str(tmp_path / "dsout"), "--seed", "1",
-        ])
+        assert sorted(p.name.split("_")[1] for p in (tmp_path / "feat").iterdir()) == [
+            "envelope", "vad"]
+        rc = cli.main(["build-dataset", "--config", str(cfg), "--feature", "vad",
+                       "--out", str(tmp_path / "dsout")])
         assert rc == 0
         assert (tmp_path / "dsout" / "train" / "index.csv").exists()
-        eeg, match, mismatch, rows = __import__("eegmatch.windows", fromlist=["read_window_set"]).read_window_set(tmp_path / "dsout" / "test")
+        eeg, match, mismatch, rows = read_window_set(tmp_path / "dsout" / "test")
         assert eeg.shape[1] == 64
         assert match.shape[1:] == (1, 320)
 
     def test_preprocess_writes_tensors(self, dataset, tmp_path):
-        rc = cli.main([
-            "preprocess", "--manifest", str(dataset), "--out", str(tmp_path / "pre"),
-        ])
+        cfg, _ = write_experiment(dataset, tmp_path, preproc={"target_fs": 32.0})
+        rc = cli.main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pre")])
         assert rc == 0
         out = read_timeseries(tmp_path / "pre" / "sub00_story00.ndmm")
-        assert out.fs == 64.0
+        assert out.fs == 32.0
         assert abs(out.data.mean(axis=1)).max() < 1e-9
 
-    def test_train_is_a_one_cell_run(self, dataset, tmp_path):
-        train_out, run_out, eval_out = tmp_path / "train", tmp_path / "run", tmp_path / "eval"
-        rc = cli.main(["train", "--manifest", str(dataset), "--feature", "vad",
-                       "--max-epochs", "1", "--seed", "7", "--out", str(train_out)])
-        assert rc == 0
-        cfg = tmp_path / "exp.yaml"
-        cfg.write_text(yaml.safe_dump({
-            "features": ["vad"], "manifest": str(dataset), "out": str(run_out), "seed": 7,
-            "dtype": "float32",
-            "train": {"batch_size": 64, "learning_rate": 1e-3, "max_epochs": 1, "patience": 5},
-        }))
+    def test_train_is_a_one_cell_run(self, dataset, tmp_path, monkeypatch):
+        cfg, out = write_experiment(dataset, tmp_path)
+        trained = count_training(monkeypatch)
+        assert cli.main(["train", "--config", str(cfg), "--feature", "vad"]) == 0
+        assert len(trained) == 1
+        model, results = out / "models" / "vad", out / "results" / "vad.csv"
+        written = {f: f.read_bytes() for f in [*model.iterdir(), results]}
+        assert model / "checkpoint.yaml" in written and model / "cell.yaml" in written
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        model = train_out / "models" / "vad"
-        files = sorted(p.name for p in model.iterdir())
-        assert "checkpoint.yaml" in files and "head_w.ndmm" in files
-        assert "head_b.ndmm" not in files
-        assert files == sorted(p.name for p in (run_out / "models" / "vad").iterdir())
-        for name in files:
-            assert (model / name).read_bytes() == (run_out / "models" / "vad" / name).read_bytes()
-        results = (train_out / "results" / "vad.csv").read_bytes()
-        assert results == (run_out / "results" / "vad.csv").read_bytes()
-        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
-                       "--feature", "vad", "--seed", "7", "--out", str(eval_out)])
-        assert rc == 0
-        assert (eval_out / "vad.csv").read_bytes() == results
+        assert len(trained) == 1
+        assert {f: f.read_bytes() for f in [*model.iterdir(), results]} == written
 
-    def test_error_exit_code(self, tmp_path, capsys):
-        rc = cli.main([
-            "preprocess", "--manifest", str(tmp_path / "missing.yaml"),
-            "--out", str(tmp_path / "o"),
-        ])
+    def test_evaluate_scores_with_the_trained_cell(self, dataset, tmp_path):
+        split = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}
+        cfg, out = write_experiment(dataset, tmp_path, windowing={"overlap_frac": 0.8},
+                                    split=split)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        results = (out / "results" / "vad.csv").read_bytes()
+        assert {r.n_windows for r in read_subject_results(out / "results" / "vad.csv")} == {28}
+        rc = cli.main(["evaluate", "--model", str(out / "models" / "vad"),
+                       "--manifest", str(dataset), "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        assert (tmp_path / "eval" / "vad.csv").read_bytes() == results
+
+    def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):
+        from eegmatch.checkpoint import save_checkpoint
+        from eegmatch.model import config_for_feature, init_params
+
+        model = tmp_path / "model"
+        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
+        (model / "cell.yaml").write_text(yaml.safe_dump({"key": "36415dad68aa", "best_epoch": 1}))
+        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert str(model / "cell.yaml") in capsys.readouterr().err
+
+    def test_error_exit_code(self, dataset, tmp_path):
+        cfg, _ = write_experiment(dataset, tmp_path, manifest=str(tmp_path / "missing.yaml"))
+        rc = cli.main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3  # io error

@@ -16,7 +16,6 @@ from eegmatch.preproc import (
     design_band_filter,
     design_bandpass,
     design_highpass,
-    load_preproc_config,
     normalize_recording,
     preprocess_eeg,
     resample,
@@ -222,12 +221,6 @@ class TestFullChain:
         b = preprocess_eeg(TimeSeriesTensor(data.copy(), fs=512.0), PreprocConfig(target_fs=64.0))
         np.testing.assert_array_equal(a.data, b.data)
         assert a.fs == 64.0
-
-    def test_config_from_yaml(self, tmp_path):
-        path = tmp_path / "preproc.yaml"
-        path.write_text("low_hz: 1.0\nhigh_hz: 30.0\ntarget_fs: 128.0\n")
-        cfg = load_preproc_config(path)
-        assert cfg == PreprocConfig(low_hz=1.0, high_hz=30.0, target_fs=128.0)
 
     def test_highpass_rejects_bad_edge(self):
         with pytest.raises(InvalidSpecError):

@@ -67,5 +67,3 @@ def test_timeseries_validation():
         TimeSeriesTensor(np.ones((2, 3)), fs=0.0)
     with pytest.raises(InvalidInputError):
         TimeSeriesTensor(np.array([[np.nan, 1.0]]), fs=1.0)
-    with pytest.raises(InvalidInputError):
-        TimeSeriesTensor(np.ones((2, 3)), fs=1.0, labels=["only-one"])
