@@ -11,17 +11,9 @@ from . import pipeline
 from .checkpoint import load_checkpoint
 from .errors import EegMatchError
 from .preproc import PreprocConfig
-from .stats import (
-    PairedSample,
-    read_condition_csv,
-    summarize,
-    violin_svg,
-    wilcoxon_signed_rank,
-)
+from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
 from .synth import write_synth_dataset
-from .tensors import write_timeseries
-from .training import evaluate_per_subject, write_subject_results
-from .windows import write_window_set
+from .training import evaluate_per_subject, read_subject_results, write_subject_results
 
 logger = logging.getLogger("eegmatch")
 
@@ -49,32 +41,24 @@ def cmd_synth_make(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    spec = pipeline.load_experiment(args.config)
-    manifest = pipeline.load_manifest(spec.manifest)
+    """Fill the experiment's preprocessing cache, as ``run`` would."""
+    spec, manifest, loader = _experiment(args.config)
     cfg = PreprocConfig(**spec.preproc)
-    args.out.mkdir(parents=True, exist_ok=True)
     for entry in manifest.recordings:
-        out = pipeline.preprocess_recording_cached(entry, cfg, args.out)
-        write_timeseries(args.out / f"{entry.recording_id}.ndmm", out)
+        out = pipeline.preprocess_recording_cached(
+            entry, cfg, spec.out_dir / pipeline.PREPROC_CACHE, loader.file_hash
+        )
         print(f"{entry.recording_id}: {out.n_channels}x{out.n_samples} @ {out.fs} Hz")
     return 0
 
 
 def cmd_featurize(args) -> int:
+    """Fill the experiment's feature cache, as ``run`` would."""
     spec, manifest, loader = _experiment(args.config)
-    args.out.mkdir(parents=True, exist_ok=True)
     for name in spec.features:
         for story_id in manifest.story_ids:
-            feat = loader.feature_cached(story_id, name, args.out)
+            feat = loader.feature_cached(story_id, name, spec.out_dir / pipeline.FEATURE_CACHE)
             print(f"{story_id}/{name}: {feat.n_channels}x{feat.n_samples}")
-    return 0
-
-
-def cmd_build_dataset(args) -> int:
-    sets, _, _ = pipeline.build_cell(*_experiment(args.config), args.feature)
-    for part, ws in sets.items():
-        write_window_set(args.out / part, ws)
-        print(f"{part}: {ws.n_triples} triples")
     return 0
 
 
@@ -86,7 +70,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Score ``--manifest``'s test partitions with the cell the model was trained as."""
-    spec = pipeline.trained_cell(args.model, args.manifest, args.out)
+    spec = pipeline.trained_cell(args.model, args.manifest)
     feature = spec.features[0]
     manifest = pipeline.load_manifest(args.manifest)
     sets, _, _ = pipeline.build_cell(spec, manifest, pipeline.AssetLoader(manifest), feature)
@@ -100,7 +84,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats_compare(args) -> int:
-    a, b = (dict(zip(*read_condition_csv(path))) for path in (args.a, args.b))
+    a, b = ({r.subject_id: r.test_accuracy for r in read_subject_results(path)}
+            for path in (args.a, args.b))
     pair = PairedSample.from_maps(a, b)
     res = wilcoxon_signed_rank(pair.a, pair.b)
     print(f"z={res.z:.4f} p={res.p:.6g} n_effective={res.n_effective}")
@@ -108,10 +93,12 @@ def cmd_stats_compare(args) -> int:
 
 
 def cmd_stats_violin(args) -> int:
-    summaries = [summarize(path.stem, *read_condition_csv(path))
-                 for path in sorted(Path(args.indir).glob("*.csv"))]
-    Path(args.out).write_text(violin_svg(summaries), encoding="utf-8")
-    print(args.out)
+    summaries = []
+    for path in sorted(args.indir.glob("*.csv")):
+        rows = read_subject_results(path)
+        summaries.append(summarize(path.stem, [r.subject_id for r in rows],
+                                   [r.test_accuracy for r in rows]))
+    print(emit_figure_data(args.out, summaries))
     return 0
 
 
@@ -146,19 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("preprocess")
     pre.add_argument("--config", type=Path, required=True)
-    pre.add_argument("--out", type=Path, required=True)
     pre.set_defaults(func=cmd_preprocess)
 
     feat = sub.add_parser("featurize")
     feat.add_argument("--config", type=Path, required=True)
-    feat.add_argument("--out", type=Path, required=True)
     feat.set_defaults(func=cmd_featurize)
-
-    build = sub.add_parser("build-dataset")
-    build.add_argument("--config", type=Path, required=True)
-    build.add_argument("--feature", required=True)
-    build.add_argument("--out", type=Path, required=True)
-    build.set_defaults(func=cmd_build_dataset)
 
     tr = sub.add_parser("train")
     tr.add_argument("--config", type=Path, required=True)

@@ -1,10 +1,11 @@
 """End-to-end experiment orchestration with content-hash caching.
 
-A run executes preprocess -> featurize -> build -> train -> evaluate ->
-stats for every feature condition in the experiment config, writes one
-subject-results CSV per feature plus figure data, and records an artifact
-manifest with a hash of every file. Cached stages are keyed by input and
-config hashes, so re-running a grid recomputes only missing cells.
+A run executes preprocess -> featurize -> train -> evaluate -> stats for
+every feature condition in the experiment config, writes one
+subject-results CSV per feature plus a violin figure, and records an
+artifact manifest with a hash of every file. Cached stages are keyed by
+input and config hashes, so re-running a grid recomputes only missing
+cells.
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ from .errors import DegenerateSampleError, InvalidInputError
 from .features import StoryAssets, canonical_parts, extract_feature, feature_dims, join_parts
 from .model import ModelParams, config_for_feature, init_params
 from .preproc import PreprocConfig, preprocess_eeg
-from .stats import (
-    PairedSample,
-    emit_figure_data,
-    summarize,
-    wilcoxon_signed_rank,
-)
+from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
 from .tensors import TimeSeriesTensor, atomic_path, read_timeseries, write_timeseries
 from .training import (
     TrainConfig,
     evaluate_per_subject,
+    read_subject_results,
     train,
     write_subject_results,
     write_training_log,
@@ -48,6 +45,11 @@ logger = logging.getLogger(__name__)
 # its cell's description, parses about 10x faster, and a warm re-run reads one
 # stamp per cell.
 _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Where an experiment's ``out`` keeps preprocessed EEG and story features;
+# every command that reads or fills them names them here.
+PREPROC_CACHE = Path("cache", "preproc")
+FEATURE_CACHE = Path("cache", "features")
 
 
 @dataclass
@@ -276,9 +278,9 @@ def build_recordings(
     recordings = []
     for entry in manifest.recordings:
         eeg = preprocess_recording_cached(
-            entry, preproc_cfg, out_dir / "cache" / "preproc", loader.file_hash
+            entry, preproc_cfg, out_dir / PREPROC_CACHE, loader.file_hash
         )
-        feat = loader.feature_cached(entry.story_id, feature_name, out_dir / "cache" / "features")
+        feat = loader.feature_cached(entry.story_id, feature_name, out_dir / FEATURE_CACHE)
         if eeg.fs != feat.fs:
             raise InvalidInputError(
                 f"{entry.recording_id}: EEG at {eeg.fs} Hz but feature at {feat.fs} Hz"
@@ -355,12 +357,11 @@ def run_feature_cell(
         "inputs": sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings),
     }
     key = config_hash(cell_cfg)
-    stamp = out / "models" / slug / "cell.yaml"
-    if results_path.exists() and stamp.exists():
-        with open(stamp, "r", encoding="utf-8") as fh:
-            if yaml.load(fh, Loader=_SafeLoader).get("key") == key:
-                logger.info("cell %s cached, skipping", feature_name)
-                return results_path
+    model_dir = out / "models" / slug
+    stamp = model_dir / "cell.yaml"
+    if results_path.exists() and (read_stamp(stamp) or {}).get("key") == key:
+        logger.info("cell %s cached, skipping", feature_name)
+        return results_path
 
     sets, params0, tcfg = build_cell(spec, manifest, loader, feature_name)
     logger.info(
@@ -368,7 +369,6 @@ def run_feature_cell(
         feature_name, sets["train"].n_samples, sets["val"].n_samples, sets["test"].n_samples,
     )
     result = train(params0, sets["train"], sets["val"], tcfg)
-    model_dir = out / "models" / slug
     save_checkpoint(model_dir, result.params)
     write_training_log(model_dir / "train_log.csv", result.log)
     subject_results = evaluate_per_subject(result.params, sets["test"], feature_name=feature_name)
@@ -379,24 +379,42 @@ def run_feature_cell(
     return results_path
 
 
-def trained_cell(model_dir: Path, manifest: Path, out_dir: Path) -> ExperimentSpec:
+def read_stamp(path: Path) -> dict | None:
+    """The cell stamp at ``path``, or None unless it is a mapping that records its cell.
+
+    ``run`` retrains a cell whose stamp reads as None; ``evaluate`` refuses it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stamp = yaml.load(fh, Loader=_SafeLoader)
+    except (FileNotFoundError, yaml.YAMLError):
+        return None
+    if isinstance(stamp, dict) and isinstance(stamp.get("cell"), dict):
+        return stamp
+    return None
+
+
+def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     """The one-feature experiment that ``model_dir``'s ``cell.yaml`` records, over ``manifest``.
 
     Building its cell with :func:`build_cell` gives the windowing, split,
-    preprocessing and seed that the model was trained with.
+    preprocessing and seed that the model was trained with. Its ``out_dir``
+    is the experiment that holds ``<out>/models/<feature>``, so scoring
+    reads and fills that experiment's caches.
     """
+    model_dir = Path(model_dir).resolve()
     path = model_dir / "cell.yaml"
-    stamp = yaml.safe_load(path.read_text(encoding="utf-8")) if path.exists() else None
-    cell = stamp.get("cell") if isinstance(stamp, dict) else None
-    if not isinstance(cell, dict):
+    stamp = read_stamp(path)
+    if stamp is None:
         raise InvalidInputError(f"{path} does not record the cell its model was trained as")
+    cell = stamp["cell"]
     settings = {k: v for k, v in cell.items() if k not in ("feature", "inputs")}
-    return ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out_dir,
-                          **settings)
+    return ExperimentSpec(features=[cell["feature"]], manifest=manifest,
+                          out_dir=model_dir.parents[1], **settings)
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
-    """Summaries, violin figure data and pairwise Wilcoxon comparisons."""
+    """Summaries, the violin figure and pairwise Wilcoxon comparisons."""
     out = spec.out_dir
     summaries = []
     for name in spec.features:
@@ -408,7 +426,7 @@ def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
                 np.array([r.test_accuracy for r in rows]),
             )
         )
-    emit_figure_data(out / "figures", summaries)
+    emit_figure_data(out / "figures" / "violin.svg", summaries)
     comp_path = out / "stats"
     comp_path.mkdir(parents=True, exist_ok=True)
     with (atomic_path(comp_path / "comparisons.csv") as tmp,
@@ -442,8 +460,6 @@ def write_artifact_manifest(out_dir: Path) -> Path:
 
 def run_pipeline(spec: ExperimentSpec) -> Path:
     """Execute the full grid; returns the artifact manifest path."""
-    from .training import read_subject_results
-
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(spec.manifest)
     loader = AssetLoader(manifest)

@@ -1,4 +1,4 @@
-"""Paired nonparametric comparison and figure-data emission.
+"""Paired nonparametric comparison and the violin figure.
 
 The Wilcoxon signed-rank statistic uses the classical zero-discard rule,
 average ranks for ties, tie-corrected variance, a continuity correction and
@@ -8,7 +8,6 @@ assignments is exposed for verification at small n.
 
 from __future__ import annotations
 
-import csv
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -153,23 +152,6 @@ def summarize(
     )
 
 
-def write_condition_csv(path: str | Path, summary: ConditionSummary) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "accuracy"])
-        for subject, acc in zip(summary.subjects, summary.accuracies):
-            writer.writerow([subject, f"{acc:.6f}"])
-
-
-def read_condition_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    subjects, accs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            subjects.append(row["subject"])
-            accs.append(float(row["accuracy"]))
-    return subjects, np.asarray(accs)
-
-
 def violin_svg(summaries: list[ConditionSummary], width: int = 640, height: int = 420) -> str:
     """Static per-condition violin chart as a standalone SVG document."""
     if not summaries:
@@ -229,17 +211,10 @@ def violin_svg(summaries: list[ConditionSummary], width: int = 640, height: int 
     return ET.tostring(svg, encoding="unicode")
 
 
-def emit_figure_data(out_dir: str | Path, summaries: list[ConditionSummary]) -> dict[str, Path]:
-    """Per-condition accuracy CSVs plus one violin SVG; returns written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
-    for s in summaries:
-        path = out_dir / f"{s.name}.csv"
-        write_condition_csv(path, s)
-        written[s.name] = path
-    svg_path = out_dir / "violin.svg"
-    with atomic_path(svg_path) as tmp:
-        tmp.write_text(violin_svg(summaries), encoding="utf-8")
-    written["violin"] = svg_path
-    return written
+def emit_figure_data(path: str | Path, summaries: list[ConditionSummary]) -> Path:
+    """Write the violin chart of ``summaries`` to ``path``, whole or not at all."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(violin_svg(summaries))
+    return path

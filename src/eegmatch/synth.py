@@ -30,7 +30,7 @@ from .alignments import (
     write_inventory,
 )
 from .errors import InvalidSpecError
-from .tensors import TimeSeriesTensor, write_timeseries
+from .tensors import TimeSeriesTensor, atomic_path, write_timeseries
 
 EEG_CHANNELS = 64
 FEATURE_FS = 64.0
@@ -436,7 +436,7 @@ def write_synth_dataset(
             )
         manifest["subjects"][subject_id] = entries
     path = out_dir / "manifest.yaml"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True, allow_unicode=True)
     return path
 

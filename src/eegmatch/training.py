@@ -218,7 +218,11 @@ def write_subject_results(path: str | Path, results: list[SubjectResult]) -> Non
 def read_subject_results(path: str | Path) -> list[SubjectResult]:
     results = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = {"subject", "accuracy", "n_windows"} - set(reader.fieldnames or ())
+        if missing:
+            raise InvalidInputError(f"{path} is not a results CSV: no {sorted(missing)} column")
+        for row in reader:
             results.append(
                 SubjectResult(
                     subject_id=row["subject"],

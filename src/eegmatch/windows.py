@@ -10,14 +10,12 @@ triple straddles a boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, SampleRateMismatchError
-from .tensors import TimeSeriesTensor, read_tensor, write_tensor
+from .tensors import TimeSeriesTensor
 
 PARTITIONS = ("train", "val", "test")
 
@@ -113,7 +111,6 @@ class DecisionWindowSet:
     recordings: list[RecordingData]
     rec_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     start_frame: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    partition: str = ""
 
     def __post_init__(self) -> None:
         self.rec_index = np.asarray(self.rec_index, dtype=np.int64)
@@ -272,36 +269,7 @@ def assemble_dataset(
             order = rng.permutation(rec_idx.size)
             rec_idx, starts = rec_idx[order], starts[order]
         out[part] = DecisionWindowSet(
-            spec=win, recordings=recordings, rec_index=rec_idx,
-            start_frame=starts, partition=part,
+            spec=win, recordings=recordings, rec_index=rec_idx, start_frame=starts
         )
     return out
 
-
-def write_window_set(out_dir: str | Path, ws: DecisionWindowSet) -> None:
-    """Serialize triples as tensor stacks plus a CSV index sidecar."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
-    write_tensor(out_dir / "eeg.ndmm", eeg, ws.spec.fs)
-    write_tensor(out_dir / "match.ndmm", match, ws.spec.fs)
-    write_tensor(out_dir / "mismatch.ndmm", mismatch, ws.spec.fs)
-    with open(out_dir / "index.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["triple_id", "subject", "recording", "start_frame", "partition"])
-        for i in range(ws.n_triples):
-            rec = ws.recordings[ws.rec_index[i]]
-            writer.writerow(
-                [i, rec.subject_id, rec.recording_id, int(ws.start_frame[i]), ws.partition]
-            )
-
-
-def read_window_set(out_dir: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-    """Read back a serialized window set: (eeg, match, mismatch, index rows)."""
-    out_dir = Path(out_dir)
-    eeg, _ = read_tensor(out_dir / "eeg.ndmm")
-    match, _ = read_tensor(out_dir / "match.ndmm")
-    mismatch, _ = read_tensor(out_dir / "mismatch.ndmm")
-    with open(out_dir / "index.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    return eeg, match, mismatch, rows

@@ -12,7 +12,6 @@ from eegmatch.features import StoryAssets, canonical_parts, extract_feature, fea
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
 from eegmatch.tensors import read_timeseries
 from eegmatch.training import read_subject_results
-from eegmatch.windows import read_window_set
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +115,16 @@ def write_experiment(dataset, tmp_path, **settings):
     return cfg, out
 
 
-def count_training(monkeypatch) -> list:
-    """The training config of every ``pipeline.train`` call from now on."""
+def count_calls(monkeypatch, name) -> list:
+    """The arguments of every call of ``pipeline.<name>`` from now on."""
     calls = []
-    train = pipeline.train
-    monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args[-1]) or train(*args))
+    fn = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda *args: calls.append(args) or fn(*args))
     return calls
+
+
+def cache_files(out) -> set:
+    return {p for p in (out / "cache").rglob("*") if p.is_file()}
 
 
 class TestRunPipeline:
@@ -133,7 +136,7 @@ class TestRunPipeline:
         manifest_path = pipeline.run_pipeline(spec)
         assert (out / "results" / "vad.csv").exists()
         assert (out / "results" / "envelope.csv").exists()
-        assert (out / "figures" / "violin.svg").exists()
+        assert [p.name for p in (out / "figures").iterdir()] == ["violin.svg"]
         assert (out / "stats" / "comparisons.csv").exists()
         artifacts = yaml.safe_load(manifest_path.read_text())
         assert "results/vad.csv" in artifacts
@@ -158,6 +161,21 @@ class TestRunPipeline:
         # each input file is read once per run, however many cells key on it
         eeg = [r.eeg_path for r in pipeline.load_manifest(dataset).recordings]
         assert sorted(p for p in hashed if p in eeg) == sorted(eeg)
+
+    @pytest.mark.parametrize("text", ["", "key: [unclosed\n", "no-cell"],
+                             ids=["empty", "not-yaml", "no-cell"])
+    def test_unusable_stamp_retrains_the_cell(self, dataset, tmp_path, monkeypatch, text):
+        cfg, out = write_experiment(dataset, tmp_path)
+        pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        stamp = out / "models" / "vad" / "cell.yaml"
+        if text == "no-cell":  # a stamp written before stamps carried the description
+            recorded = yaml.safe_load(stamp.read_text())
+            text = yaml.safe_dump({"key": recorded["key"], "best_epoch": recorded["best_epoch"]})
+        stamp.write_text(text)
+        trained = count_calls(monkeypatch, "train")
+        pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        assert len(trained) == 1
+        assert yaml.safe_load(stamp.read_text())["cell"]["feature"] == "vad"
 
     def test_unknown_feature_rejected_at_load(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -293,10 +311,30 @@ class TestAtomicWrites:
         assert (out / "results" / "vad.csv").exists()
         assert not [p.name for p in model.iterdir() if p.name.startswith("cell.yaml")]
         monkeypatch.undo()
-        trained = count_training(monkeypatch)
+        trained = count_calls(monkeypatch, "train")
         pipeline.run_pipeline(pipeline.load_experiment(cfg))
         assert len(trained) == 1
         assert yaml.safe_load((model / "cell.yaml").read_text())["cell"]["feature"] == "vad"
+
+    def test_failed_synth_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        from eegmatch import synth
+
+        monkeypatch.setattr(synth, "open", full_disk(20, "manifest.yaml"), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_synth_dataset(tmp_path, n_subjects=1, n_stories=1, duration_s=12.0, seed=3)
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("manifest.yaml")]
+
+    def test_failed_violin_write_leaves_no_file(self, tmp_path, monkeypatch):
+        from eegmatch import stats
+
+        d = tmp_path / "res"
+        d.mkdir()
+        (d / "vad.csv").write_text("subject,accuracy,n_windows,feature\n"
+                                   + "".join(f"s{i},0.{60 + i},10,vad\n" for i in range(4)))
+        monkeypatch.setattr(stats, "open", full_disk(20, "violin.svg"), raising=False)
+        rc = cli.main(["stats", "violin", "--in", str(d), "--out", str(tmp_path / "violin.svg")])
+        assert rc == 3
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("violin.svg")]
 
 
 class TestCheckpointRoundtrip:
@@ -331,7 +369,6 @@ class TestCli:
     def test_stats_compare(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        b_figure = tmp_path / "b_figure.csv"
         a.write_text(
             "subject,accuracy,n_windows,feature\n"
             + "".join(f"s{i},{0.7 + 0.02 * i},10,x\n" for i in range(6))
@@ -340,16 +377,10 @@ class TestCli:
             "subject,accuracy,n_windows,feature\n"
             + "".join(f"s{i},{0.65 + 0.02 * i},10,y\n" for i in range(6))
         )
-        b_figure.write_text(  # the figure-data layout of the same accuracies
-            "subject,accuracy\n" + "".join(f"s{i},{0.65 + 0.02 * i}\n" for i in range(6))
-        )
-        printed = []
-        for other in (b, b_figure):
-            rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(other)])
-            assert rc == 0
-            printed.append(capsys.readouterr().out)
-        assert "z=" in printed[0] and "n_effective=6" in printed[0]
-        assert printed[1] == printed[0]
+        rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(b)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "z=" in printed and "n_effective=6" in printed
 
     def test_stats_compare_too_few_subjects_errors(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -360,6 +391,15 @@ class TestCli:
         assert rc == 2
         assert "error[" in capsys.readouterr().err
 
+    def test_stats_compare_needs_results_csvs(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("subject,accuracy,n_windows,feature\n"
+                     + "".join(f"s{i},0.{70 + i},10,x\n" for i in range(6)))
+        b.write_text("subject,accuracy\n" + "".join(f"s{i},0.{60 + i}\n" for i in range(6)))
+        rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(b)])
+        assert rc == 2
+        assert str(b) in capsys.readouterr().err
+
     def test_stats_violin(self, tmp_path, capsys):
         d = tmp_path / "res"
         d.mkdir()
@@ -367,40 +407,41 @@ class TestCli:
         for name in ("vad", "envelope"):
             rows = "".join(f"s{i},{rng.uniform(0.6, 0.9):.4f},10,{name}\n" for i in range(8))
             (d / f"{name}.csv").write_text("subject,accuracy,n_windows,feature\n" + rows)
-        rows = "".join(f"s{i},{rng.uniform(0.6, 0.9):.6f}\n" for i in range(8))
-        (d / "mel.csv").write_text("subject,accuracy\n" + rows)  # figure-data layout
         svg = tmp_path / "violin.svg"
         rc = cli.main(["stats", "violin", "--in", str(d), "--out", str(svg)])
         assert rc == 0
         text = svg.read_text()
         assert text.startswith("<svg")
-        assert all(f">{name}</text>" in text for name in ("vad", "envelope", "mel"))
+        assert all(f">{name}</text>" in text for name in ("vad", "envelope"))
 
-    def test_featurize_and_build_dataset(self, dataset, tmp_path, capsys):
-        cfg, _ = write_experiment(dataset, tmp_path, features=["vad", "envelope"])
-        rc = cli.main(["featurize", "--config", str(cfg), "--out", str(tmp_path / "feat")])
-        assert rc == 0
-        assert sorted(p.name.split("_")[1] for p in (tmp_path / "feat").iterdir()) == [
-            "envelope", "vad"]
-        rc = cli.main(["build-dataset", "--config", str(cfg), "--feature", "vad",
-                       "--out", str(tmp_path / "dsout")])
-        assert rc == 0
-        assert (tmp_path / "dsout" / "train" / "index.csv").exists()
-        eeg, match, mismatch, rows = read_window_set(tmp_path / "dsout" / "test")
-        assert eeg.shape[1] == 64
-        assert match.shape[1:] == (1, 320)
+    def test_featurize_and_build_dataset(self, dataset, tmp_path, monkeypatch):
+        cfg, out = write_experiment(dataset, tmp_path, features=["vad", "envelope"])
+        extracted = count_calls(monkeypatch, "extract_feature")
+        assert cli.main(["featurize", "--config", str(cfg)]) == 0
+        assert sorted(args[0] for args in extracted) == ["envelope", "vad"]
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert len(extracted) == 2  # the run built its dataset from the featurize entries
+        cached = cache_files(out)
+        assert cli.main(["featurize", "--config", str(cfg)]) == 0
+        assert cache_files(out) == cached
 
-    def test_preprocess_writes_tensors(self, dataset, tmp_path):
-        cfg, _ = write_experiment(dataset, tmp_path, preproc={"target_fs": 32.0})
-        rc = cli.main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pre")])
-        assert rc == 0
-        out = read_timeseries(tmp_path / "pre" / "sub00_story00.ndmm")
-        assert out.fs == 32.0
-        assert abs(out.data.mean(axis=1)).max() < 1e-9
+    def test_preprocess_writes_tensors(self, dataset, tmp_path, monkeypatch):
+        cfg, out = write_experiment(dataset, tmp_path, preproc={"target_fs": 64.0, "low_hz": 1.0})
+        preprocessed = count_calls(monkeypatch, "preprocess_eeg")
+        assert cli.main(["preprocess", "--config", str(cfg)]) == 0
+        assert len(preprocessed) == 2
+        eeg = read_timeseries(*(out / "cache" / "preproc").glob("sub00_story00_*.ndmm"))
+        assert eeg.fs == 64.0
+        assert abs(eeg.data.mean(axis=1)).max() < 1e-9
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert len(preprocessed) == 2
+        cached = cache_files(out)
+        assert cli.main(["preprocess", "--config", str(cfg)]) == 0
+        assert cache_files(out) == cached
 
     def test_train_is_a_one_cell_run(self, dataset, tmp_path, monkeypatch):
         cfg, out = write_experiment(dataset, tmp_path)
-        trained = count_training(monkeypatch)
+        trained = count_calls(monkeypatch, "train")
         assert cli.main(["train", "--config", str(cfg), "--feature", "vad"]) == 0
         assert len(trained) == 1
         model, results = out / "models" / "vad", out / "results" / "vad.csv"
@@ -410,16 +451,20 @@ class TestCli:
         assert len(trained) == 1
         assert {f: f.read_bytes() for f in [*model.iterdir(), results]} == written
 
-    def test_evaluate_scores_with_the_trained_cell(self, dataset, tmp_path):
+    def test_evaluate_scores_with_the_trained_cell(self, dataset, tmp_path, monkeypatch):
         split = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}
         cfg, out = write_experiment(dataset, tmp_path, windowing={"overlap_frac": 0.8},
                                     split=split)
         assert cli.main(["run", "--config", str(cfg)]) == 0
         results = (out / "results" / "vad.csv").read_bytes()
         assert {r.n_windows for r in read_subject_results(out / "results" / "vad.csv")} == {28}
-        rc = cli.main(["evaluate", "--model", str(out / "models" / "vad"),
-                       "--manifest", str(dataset), "--out", str(tmp_path / "eval")])
+        cached = cache_files(out)
+        monkeypatch.chdir(out / "models")  # a relative --model has no parents to take
+        rc = cli.main(["evaluate", "--model", "vad", "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
         assert rc == 0
+        assert cache_files(out) == cached
+        assert list((tmp_path / "eval").iterdir()) == [tmp_path / "eval" / "vad.csv"]
         assert (tmp_path / "eval" / "vad.csv").read_bytes() == results
 
     def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):
@@ -437,5 +482,5 @@ class TestCli:
 
     def test_error_exit_code(self, dataset, tmp_path):
         cfg, _ = write_experiment(dataset, tmp_path, manifest=str(tmp_path / "missing.yaml"))
-        rc = cli.main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = cli.main(["preprocess", "--config", str(cfg)])
         assert rc == 3  # io error

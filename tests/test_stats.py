@@ -9,12 +9,10 @@ from eegmatch.errors import DegenerateSampleError, InvalidInputError
 from eegmatch.stats import (
     PairedSample,
     emit_figure_data,
-    read_condition_csv,
     summarize,
     violin_svg,
     wilcoxon_exact,
     wilcoxon_signed_rank,
-    write_condition_csv,
 )
 
 
@@ -142,11 +140,10 @@ class TestFigureData:
             summarize("envelope", [f"s{i}" for i in range(12)], rng.uniform(0.7, 0.9, 12)),
         ]
 
-    def test_csv_roundtrip(self, tmp_path, summaries):
-        paths = emit_figure_data(tmp_path, summaries)
-        subjects, accs = read_condition_csv(paths["vad"])
-        assert subjects == summaries[0].subjects
-        np.testing.assert_allclose(accs, summaries[0].accuracies, atol=1e-6)
+    def test_writes_only_the_svg(self, tmp_path, summaries):
+        path = emit_figure_data(tmp_path / "figures" / "violin.svg", summaries)
+        assert list((tmp_path / "figures").iterdir()) == [path]
+        assert path.read_text() == violin_svg(summaries)
 
     def test_svg_is_well_formed_xml(self, summaries):
         doc = violin_svg(summaries)
@@ -154,14 +151,13 @@ class TestFigureData:
         assert root.tag.endswith("svg")
 
     def test_violin_extents_match_data(self, tmp_path, summaries):
-        paths = emit_figure_data(tmp_path, summaries)
-        root = ET.fromstring(paths["violin"].read_text())
+        root = ET.fromstring(emit_figure_data(tmp_path / "violin.svg", summaries).read_text())
         ns = {"svg": "http://www.w3.org/2000/svg"}
         polygons = root.findall(".//svg:polygon", ns)
         assert len(polygons) == 2
         height, margin = 420, 50
         for poly, summary in zip(polygons, summaries):
-            _, accs = read_condition_csv(paths[summary.name])
+            accs = summary.accuracies
             lo_all = min(float(s.accuracies.min()) for s in summaries)
             hi_all = max(float(s.accuracies.max()) for s in summaries)
             pad = 0.05 * max(hi_all - lo_all, 1e-3)
@@ -173,8 +169,3 @@ class TestFigureData:
             ys = [float(pt.split(",")[1]) for pt in poly.get("points").split()]
             assert min(ys) == pytest.approx(y_of(accs.max()), abs=1.0)
             assert max(ys) == pytest.approx(y_of(accs.min()), abs=1.0)
-
-    def test_csv_written_sorted(self, tmp_path, summaries):
-        write_condition_csv(tmp_path / "c.csv", summaries[0])
-        lines = (tmp_path / "c.csv").read_text().splitlines()
-        assert lines[0] == "subject,accuracy"

@@ -12,10 +12,8 @@ from eegmatch.windows import (
     WindowingSpec,
     assemble_dataset,
     make_windows,
-    read_window_set,
     split_recording,
     window_starts,
-    write_window_set,
 )
 
 SPEC = WindowingSpec()
@@ -246,20 +244,3 @@ class TestGather:
         np.testing.assert_array_equal(segments[match_row], match.astype(np.float32))
         np.testing.assert_array_equal(segments[mismatch_row], mismatch.astype(np.float32))
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        rec = recording(900, seed=4)
-        ws = make_windows(
-            TimeSeriesTensor(rec.eeg, 64.0), TimeSeriesTensor(rec.feature, 64.0), SPEC
-        )
-        ws.partition = "train"
-        write_window_set(tmp_path / "ws", ws)
-        eeg, match, mismatch, rows = read_window_set(tmp_path / "ws")
-        assert eeg.shape == (ws.n_triples, 4, 320)
-        assert len(rows) == ws.n_triples
-        assert rows[0]["partition"] == "train"
-        ref_eeg, ref_match, ref_mismatch = ws.gather_triples(np.arange(ws.n_triples))
-        np.testing.assert_array_equal(eeg, ref_eeg)
-        np.testing.assert_array_equal(match, ref_match)
-        np.testing.assert_array_equal(mismatch, ref_mismatch)
