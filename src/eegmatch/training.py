@@ -31,6 +31,8 @@ from .windows import DecisionWindowSet
 @dataclass(frozen=True)
 class TrainConfig:
     rng_seed: int
+    # samples per step: a step runs batch_size // 2 triples in the matched
+    # order, which by antisymmetry stand for both orders of each
     batch_size: int = 64
     learning_rate: float = 1e-3
     max_epochs: int = 100
@@ -98,6 +100,11 @@ def _batched(n: int, size: int):
         yield np.arange(lo, min(lo + size, n))
 
 
+def _triples_per_pass(batch_size: int) -> int:
+    """Triples in a pass of ``batch_size`` samples, at least one."""
+    return max(1, batch_size // 2)
+
+
 def evaluate_set(
     params: ModelParams, ws: DecisionWindowSet, batch_size: int = 256
 ) -> tuple[float, float, np.ndarray]:
@@ -111,7 +118,7 @@ def evaluate_set(
         raise InvalidInputError("cannot evaluate an empty window set")
     losses = np.empty(ws.n_samples)
     correct = np.empty(ws.n_samples, dtype=bool)
-    for idx in _batched(ws.n_triples, max(1, batch_size // 2)):
+    for idx in _batched(ws.n_triples, _triples_per_pass(batch_size)):
         eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, params.config.np_dtype)
         p_match, p_swapped = forward_segments(params, eeg, segments, match_row, mismatch_row)
         losses[2 * idx] = loss(p_match, np.ones(idx.size))
@@ -127,7 +134,15 @@ def train(
     val_set: DecisionWindowSet,
     cfg: TrainConfig,
 ) -> TrainResult:
-    """Minimize balanced-order BCE; reproducible from the config seed."""
+    """Minimize balanced-order BCE; reproducible from the config seed.
+
+    Each step takes ``batch_size // 2`` shuffled triples (at least one) and
+    runs them once, in the (match, mismatch) order. The head is exactly
+    antisymmetric and has no bias, so the swapped order has the same loss
+    and the same parameter gradient: the step's gradient is the mean over
+    both orders of its triples, and the logged ``train_loss`` is the mean
+    over all samples.
+    """
     if train_set.n_samples == 0 or val_set.n_samples == 0:
         raise InvalidInputError("train and validation partitions must be non-empty")
     rng = np.random.default_rng(cfg.rng_seed)
@@ -138,21 +153,23 @@ def train(
     best_params = params.copy()
     best_epoch = 0
     stale = 0
+    per_step = _triples_per_pass(cfg.batch_size)
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(train_set.n_samples)
+        order = rng.permutation(train_set.n_triples)
         total = 0.0
-        for batch_no, idx in enumerate(_batched(train_set.n_samples, cfg.batch_size)):
-            sample_idx = order[idx]
-            eeg, a, b, labels = train_set.gather_samples(sample_idx, params.config.np_dtype)
+        for batch_no, idx in enumerate(_batched(train_set.n_triples, per_step)):
+            triples = order[idx]
+            # sample 2i is triple i in the (match, mismatch) order, label 1
+            eeg, a, b, _ = train_set.gather_samples(2 * triples, params.config.np_dtype)
             p, trace = forward_batch(params, eeg, a, b)
-            batch_losses = loss(p, labels)
+            batch_losses = loss(p, 1.0)
             batch_loss = float(np.mean(batch_losses))
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            total += batch_losses.sum()
-            dloss = loss_grad(p, labels) / labels.size
+            total += 2.0 * batch_losses.sum()
+            dloss = loss_grad(p, 1.0) / triples.size
             grads = backward_batch(params, trace, dloss)
             adam.update(params, grads)
         train_loss = total / train_set.n_samples

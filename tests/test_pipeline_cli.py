@@ -1,5 +1,6 @@
 import csv
 import errno
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,18 @@ class TestCli:
         assert cache_files(out) == cached
         assert list((tmp_path / "eval").iterdir()) == [tmp_path / "eval" / "vad.csv"]
         assert (tmp_path / "eval" / "vad.csv").read_bytes() == results
+
+    def test_evaluate_refuses_a_model_outside_models(self, dataset, tmp_path, capsys):
+        cfg, out = write_experiment(dataset, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        copied = tmp_path / "copied" / "a" / "vad"
+        shutil.copytree(out / "models" / "vad", copied)
+        rc = cli.main(["evaluate", "--model", str(copied), "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert str(copied) in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "copied").iterdir()) == ["a"]
+        assert not (tmp_path / "eval").exists()
 
     def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):
         from eegmatch.checkpoint import save_checkpoint

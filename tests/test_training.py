@@ -3,8 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eegmatch import training
 from eegmatch.errors import InvalidInputError, TrainingDivergedError
-from eegmatch.model import ArchitectureConfig, SpeechPart, init_params
+from eegmatch.model import (
+    ArchitectureConfig,
+    SpeechPart,
+    backward_batch,
+    forward_batch,
+    init_params,
+    loss,
+    loss_grad,
+)
 from eegmatch.training import (
     EpochLog,
     SubjectResult,
@@ -127,6 +136,84 @@ class TestTrainLoop:
             train(init, empty, noise_sets["val"], TrainConfig(rng_seed=1))
 
 
+class TestTriplePass:
+    """A step runs each triple once, in the (match, mismatch) order."""
+
+    @pytest.mark.parametrize("parts", [
+        (SpeechPart(3, "conv"),),
+        (SpeechPart(1, "no-conv"),),
+        (SpeechPart(3, "maxpool"),),
+        (SpeechPart(1, "no-conv"), SpeechPart(4, "conv")),
+    ], ids=["conv", "no-conv", "maxpool", "1+4"])
+    def test_matched_order_gradient_is_the_both_order_mean(self, parts):
+        recs = noise_recordings(length=12000, feat_dim=sum(p.dim for p in parts), seed=40)
+        ws = assemble_dataset(recs, seed=7)["train"]
+        params = init_params(replace(small_arch(dtype="float64"), parts=parts),
+                             np.random.default_rng(41))
+        params.tensors["head_w"][:] = 3.0  # spread p away from 0.5
+        triples = np.random.default_rng(42).choice(ws.n_triples, size=8, replace=False)
+        n = triples.size
+        eeg, a, b, _ = ws.gather_samples(2 * triples, np.float64)
+        p, trace = forward_batch(params, eeg, a, b)
+        got = backward_batch(params, trace, loss_grad(p, 1.0) / n)
+        both = np.concatenate([2 * triples, 2 * triples + 1])
+        eeg, a, b, labels = ws.gather_samples(both, np.float64)
+        q, trace = forward_batch(params, eeg, a, b)
+        want = backward_batch(params, trace, loss_grad(q, labels) / (2 * n))
+        for key, w in want.items():
+            scale = np.abs(w).max()
+            assert scale > 0, key
+            assert np.abs(got[key] - w).max() <= 1e-12 * scale, key
+
+    @staticmethod
+    def record_forward(monkeypatch) -> list:
+        """The (eeg, a, b) inputs of every ``forward_batch`` call of ``train``."""
+        calls = []
+
+        def recording(params, eeg, a, b):
+            calls.append((eeg.copy(), a.copy(), b.copy()))
+            return forward_batch(params, eeg, a, b)
+
+        monkeypatch.setattr(training, "forward_batch", recording)
+        return calls
+
+    def test_epoch_visits_every_triple_once_in_matched_order(self, noise_sets, monkeypatch):
+        ws = noise_sets["train"]
+        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
+        triple_of = {window.tobytes(): j for j, window in enumerate(eeg)}
+        assert len(triple_of) == ws.n_triples
+        calls = self.record_forward(monkeypatch)
+        init = init_params(small_arch(dtype="float64"), np.random.default_rng(43))
+        train(init, ws, noise_sets["val"],
+              TrainConfig(rng_seed=44, batch_size=32, max_epochs=1))
+        assert len(calls) == -(-ws.n_triples // 16)
+        seen = []
+        for batch_eeg, a, b in calls:
+            assert len(batch_eeg) <= 16
+            for row in range(len(batch_eeg)):
+                j = triple_of[batch_eeg[row].tobytes()]
+                np.testing.assert_array_equal(a[row], match[j])
+                np.testing.assert_array_equal(b[row], mismatch[j])
+                seen.append(j)
+        assert sorted(seen) == list(range(ws.n_triples))
+
+    def test_batch_of_one_sample_takes_one_triple_per_step(self, noise_sets, monkeypatch):
+        calls = self.record_forward(monkeypatch)
+        init = init_params(small_arch(), np.random.default_rng(45))
+        train(init, noise_sets["train"], noise_sets["val"],
+              TrainConfig(rng_seed=46, batch_size=1, max_epochs=1))
+        assert [len(eeg) for eeg, _, _ in calls] == [1] * noise_sets["train"].n_triples
+
+    def test_logged_train_loss_is_the_both_order_mean(self, noise_sets, monkeypatch):
+        monkeypatch.setattr(training.AdamState, "update", lambda self, params, grads: None)
+        init = init_params(small_arch(dtype="float64"), np.random.default_rng(47))
+        init.tensors["head_w"][:] = 3.0
+        result = train(init, noise_sets["train"], noise_sets["val"],
+                       TrainConfig(rng_seed=48, batch_size=32, max_epochs=1))
+        mean_loss, _, _ = evaluate_set(init, noise_sets["train"])
+        assert result.log[0].train_loss == pytest.approx(mean_loss, rel=1e-9)
+
+
 class TestEvaluation:
     def test_accuracy_order_invariant(self, noise_sets):
         params = init_params(small_arch(), np.random.default_rng(20))
@@ -136,8 +223,6 @@ class TestEvaluation:
         np.testing.assert_array_equal(correct, correct2)
 
     def test_one_pass_per_triple_matches_per_sample_passes(self, noise_sets):
-        from eegmatch.model import forward_batch, loss
-
         params = init_params(small_arch(), np.random.default_rng(23))
         params.tensors["head_w"][:] = 30.0  # spread p away from 0.5
         ws = noise_sets["test"]
@@ -153,8 +238,6 @@ class TestEvaluation:
                                       SpeechPart(3, "maxpool")])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_segment_indexed_matches_forward_batch_bit_for_bit(self, part, dtype):
-        from eegmatch.model import forward_batch, loss
-
         recs = noise_recordings(length=12000, feat_dim=part.dim, seed=24)
         ws = assemble_dataset(recs, seed=5)["test"]
         arch = replace(small_arch(dtype=dtype), parts=(part,))
