@@ -400,20 +400,24 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     Building its cell with :func:`build_cell` gives the windowing, split,
     preprocessing and seed that the model was trained with. Its ``out_dir``
     is the experiment that holds ``<out>/models/<feature>``, so scoring
-    reads and fills that experiment's caches. A model directory whose
-    parent is not ``models/`` belongs to no experiment, and is refused.
+    reads and fills that experiment's caches. A model directory that is not
+    in the ``models/`` of a directory holding ``artifacts.yaml`` or
+    ``cache/`` belongs to no experiment, and is refused.
     """
     model_dir = Path(model_dir).resolve()
     path = model_dir / "cell.yaml"
     stamp = read_stamp(path)
     if stamp is None:
         raise InvalidInputError(f"{path} does not record the cell its model was trained as")
-    if model_dir.parent.name != "models":
+    out = model_dir.parents[1]
+    if model_dir.parent.name != "models" or not (
+        (out / "artifacts.yaml").is_file() or (out / "cache").is_dir()
+    ):
         raise InvalidInputError(f"{model_dir} is not in an experiment's models/ directory")
     cell = stamp["cell"]
     settings = {k: v for k, v in cell.items() if k not in ("feature", "inputs")}
     return ExperimentSpec(features=[cell["feature"]], manifest=manifest,
-                          out_dir=model_dir.parents[1], **settings)
+                          out_dir=out, **settings)
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:

@@ -32,7 +32,8 @@ from .windows import DecisionWindowSet
 class TrainConfig:
     rng_seed: int
     # samples per step: a step runs batch_size // 2 triples in the matched
-    # order, which by antisymmetry stand for both orders of each
+    # order, whose gradient is the both-order mean by antisymmetry; an
+    # epoch visits each triple once
     batch_size: int = 64
     learning_rate: float = 1e-3
     max_epochs: int = 100
@@ -136,12 +137,15 @@ def train(
 ) -> TrainResult:
     """Minimize balanced-order BCE; reproducible from the config seed.
 
-    Each step takes ``batch_size // 2`` shuffled triples (at least one) and
-    runs them once, in the (match, mismatch) order. The head is exactly
-    antisymmetric and has no bias, so the swapped order has the same loss
-    and the same parameter gradient: the step's gradient is the mean over
-    both orders of its triples, and the logged ``train_loss`` is the mean
-    over all samples.
+    An epoch visits each train triple once. A step takes ``batch_size // 2``
+    shuffled triples (at least one) and runs them once, in the (match,
+    mismatch) order. The head is exactly antisymmetric and has no bias, so
+    the swapped order has the same loss and the same parameter gradient:
+    the step's gradient is the mean over both orders of its triples, and
+    the logged ``train_loss`` is the mean over all samples. Drawing the two
+    orders as separate samples would visit each triple twice per epoch, in
+    different steps; an epoch here takes as many steps, of half as many
+    triples each, and so does half that training.
     """
     if train_set.n_samples == 0 or val_set.n_samples == 0:
         raise InvalidInputError("train and validation partitions must be non-empty")

@@ -468,16 +468,18 @@ class TestCli:
         assert list((tmp_path / "eval").iterdir()) == [tmp_path / "eval" / "vad.csv"]
         assert (tmp_path / "eval" / "vad.csv").read_bytes() == results
 
-    def test_evaluate_refuses_a_model_outside_models(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("parent", ["a", "models"])
+    def test_evaluate_refuses_a_model_outside_models(self, dataset, tmp_path, capsys, parent):
         cfg, out = write_experiment(dataset, tmp_path)
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        copied = tmp_path / "copied" / "a" / "vad"
+        # copied/models/vad has a models/ parent, but copied/ is no experiment
+        copied = tmp_path / "copied" / parent / "vad"
         shutil.copytree(out / "models" / "vad", copied)
         rc = cli.main(["evaluate", "--model", str(copied), "--manifest", str(dataset),
                        "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert str(copied) in capsys.readouterr().err
-        assert sorted(p.name for p in (tmp_path / "copied").iterdir()) == ["a"]
+        assert sorted(p.name for p in (tmp_path / "copied").iterdir()) == [parent]
         assert not (tmp_path / "eval").exists()
 
     def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):
