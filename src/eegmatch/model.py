@@ -10,11 +10,16 @@ their difference by one weight. A bias would cancel in that difference, so
 the head has none, and the output probability is exactly antisymmetric in
 the two speech inputs. Everything is computed in 64-bit floats unless the
 architecture selects 32-bit.
+
+One forward, :func:`_forward`, runs the front once per input block and the
+LSTM once over all their rows; :func:`forward_batch` and
+:func:`forward_segments` are adapters over it, and :func:`backward_batch`
+differentiates either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,10 +87,6 @@ class ArchitectureConfig:
     @property
     def pooled(self) -> bool:
         return any(p.variant == "maxpool" for p in self.parts)
-
-    @property
-    def out_frames(self) -> int:
-        return self.frames // POOL if self.pooled else self.frames
 
     @property
     def lstm_input_dim(self) -> int:
@@ -283,21 +284,14 @@ def _lstm(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     return hs, cache
 
 
-def _lstm_bwd(dhs: np.ndarray, cache, wx: np.ndarray, wh: np.ndarray, groups: int):
-    """Gradients of :func:`_lstm`.
-
-    The batch is ``groups`` equal blocks of rows (the two speech inputs run
-    as one stacked batch). Weight gradients are accumulated per block and
-    summed in block order, so they equal those of separate per-block calls
-    bit for bit.
-    """
+def _lstm_bwd(dhs: np.ndarray, cache, wx: np.ndarray, wh: np.ndarray):
+    """Gradients of :func:`_lstm`: input, then wx, wh and bias."""
     x = cache["x"]
     n_b, n_t, _ = x.shape
     h_units = wh.shape[1]
-    blocks = [slice(lo, lo + n_b // groups) for lo in range(0, n_b, n_b // groups)]
-    dwx = np.zeros((groups,) + wx.shape, dtype=wx.dtype)
-    dwh = np.zeros((groups,) + wh.shape, dtype=wh.dtype)
-    db = np.zeros((groups, 4 * h_units), dtype=x.dtype)
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * h_units, dtype=x.dtype)
     dx = np.empty_like(x)
     dh_next = np.zeros((n_b, h_units), dtype=x.dtype)
     dc_next = np.zeros((n_b, h_units), dtype=x.dtype)
@@ -315,21 +309,12 @@ def _lstm_bwd(dhs: np.ndarray, cache, wx: np.ndarray, wh: np.ndarray, groups: in
             [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
             axis=1,
         )
-        h_prev = cache["h_prev"][t]
-        for k, rows in enumerate(blocks):
-            dwx[k] += dz[rows].T @ x[rows, t]
-            dwh[k] += dz[rows].T @ h_prev[rows]
-            db[k] += dz[rows].sum(axis=0)
+        dwx += dz.T @ x[:, t]
+        dwh += dz.T @ cache["h_prev"][t]
+        db += dz.sum(axis=0)
         dx[:, t] = dz @ wx
         dh_next = dz @ wh
-    return dx, _sum_blocks(dwx), _sum_blocks(dwh), _sum_blocks(db)
-
-
-def _sum_blocks(acc: np.ndarray) -> np.ndarray:
-    total = acc[0].copy()
-    for block in acc[1:]:
-        total += block
-    return total
+    return dx, dwx, dwh, db
 
 
 def _cosine_seq(u: np.ndarray, v: np.ndarray):
@@ -379,32 +364,24 @@ def loss_grad(p: float | np.ndarray, label: float | np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Cached activations of one forward call; consumed once by backward."""
 
-    batch: int
-    eeg: dict = field(default_factory=dict)
-    branches: tuple = ()
-    lstm: dict = field(default_factory=dict)
-    sims: tuple = ()
-    p: np.ndarray = field(default_factory=lambda: np.empty(0))
+    eeg: dict
+    fronts: list
+    lstm: dict
+    match_row: np.ndarray
+    mismatch_row: np.ndarray
+    sims: tuple
+    p: np.ndarray
     consumed: bool = False
 
 
-def _split_parts(x: np.ndarray, config: ArchitectureConfig) -> list[np.ndarray]:
-    out = []
-    lo = 0
-    for part in config.parts:
-        out.append(x[:, lo : lo + part.dim, :])
-        lo += part.dim
-    return out
-
-
-def _check_batch_shapes(config: ArchitectureConfig, eeg, speech: dict, batch_sizes) -> None:
+def _check_batch_shapes(config: ArchitectureConfig, eeg, blocks, batch_sizes) -> None:
     want_eeg = (config.eeg_channels, config.frames)
     want_sp = (config.feature_dim, config.frames)
     if eeg.shape[1:] != want_eeg:
         raise InvalidInputError(f"EEG batch shape {eeg.shape[1:]} != {want_eeg}")
-    for name, arr in speech.items():
+    for arr in blocks:
         if arr.shape[1:] != want_sp:
-            raise InvalidInputError(f"{name} batch shape {arr.shape[1:]} != {want_sp}")
+            raise InvalidInputError(f"speech batch shape {arr.shape[1:]} != {want_sp}")
     if any(n != eeg.shape[0] for n in batch_sizes):
         raise InvalidInputError("batch sizes disagree")
 
@@ -437,14 +414,16 @@ def _eeg_path_bwd(params: ModelParams, dout: np.ndarray, cache, grads: dict) -> 
     grads["eeg_conv_b"] += db
 
 
-def _speech_front(params: ModelParams, parts_x: list[np.ndarray]):
+def _speech_front(params: ModelParams, speech: np.ndarray):
     """Front + dense per part and their concatenation: (B, n_parts*D, T_out)."""
     cfg = params.config
     t = params.tensors
     part_caches = []
     outs = []
+    lo = 0
     for i, part in enumerate(cfg.parts):
-        x = parts_x[i]
+        x = speech[:, lo : lo + part.dim, :]
+        lo += part.dim
         cache: dict = {"variant": part.variant}
         if part.variant == "conv":
             conv, conv_cache = _conv1d_same(x, t[f"sp{i}_conv_w"], t[f"sp{i}_conv_b"])
@@ -464,7 +443,8 @@ def _speech_front(params: ModelParams, parts_x: list[np.ndarray]):
         part_caches.append(cache)
         outs.append(act)
     concat = np.concatenate(outs, axis=1)
-    return concat, {"parts": part_caches, "widths": [o.shape[1] for o in outs]}
+    widths = [o.shape[1] for o in outs]
+    return concat, {"parts": part_caches, "widths": widths, "rows": concat.shape[0]}
 
 
 def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: dict) -> None:
@@ -490,14 +470,6 @@ def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: di
             grads[f"sp{i}_conv_b"] += db2
 
 
-def _lstm_rep(params: ModelParams, fronts: list[np.ndarray]):
-    """Shared LSTM over the stacked fronts: (sum of B, H, T_out) and its cache."""
-    t = params.tensors
-    lstm_in = np.concatenate(fronts).transpose(0, 2, 1)
-    hs, cache = _lstm(lstm_in, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    return hs.transpose(0, 2, 1), cache
-
-
 def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.ndarray):
     """Logit that ``a`` is the match, and the cosine caches behind it.
 
@@ -511,36 +483,50 @@ def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.n
     return m, (cos_a, cos_b, diff)
 
 
-def forward_batch(
-    params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Probabilities that each sample's input ``a`` is the matched segment."""
+def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
+             match_row: np.ndarray, mismatch_row: np.ndarray):
+    """Logit that triple ``j``'s matched segment is the match, and the trace.
+
+    Triple ``j`` pairs ``eeg[j]`` with rows ``match_row[j]`` and
+    ``mismatch_row[j]`` of the speech ``blocks`` stacked in order. The speech
+    front runs once per block, and the shared LSTM once over the stacked
+    fronts, so its time loop runs once however many blocks there are.
+    """
     cfg = params.config
     dt = cfg.np_dtype
     eeg = np.ascontiguousarray(eeg, dtype=dt)
-    speech_a = np.ascontiguousarray(speech_a, dtype=dt)
-    speech_b = np.ascontiguousarray(speech_b, dtype=dt)
-    _check_batch_shapes(cfg, eeg, {"speech_a": speech_a, "speech_b": speech_b},
-                        (speech_a.shape[0], speech_b.shape[0]))
+    blocks = [np.ascontiguousarray(x, dtype=dt) for x in blocks]
+    _check_batch_shapes(cfg, eeg, blocks, (len(match_row), len(mismatch_row)))
 
     r_eeg, eeg_cache = _eeg_path(params, eeg)
-    front_a, cache_a = _speech_front(params, _split_parts(speech_a, cfg))
-    front_b, cache_b = _speech_front(params, _split_parts(speech_b, cfg))
-    # Both speech inputs share the LSTM, so they run as one stacked batch and
-    # the time loop runs once.
-    rep, lstm_cache = _lstm_rep(params, [front_a, front_b])
-    n = eeg.shape[0]
-    m, sims = _head(params, r_eeg, rep[:n], rep[n:])
-    p = _sigmoid(m)
+    fronts = [_speech_front(params, x) for x in blocks]
+    t = params.tensors
+    lstm_in = np.concatenate([front for front, _ in fronts]).transpose(0, 2, 1)
+    hs, lstm_cache = _lstm(lstm_in, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    rep = hs.transpose(0, 2, 1)
+    m, sims = _head(params, r_eeg, rep[match_row], rep[mismatch_row])
     trace = ForwardTrace(
-        batch=n,
         eeg=eeg_cache,
-        branches=(cache_a, cache_b),
+        fronts=[cache for _, cache in fronts],
         lstm=lstm_cache,
+        match_row=match_row,
+        mismatch_row=mismatch_row,
         sims=sims,
-        p=p,
+        p=_sigmoid(m),
     )
-    return p, trace
+    return m, trace
+
+
+def forward_batch(
+    params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Probabilities that each sample's input ``a`` is the matched segment.
+
+    ``speech_a`` and ``speech_b`` are the two input blocks.
+    """
+    n_a, n_b = len(speech_a), len(speech_b)
+    _, trace = _forward(params, eeg, [speech_a, speech_b], np.arange(n_a), n_a + np.arange(n_b))
+    return trace.p, trace
 
 
 def forward_segments(
@@ -554,22 +540,13 @@ def forward_segments(
 
     Triple ``j`` pairs ``eeg[j]`` with matched segment
     ``segments[match_row[j]]`` and mismatched segment
-    ``segments[mismatch_row[j]]``. The speech front and the LSTM run once per
-    row of ``segments``, however many triples use it. Returns the
+    ``segments[mismatch_row[j]]``. ``segments`` is the one input block, so
+    the speech front and the LSTM run once per row of it. Returns the
     probability of the (match, mismatch) order and of the swapped order;
     the swapped logit is exactly the negated one, so both are bit for bit
     what :func:`forward_batch` returns for each order.
     """
-    cfg = params.config
-    dt = cfg.np_dtype
-    eeg = np.ascontiguousarray(eeg, dtype=dt)
-    segments = np.ascontiguousarray(segments, dtype=dt)
-    _check_batch_shapes(cfg, eeg, {"segments": segments}, (len(match_row), len(mismatch_row)))
-
-    r_eeg, _ = _eeg_path(params, eeg)
-    front, _ = _speech_front(params, _split_parts(segments, cfg))
-    rep, _ = _lstm_rep(params, [front])
-    m, _ = _head(params, r_eeg, rep[match_row], rep[mismatch_row])
+    m, _ = _forward(params, eeg, [segments], match_row, mismatch_row)
     return _sigmoid(m), _sigmoid(-m)
 
 
@@ -580,8 +557,8 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     trace.consumed = True
     cfg = params.config
     dloss = np.asarray(dloss, dtype=cfg.np_dtype)
-    if dloss.shape != (trace.batch,):
-        raise InvalidInputError(f"dloss shape {dloss.shape} != ({trace.batch},)")
+    if dloss.shape != trace.p.shape:
+        raise InvalidInputError(f"dloss shape {dloss.shape} != {trace.p.shape}")
     grads = zeros_like_params(params)
     cos_a, cos_b, diff = trace.sims
     p = trace.p
@@ -597,13 +574,19 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     du_a, dv_a = _cosine_seq_bwd(dsim_a, cos_a)
     du_b, dv_b = _cosine_seq_bwd(dsim_b, cos_b)
     t = params.tensors
-    dhs = np.concatenate([dv_a, dv_b]).transpose(0, 2, 1)
-    dlstm_in, dwx, dwh, db = _lstm_bwd(dhs, trace.lstm, t["lstm_wx"], t["lstm_wh"], groups=2)
+    # A segment used as a match and as a mismatch gets both gradients; rows
+    # are distinct within each map, so each += touches a row once.
+    dhs = np.zeros(trace.lstm["x"].shape[:2] + (cfg.lstm_units,), dtype=dv_a.dtype)
+    dhs[trace.match_row] += dv_a.transpose(0, 2, 1)
+    dhs[trace.mismatch_row] += dv_b.transpose(0, 2, 1)
+    dlstm_in, dwx, dwh, db = _lstm_bwd(dhs, trace.lstm, t["lstm_wx"], t["lstm_wh"])
     grads["lstm_wx"] += dwx
     grads["lstm_wh"] += dwh
     grads["lstm_b"] += db
     dconcat = dlstm_in.transpose(0, 2, 1)
-    _speech_front_bwd(params, dconcat[: trace.batch], trace.branches[0], grads)
-    _speech_front_bwd(params, dconcat[trace.batch :], trace.branches[1], grads)
+    lo = 0
+    for cache in trace.fronts:
+        _speech_front_bwd(params, dconcat[lo : lo + cache["rows"]], cache, grads)
+        lo += cache["rows"]
     _eeg_path_bwd(params, du_a + du_b, trace.eeg, grads)
     return grads

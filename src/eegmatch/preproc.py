@@ -39,7 +39,6 @@ class BandpassSpec:
     low_hz: float
     high_hz: float
     stop_atten_db: float = 80.0
-    order: int | None = None  # None selects the minimum order meeting the spec
 
     def validate(self, fs: float) -> None:
         if not (0.0 < self.low_hz < self.high_hz):
@@ -60,7 +59,6 @@ class FilterCoefficients:
 
     sos: np.ndarray
     fs: float
-    kind: str = "bandpass"
 
 
 def common_average_reference(x: TimeSeriesTensor) -> TimeSeriesTensor:
@@ -76,8 +74,7 @@ def design_bandpass(spec: BandpassSpec, fs: float) -> FilterCoefficients:
     """Design a Chebyshev type-II bandpass for sampling rate ``fs``.
 
     Stopband edges sit at 0.5x the low passband edge and 1.25x the high edge;
-    the order is the minimum meeting ``stop_atten_db`` there unless the spec
-    pins one explicitly.
+    the order is the minimum meeting ``stop_atten_db`` there.
     """
     spec.validate(fs)
     wp = [spec.low_hz, spec.high_hz]
@@ -86,12 +83,9 @@ def design_bandpass(spec: BandpassSpec, fs: float) -> FilterCoefficients:
         raise InvalidSpecError(
             f"stopband edge {ws[1]} Hz not below Nyquist {fs / 2.0} Hz"
         )
-    if spec.order is None:
-        order, wn = signal.cheb2ord(wp, ws, gpass=GPASS_DB, gstop=spec.stop_atten_db, fs=fs)
-    else:
-        order, wn = spec.order, ws
+    order, wn = signal.cheb2ord(wp, ws, gpass=GPASS_DB, gstop=spec.stop_atten_db, fs=fs)
     sos = signal.cheby2(order, spec.stop_atten_db, wn, btype="bandpass", output="sos", fs=fs)
-    return FilterCoefficients(sos=sos, fs=fs, kind="bandpass")
+    return FilterCoefficients(sos=sos, fs=fs)
 
 
 def design_highpass(low_hz: float, stop_atten_db: float, fs: float) -> FilterCoefficients:
@@ -106,7 +100,7 @@ def design_highpass(low_hz: float, stop_atten_db: float, fs: float) -> FilterCoe
         low_hz, low_hz * STOP_LOW_FACTOR, gpass=GPASS_DB, gstop=stop_atten_db, fs=fs
     )
     sos = signal.cheby2(order, stop_atten_db, wn, btype="highpass", output="sos", fs=fs)
-    return FilterCoefficients(sos=sos, fs=fs, kind="highpass")
+    return FilterCoefficients(sos=sos, fs=fs)
 
 
 def design_band_filter(spec: BandpassSpec, fs: float) -> FilterCoefficients:

@@ -359,9 +359,6 @@ def write_synth_dataset(
     coupling: str = "envelope",
     seed: int = 0,
     noise_color: str = "pink",
-    audio_fs: float = DEFAULT_AUDIO_FS,
-    silence_frac: float = 0.25,
-    latency_ms: float = 0.0,
 ) -> Path:
     """Emit a full synthetic dataset plus its manifest; returns the manifest path.
 
@@ -388,8 +385,7 @@ def write_synth_dataset(
     for k in range(n_stories):
         story_id = f"story{k:02d}"
         story = generate_story(
-            duration_s, seed=seed * 9973 + k, fs=audio_fs, inv=inv,
-            lexicon=lexicon, silence_frac=silence_frac, story_id=story_id,
+            duration_s, seed=seed * 9973 + k, inv=inv, lexicon=lexicon, story_id=story_id,
         )
         stories[story_id] = story
         write_wav(out_dir / "audio" / f"{story_id}.wav", story.audio)
@@ -417,7 +413,6 @@ def write_synth_dataset(
             rec_id = f"{subject_id}_{story_id}"
             cfg = ForwardModelConfig(
                 rng_seed=seed * 104729 + i * 389 + k,
-                latency_ms=latency_ms,
                 mixing=mixing,
                 snr_db=snr_db,
                 noise_color=noise_color,

@@ -8,6 +8,7 @@ from eegmatch.errors import InvalidInputError, TrainingDivergedError
 from eegmatch.model import (
     ArchitectureConfig,
     SpeechPart,
+    _forward,
     backward_batch,
     forward_batch,
     init_params,
@@ -56,6 +57,22 @@ def small_arch(eeg_ch=6, feat_dim=1, dtype="float32"):
         parts=(SpeechPart(feat_dim, variant),),
         dtype=dtype,
     )
+
+
+EVERY_FRONT = pytest.mark.parametrize("parts", [
+    (SpeechPart(3, "conv"),),
+    (SpeechPart(1, "no-conv"),),
+    (SpeechPart(3, "maxpool"),),
+    (SpeechPart(1, "no-conv"), SpeechPart(4, "conv")),
+], ids=["conv", "no-conv", "maxpool", "1+4"])
+
+
+def assert_same_gradients(got, want):
+    """Every tensor equal to 1e-12 of its largest entry, none all zero."""
+    for key, w in want.items():
+        scale = np.abs(w).max()
+        assert scale > 0, key
+        assert np.abs(got[key] - w).max() <= 1e-12 * scale, key
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +156,7 @@ class TestTrainLoop:
 class TestTriplePass:
     """A step runs each triple once, in the (match, mismatch) order."""
 
-    @pytest.mark.parametrize("parts", [
-        (SpeechPart(3, "conv"),),
-        (SpeechPart(1, "no-conv"),),
-        (SpeechPart(3, "maxpool"),),
-        (SpeechPart(1, "no-conv"), SpeechPart(4, "conv")),
-    ], ids=["conv", "no-conv", "maxpool", "1+4"])
+    @EVERY_FRONT
     def test_matched_order_gradient_is_the_both_order_mean(self, parts):
         recs = noise_recordings(length=12000, feat_dim=sum(p.dim for p in parts), seed=40)
         ws = assemble_dataset(recs, seed=7)["train"]
@@ -160,10 +172,26 @@ class TestTriplePass:
         eeg, a, b, labels = ws.gather_samples(both, np.float64)
         q, trace = forward_batch(params, eeg, a, b)
         want = backward_batch(params, trace, loss_grad(q, labels) / (2 * n))
-        for key, w in want.items():
-            scale = np.abs(w).max()
-            assert scale > 0, key
-            assert np.abs(got[key] - w).max() <= 1e-12 * scale, key
+        assert_same_gradients(got, want)
+
+    @EVERY_FRONT
+    def test_shared_segment_gradient_matches_forward_batch(self, parts):
+        """A segment that is one triple's match and another's mismatch runs
+        once and gets the gradient of both uses."""
+        recs = noise_recordings(length=12000, feat_dim=sum(p.dim for p in parts), seed=50)
+        ws = assemble_dataset(recs, seed=8)["train"]
+        params = init_params(replace(small_arch(dtype="float64"), parts=parts),
+                             np.random.default_rng(51))
+        params.tensors["head_w"][:] = 3.0
+        idx = np.arange(20)  # consecutive: triple j's mismatch is triple j + 12's match
+        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, np.float64)
+        assert len(segments) < 2 * idx.size
+        _, trace = _forward(params, eeg, [segments], match_row, mismatch_row)
+        got = backward_batch(params, trace, loss_grad(trace.p, 1.0) / idx.size)
+        eeg, match, mismatch = ws.gather_triples(idx)
+        p, trace = forward_batch(params, eeg, match, mismatch)
+        want = backward_batch(params, trace, loss_grad(p, 1.0) / idx.size)
+        assert_same_gradients(got, want)
 
     @staticmethod
     def record_forward(monkeypatch) -> list:
@@ -234,13 +262,17 @@ class TestEvaluation:
         assert np.abs(p - 0.5).min() > 1e-3  # no decision sits on a tie
         assert mean_loss == pytest.approx(float(loss(p, labels).mean()), rel=1e-9)
 
-    @pytest.mark.parametrize("part", [SpeechPart(1, "no-conv"), SpeechPart(3, "conv"),
-                                      SpeechPart(3, "maxpool")])
+    @pytest.mark.parametrize("parts", [
+        (SpeechPart(1, "no-conv"),),
+        (SpeechPart(3, "conv"),),
+        (SpeechPart(3, "maxpool"),),
+        (SpeechPart(1, "no-conv"), SpeechPart(4, "conv")),
+    ])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_segment_indexed_matches_forward_batch_bit_for_bit(self, part, dtype):
-        recs = noise_recordings(length=12000, feat_dim=part.dim, seed=24)
+    def test_segment_indexed_matches_forward_batch_bit_for_bit(self, parts, dtype):
+        recs = noise_recordings(length=12000, feat_dim=sum(p.dim for p in parts), seed=24)
         ws = assemble_dataset(recs, seed=5)["test"]
-        arch = replace(small_arch(dtype=dtype), parts=(part,))
+        arch = replace(small_arch(dtype=dtype), parts=parts)
         params = init_params(arch, np.random.default_rng(25))
         params.tensors["head_w"][:] = 30.0
         batch = 12
