@@ -14,13 +14,14 @@ from scipy import signal
 from scipy.io import wavfile
 
 from .errors import InvalidInputError
-from .preproc import band_filter_stream, resample
+from .preproc import PreprocConfig, band_filter, resample
 from .tensors import TimeSeriesTensor
 
 FRAME_RATE = 64.0
 ENVELOPE_BANDS = 28
 ENVELOPE_EXPONENT = 0.6
 MEL_BANDS = 28
+STFT_WINDOW_S = 0.025
 MEL_FMIN = 50.0
 MEL_FMAX = 5000.0
 VAD_FRAME_S = 0.015
@@ -86,28 +87,26 @@ def gammatone_powerlaw_mean(
     return total
 
 
-def envelope_powerlaw(
-    audio: TimeSeriesTensor,
-    exponent: float = ENVELOPE_EXPONENT,
-    n_bands: int = ENVELOPE_BANDS,
-    band_limit: bool = True,
-) -> TimeSeriesTensor:
-    """Auditory-subband amplitude envelope with power-law compression.
+def raw_envelope(audio: TimeSeriesTensor) -> TimeSeriesTensor:
+    """Nonnegative power-law subband envelope at the audio rate.
 
     A 28-band gammatone filterbank spaced 50-5000 Hz on the ERB scale feeds
-    per-band magnitudes raised to ``exponent``; bands are averaged, the
-    result band-limited to 0.5-32 Hz and resampled to 64 Hz. Disable
-    ``band_limit`` to inspect the raw nonnegative envelope at audio rate.
+    per-band magnitudes raised to the power 0.6; the bands are averaged.
     """
     x = _check_mono(audio, min_fs=8000.0)
-    cfs = erb_space(MEL_FMIN, min(MEL_FMAX, audio.fs / 2.0 * 0.9), n_bands)
-    env = TimeSeriesTensor(
-        gammatone_powerlaw_mean(x, audio.fs, cfs, exponent)[None, :], audio.fs
+    cfs = erb_space(MEL_FMIN, min(MEL_FMAX, audio.fs / 2.0 * 0.9), ENVELOPE_BANDS)
+    return TimeSeriesTensor(
+        gammatone_powerlaw_mean(x, audio.fs, cfs, ENVELOPE_EXPONENT)[None, :], audio.fs
     )
-    if not band_limit:
-        return env
-    env = band_filter_stream(env)
-    return resample(env, FRAME_RATE)
+
+
+def envelope_powerlaw(audio: TimeSeriesTensor) -> TimeSeriesTensor:
+    """Auditory-subband amplitude envelope with power-law compression, at 64 Hz.
+
+    The :func:`raw_envelope` of ``audio``, band-limited to 0.5-32 Hz with the
+    EEG's filter and resampled to 64 Hz.
+    """
+    return resample(band_filter(raw_envelope(audio), PreprocConfig()), FRAME_RATE)
 
 
 def _hz_to_mel(f):
@@ -131,7 +130,7 @@ def mel_filterbank(n_bands: int, n_fft: int, fs: float, fmin: float, fmax: float
     return bank
 
 
-def stft_frames_64hz(x: np.ndarray, fs: float, window_s: float = 0.025) -> np.ndarray:
+def stft_frames_64hz(x: np.ndarray, fs: float) -> np.ndarray:
     """Magnitude STFT with frames centered on the 64 Hz grid.
 
     Frame ``n`` is centered at ``n / 64`` s; a 25 ms Hann window is applied
@@ -139,7 +138,7 @@ def stft_frames_64hz(x: np.ndarray, fs: float, window_s: float = 0.025) -> np.nd
     (n_fft//2 + 1) x n_frames.
     """
     n_frames = int(round(x.size / fs * FRAME_RATE))
-    win_len = int(round(window_s * fs))
+    win_len = int(round(STFT_WINDOW_S * fs))
     n_fft = 1 << (win_len - 1).bit_length()
     window = np.hanning(win_len)
     centers = np.round(np.arange(n_frames) * fs / FRAME_RATE).astype(int)
@@ -149,19 +148,23 @@ def stft_frames_64hz(x: np.ndarray, fs: float, window_s: float = 0.025) -> np.nd
     return np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1)).T
 
 
-def mel_spectrogram(audio: TimeSeriesTensor, band_limit: bool = True) -> TimeSeriesTensor:
+def mel_magnitudes(audio: TimeSeriesTensor) -> TimeSeriesTensor:
     """28-band mel magnitude spectrogram, 50-5000 Hz, at exactly 64 frames/s.
 
-    No log compression is applied; after the filterbank each band is
-    band-limited to 0.5-32 Hz (realized as the 0.5 Hz highpass at fs = 64).
+    No log compression is applied and the bands are not band-limited.
     """
     x = _check_mono(audio, min_fs=2 * MEL_FMAX)
     spec = stft_frames_64hz(x, audio.fs)
     bank = mel_filterbank(MEL_BANDS, 2 * (spec.shape[0] - 1), audio.fs, MEL_FMIN, MEL_FMAX)
-    mel = TimeSeriesTensor(bank @ spec, FRAME_RATE)
-    if not band_limit:
-        return mel
-    return band_filter_stream(mel)
+    return TimeSeriesTensor(bank @ spec, FRAME_RATE)
+
+
+def mel_spectrogram(audio: TimeSeriesTensor) -> TimeSeriesTensor:
+    """The :func:`mel_magnitudes` of ``audio``, each band band-limited to 0.5-32 Hz.
+
+    At 64 frames/s the band is realized as the 0.5 Hz highpass.
+    """
+    return band_filter(mel_magnitudes(audio), PreprocConfig())
 
 
 def vad_frame_energies(audio: TimeSeriesTensor) -> np.ndarray:

@@ -16,6 +16,9 @@ import yaml
 
 from .errors import InvalidInputError, InvalidSpecError, UnknownLabelError
 
+# entries per word vector, as in the pretrained 300-dimensional embeddings
+EMBEDDING_DIM = 300
+
 PHONETIC_CLASSES = (
     "short_vowel",
     "long_vowel",
@@ -68,7 +71,7 @@ def read_alignment(path: str | Path, story_id: str = "") -> AlignmentTrack:
     kind = None
     intervals = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -77,8 +80,13 @@ def read_alignment(path: str | Path, story_id: str = "") -> AlignmentTrack:
                 if key.strip() == "kind":
                     kind = value.strip()
                 continue
-            start, end, label = line.split("\t")
-            intervals.append(Interval(float(start), float(end), label))
+            try:
+                start, end, label = line.split("\t")
+                intervals.append(Interval(float(start), float(end), label))
+            except ValueError:
+                raise InvalidInputError(
+                    f"{path}: line {lineno} is not start<TAB>end<TAB>label: {line!r}"
+                ) from None
     if kind is None:
         raise InvalidInputError(f"{path}: missing '#kind=' header")
     return AlignmentTrack(intervals, kind, story_id=story_id or Path(path).stem)
@@ -138,16 +146,15 @@ def write_inventory(path: str | Path, inv: PhonemeInventory) -> None:
 
 
 class EmbeddingTable:
-    """Case-folded word -> fixed-dimension vector lookup."""
+    """Case-folded word -> ``EMBEDDING_DIM``-vector lookup."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], dimension: int = 300):
-        self.dimension = dimension
+    def __init__(self, vectors: dict[str, np.ndarray]):
         self._vectors: dict[str, np.ndarray] = {}
         for word, vec in vectors.items():
             vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (dimension,):
+            if vec.shape != (EMBEDDING_DIM,):
                 raise InvalidSpecError(
-                    f"embedding for {word!r} has shape {vec.shape}, expected ({dimension},)"
+                    f"embedding for {word!r} has shape {vec.shape}, expected ({EMBEDDING_DIM},)"
                 )
             self._vectors[word.casefold()] = vec
 
@@ -158,7 +165,7 @@ class EmbeddingTable:
         return self._vectors.get(word.casefold())
 
 
-def read_embeddings(path: str | Path, dimension: int = 300) -> EmbeddingTable:
+def read_embeddings(path: str | Path) -> EmbeddingTable:
     vectors = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -166,12 +173,12 @@ def read_embeddings(path: str | Path, dimension: int = 300) -> EmbeddingTable:
             if len(parts) < 2:
                 continue
             word, values = parts[0], parts[1:]
-            if len(values) != dimension:
+            if len(values) != EMBEDDING_DIM:
                 raise InvalidInputError(
-                    f"{path}: {word!r} has {len(values)} values, expected {dimension}"
+                    f"{path}: {word!r} has {len(values)} values, expected {EMBEDDING_DIM}"
                 )
             vectors[word] = np.array([float(v) for v in values])
-    return EmbeddingTable(vectors, dimension=dimension)
+    return EmbeddingTable(vectors)
 
 
 def write_embeddings(path: str | Path, table: EmbeddingTable) -> None:

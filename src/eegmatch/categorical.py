@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .acoustic import FRAME_RATE
-from .alignments import AlignmentTrack, EmbeddingTable, PhonemeInventory
-from .errors import InvalidInputError, InvalidSpecError, UnknownLabelError
+from .alignments import EMBEDDING_DIM, AlignmentTrack, EmbeddingTable, PhonemeInventory
+from .errors import InvalidInputError, InvalidSpecError
 from .tensors import TimeSeriesTensor
 
 # Broad phonetic classes: the five paper categories (nasals and approximants
@@ -38,8 +38,8 @@ _CLASS_TO_VC = {
 }
 
 
-def n_frames_for(duration_s: float, fs: float = FRAME_RATE) -> int:
-    return int(round(duration_s * fs))
+def n_frames_for(duration_s: float) -> int:
+    return int(round(duration_s * FRAME_RATE))
 
 
 def _frame_span(start_s: float, end_s: float, n_frames: int, fs: float) -> tuple[int, int]:
@@ -115,25 +115,16 @@ def onset_variant(feature: TimeSeriesTensor, track: AlignmentTrack) -> TimeSerie
 
 
 def word_embedding_sequence(
-    track: AlignmentTrack,
-    table: EmbeddingTable,
-    duration_s: float,
-    oov: str = "zero",
+    track: AlignmentTrack, table: EmbeddingTable, duration_s: float
 ) -> TimeSeriesTensor:
-    """Per-frame word vectors; silence frames are zero vectors.
-
-    ``oov`` selects out-of-vocabulary handling: ``zero`` (default) or
-    ``error``.
-    """
+    """Per-frame word vectors; silence and out-of-vocabulary frames are zero vectors."""
     if track.kind != "word":
         raise InvalidSpecError(f"expected a word track, got kind={track.kind!r}")
     n = n_frames_for(duration_s)
-    out = np.zeros((table.dimension, n))
+    out = np.zeros((EMBEDDING_DIM, n))
     for iv in track.intervals:
         vec = table.lookup(iv.label)
         if vec is None:
-            if oov == "error":
-                raise UnknownLabelError(f"word {iv.label!r} missing from embedding table")
             continue
         a, b = _frame_span(iv.start_s, iv.end_s, n, FRAME_RATE)
         out[:, a:b] = vec[:, None]

@@ -103,13 +103,7 @@ def cmd_stats_violin(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = pipeline.load_experiment(args.config)
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.out is not None:
-        spec.out_dir = args.out
-    manifest = pipeline.run_pipeline(spec)
-    print(manifest)
+    print(pipeline.run_pipeline(pipeline.load_experiment(args.config)))
     return 0
 
 
@@ -163,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run")
     run.add_argument("--config", type=Path, required=True)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out", type=Path)
     run.set_defaults(func=cmd_run)
     return parser
 

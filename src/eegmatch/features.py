@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import envelope_powerlaw, mel_spectrogram, vad
-from .alignments import AlignmentTrack, EmbeddingTable, PhonemeInventory
+from .alignments import EMBEDDING_DIM, AlignmentTrack, EmbeddingTable, PhonemeInventory
 from .categorical import (
     concat_features,
     map_anyphoneme,
@@ -36,7 +36,7 @@ PART_DIMS = {
     "bpc_onset": 6,
     "vowel_consonant_onset": 3,
     "anyphoneme_onset": 2,
-    "wordemb": 300,
+    "wordemb": EMBEDDING_DIM,
 }
 _ALIASES = {
     "env": "envelope",

@@ -23,7 +23,7 @@ import yaml
 from .acoustic import read_wav
 from .alignments import read_alignment, read_embeddings, read_inventory
 from .checkpoint import save_checkpoint
-from .errors import DegenerateSampleError, InvalidInputError
+from .errors import DegenerateSampleError, EegMatchError, InvalidInputError
 from .features import StoryAssets, canonical_parts, extract_feature, feature_dims, join_parts
 from .model import ModelParams, config_for_feature, init_params
 from .preproc import PreprocConfig, preprocess_eeg
@@ -80,10 +80,22 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
+    if not isinstance(raw, dict) or not isinstance(raw.get("subjects"), dict):
+        raise InvalidInputError(f"{path}: no 'subjects' mapping")
+    if "inventory" not in raw:
+        raise InvalidInputError(f"{path}: no 'inventory' key")
     root = path.parent
     recordings = []
     for subject_id, entries in sorted(raw["subjects"].items()):
+        if not isinstance(entries, list):
+            raise InvalidInputError(f"{path}: subject {subject_id} is not a list of recordings")
         for entry in entries:
+            missing = [k for k in ("recording_id", "story_id", "eeg", "audio", "phonemes", "words")
+                       if not isinstance(entry, dict) or k not in entry]
+            if missing:
+                raise InvalidInputError(
+                    f"{path}: a recording of subject {subject_id} has no {missing[0]!r} key"
+                )
             rec = RecordingEntry(
                 subject_id=subject_id,
                 recording_id=entry["recording_id"],
@@ -136,25 +148,47 @@ class ExperimentSpec:
             raise InvalidInputError("experiment needs at least one feature")
         for name in self.features:
             feature_dims(name)  # raises for unregistered names
+        # build each block's config as build_cell will, so that a typo or a
+        # bad value is refused before anything is computed or written
+        checks = {
+            "train": lambda b: TrainConfig(rng_seed=0, **b),
+            "arch": lambda b: config_for_feature([1], [False], **{"dtype": self.dtype, **b}),
+            "windowing": lambda b: WindowingSpec(**b),
+            "split": lambda b: SplitSpec(**b),
+            "preproc": lambda b: PreprocConfig(**b),
+        }
+        for block, check in checks.items():
+            try:
+                check(getattr(self, block))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"{block}: {exc}") from None
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
+    """The experiment that ``path`` describes; a malformed description is refused by name."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{path}: not a mapping")
+    for key in ("features", "manifest", "out"):
+        if key not in raw:
+            raise InvalidInputError(f"{path}: no {key!r} key")
+    blocks = {key: raw.get(key, {}) for key in ("train", "arch", "windowing", "split", "preproc")}
     base = path.parent
-    return ExperimentSpec(
-        features=list(raw["features"]),
-        manifest=(base / raw["manifest"]).resolve(),
-        out_dir=(base / raw["out"]).resolve(),
-        seed=int(raw.get("seed", 0)),
-        dtype=str(raw.get("dtype", "float32")),
-        train=dict(raw.get("train", {})),
-        arch=dict(raw.get("arch", {})),
-        windowing=dict(raw.get("windowing", {})),
-        split=dict(raw.get("split", {})),
-        preproc=dict(raw.get("preproc", {})),
-    )
+    try:
+        return ExperimentSpec(
+            features=list(raw["features"]),
+            manifest=(base / raw["manifest"]).resolve(),
+            out_dir=(base / raw["out"]).resolve(),
+            seed=int(raw.get("seed", 0)),
+            dtype=str(raw.get("dtype", "float32")),
+            **blocks,
+        )
+    except EegMatchError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def file_sha256(path: str | Path) -> str:
@@ -179,14 +213,14 @@ def preprocess_recording_cached(
     entry: RecordingEntry,
     cfg: PreprocConfig,
     cache_dir: Path,
-    file_hash: Callable[[Path], str] | None = None,
+    file_hash: Callable[[Path], str],
 ) -> TimeSeriesTensor:
     """Preprocessed EEG, cached under the config and the input's hash.
 
-    ``file_hash`` defaults to ``file_sha256``; a run passes its loader's
-    memo so that each EEG file is read for hashing once.
+    ``file_hash`` is the run's :meth:`AssetLoader.file_hash`, so that each
+    EEG file is read for hashing once.
     """
-    digest = (file_hash or file_sha256)(entry.eeg_path)
+    digest = file_hash(entry.eeg_path)
     key = config_hash({"cfg": asdict(cfg), "input": digest})
     cache_dir.mkdir(parents=True, exist_ok=True)
     target = cache_dir / f"{entry.recording_id}_{key}.ndmm"
@@ -421,11 +455,18 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
-    """Summaries, the violin figure and pairwise Wilcoxon comparisons."""
+    """Summaries, the violin figure and pairwise Wilcoxon comparisons.
+
+    A feature scored on fewer than 2 subjects has no violin; with no violin
+    to draw there is no figure. The comparisons of such a feature are notes.
+    """
     out = spec.out_dir
     summaries = []
     for name in spec.features:
         rows = results[name]
+        if len(rows) < 2:
+            logger.warning("%s scored on %d subject(s): no violin", name, len(rows))
+            continue
         summaries.append(
             summarize(
                 feature_slug(name),
@@ -433,7 +474,8 @@ def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
                 np.array([r.test_accuracy for r in rows]),
             )
         )
-    emit_figure_data(out / "figures" / "violin.svg", summaries)
+    if summaries:
+        emit_figure_data(out / "figures" / "violin.svg", summaries)
     comp_path = out / "stats"
     comp_path.mkdir(parents=True, exist_ok=True)
     with (atomic_path(comp_path / "comparisons.csv") as tmp,

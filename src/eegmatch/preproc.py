@@ -13,12 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import signal
 
-from .errors import (
-    DegenerateChannelError,
-    InvalidInputError,
-    InvalidSpecError,
-    SampleRateMismatchError,
-)
+from .errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
 from .tensors import TimeSeriesTensor
 
 # Passband ripple budget for the minimum-order Chebyshev-II design. Kept small
@@ -32,33 +27,30 @@ STOP_LOW_FACTOR = 0.5
 STOP_HIGH_FACTOR = 1.25
 
 
-@dataclass(frozen=True)
-class BandpassSpec:
-    """Passband edges plus stopband attenuation for the EEG band filter."""
+def _check_band(low_hz: float, high_hz: float, stop_atten_db: float) -> None:
+    if not 0.0 < low_hz < high_hz:
+        raise InvalidSpecError(f"need 0 < low < high, got ({low_hz}, {high_hz})")
+    if stop_atten_db <= 0:
+        raise InvalidSpecError("stopband attenuation must be positive")
 
-    low_hz: float
-    high_hz: float
+
+@dataclass(frozen=True)
+class PreprocConfig:
+    """Filter edges, attenuation and target rate for the EEG chain.
+
+    The edges are checked against Nyquist when the band is designed for a
+    stream's rate (:func:`band_sos`).
+    """
+
+    low_hz: float = 0.5
+    high_hz: float = 32.0
     stop_atten_db: float = 80.0
+    target_fs: float = 64.0
 
-    def validate(self, fs: float) -> None:
-        if not (0.0 < self.low_hz < self.high_hz):
-            raise InvalidSpecError(
-                f"need 0 < low < high, got ({self.low_hz}, {self.high_hz})"
-            )
-        if self.high_hz >= fs / 2.0:
-            raise InvalidSpecError(
-                f"high edge {self.high_hz} Hz not below Nyquist {fs / 2.0} Hz"
-            )
-        if self.stop_atten_db <= 0:
-            raise InvalidSpecError("stopband attenuation must be positive")
-
-
-@dataclass(frozen=True)
-class FilterCoefficients:
-    """Second-order sections realizing a designed filter at a given rate."""
-
-    sos: np.ndarray
-    fs: float
+    def __post_init__(self) -> None:
+        _check_band(self.low_hz, self.high_hz, self.stop_atten_db)
+        if not self.target_fs > 0:
+            raise InvalidSpecError(f"target rate must be positive, got {self.target_fs}")
 
 
 def common_average_reference(x: TimeSeriesTensor) -> TimeSeriesTensor:
@@ -70,58 +62,43 @@ def common_average_reference(x: TimeSeriesTensor) -> TimeSeriesTensor:
     return x.with_data(x.data - x.data.mean(axis=0, keepdims=True))
 
 
-def design_bandpass(spec: BandpassSpec, fs: float) -> FilterCoefficients:
-    """Design a Chebyshev type-II bandpass for sampling rate ``fs``.
+def band_sos(low_hz: float, high_hz: float, stop_atten_db: float, fs: float) -> np.ndarray:
+    """Chebyshev type-II second-order sections passing ``low_hz``-``high_hz`` at ``fs``.
 
     Stopband edges sit at 0.5x the low passband edge and 1.25x the high edge;
-    the order is the minimum meeting ``stop_atten_db`` there.
+    the order is the minimum meeting ``stop_atten_db`` there. When the upper
+    edge is at or above Nyquist the band degenerates to a highpass at
+    ``low_hz``: streams already sampled at 64 Hz have no content above 32 Hz,
+    so the 0.5-32 Hz band is a 0.5 Hz highpass there.
     """
-    spec.validate(fs)
-    wp = [spec.low_hz, spec.high_hz]
-    ws = [spec.low_hz * STOP_LOW_FACTOR, spec.high_hz * STOP_HIGH_FACTOR]
-    if ws[1] >= fs / 2.0:
-        raise InvalidSpecError(
-            f"stopband edge {ws[1]} Hz not below Nyquist {fs / 2.0} Hz"
-        )
-    order, wn = signal.cheb2ord(wp, ws, gpass=GPASS_DB, gstop=spec.stop_atten_db, fs=fs)
-    sos = signal.cheby2(order, spec.stop_atten_db, wn, btype="bandpass", output="sos", fs=fs)
-    return FilterCoefficients(sos=sos, fs=fs)
+    _check_band(low_hz, high_hz, stop_atten_db)
+    nyquist = fs / 2.0
+    if high_hz >= nyquist:
+        if low_hz >= nyquist:
+            raise InvalidSpecError(f"highpass edge {low_hz} Hz invalid for fs={fs}")
+        wp, ws, btype = low_hz, low_hz * STOP_LOW_FACTOR, "highpass"
+    else:
+        wp = [low_hz, high_hz]
+        ws = [low_hz * STOP_LOW_FACTOR, high_hz * STOP_HIGH_FACTOR]
+        btype = "bandpass"
+        if ws[1] >= nyquist:
+            raise InvalidSpecError(f"stopband edge {ws[1]} Hz not below Nyquist {nyquist} Hz")
+    order, wn = signal.cheb2ord(wp, ws, gpass=GPASS_DB, gstop=stop_atten_db, fs=fs)
+    return signal.cheby2(order, stop_atten_db, wn, btype=btype, output="sos", fs=fs)
 
 
-def design_highpass(low_hz: float, stop_atten_db: float, fs: float) -> FilterCoefficients:
-    """Chebyshev-II highpass used when the band's upper edge sits at Nyquist.
+def band_filter(x: TimeSeriesTensor, cfg: PreprocConfig) -> TimeSeriesTensor:
+    """Zero-phase (forward-backward) ``cfg`` band filter of every channel.
 
-    Streams already sampled at 64 Hz have no content above 32 Hz, so the
-    0.5-32 Hz band degenerates to a 0.5 Hz highpass there.
+    The filter is designed at ``x.fs`` with :func:`band_sos`, so EEG at its
+    recording rate and feature streams at 64 Hz take the same band.
     """
-    if not 0.0 < low_hz < fs / 2.0:
-        raise InvalidSpecError(f"highpass edge {low_hz} Hz invalid for fs={fs}")
-    order, wn = signal.cheb2ord(
-        low_hz, low_hz * STOP_LOW_FACTOR, gpass=GPASS_DB, gstop=stop_atten_db, fs=fs
-    )
-    sos = signal.cheby2(order, stop_atten_db, wn, btype="highpass", output="sos", fs=fs)
-    return FilterCoefficients(sos=sos, fs=fs)
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
+    return x.with_data(signal.sosfiltfilt(sos, x.data, axis=1))
 
 
-def design_band_filter(spec: BandpassSpec, fs: float) -> FilterCoefficients:
-    """Bandpass when both edges fit below Nyquist, else the highpass fallback."""
-    if spec.high_hz >= fs / 2.0:
-        return design_highpass(spec.low_hz, spec.stop_atten_db, fs)
-    return design_bandpass(spec, fs)
-
-
-def apply_filter(x: TimeSeriesTensor, coeffs: FilterCoefficients) -> TimeSeriesTensor:
-    """Zero-phase (forward-backward) filtering of every channel."""
-    if coeffs.fs != x.fs:
-        raise SampleRateMismatchError(
-            f"filter designed for {coeffs.fs} Hz applied to {x.fs} Hz data"
-        )
-    return x.with_data(signal.sosfiltfilt(coeffs.sos, x.data, axis=1))
-
-
-def _rational_ratio(fs_in: float, fs_out: float, max_den: int = 1000) -> tuple[int, int]:
-    ratio = Fraction(fs_out) / Fraction(fs_in)
-    ratio = ratio.limit_denominator(max_den)
+def _rational_ratio(fs_in: float, fs_out: float) -> tuple[int, int]:
+    ratio = (Fraction(fs_out) / Fraction(fs_in)).limit_denominator(1000)
     return ratio.numerator, ratio.denominator
 
 
@@ -164,31 +141,10 @@ def normalize_recording(x: TimeSeriesTensor) -> TimeSeriesTensor:
     return x.with_data((x.data - mean) / std)
 
 
-@dataclass(frozen=True)
-class PreprocConfig:
-    """Filter edges, attenuation and target rate for the EEG chain."""
-
-    low_hz: float = 0.5
-    high_hz: float = 32.0
-    stop_atten_db: float = 80.0
-    target_fs: float = 64.0
-
-    @property
-    def band(self) -> BandpassSpec:
-        return BandpassSpec(self.low_hz, self.high_hz, self.stop_atten_db)
-
-
 def preprocess_eeg(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()) -> TimeSeriesTensor:
     """Full EEG chain: reference -> band filter -> resample -> normalize."""
     y = common_average_reference(x)
-    y = apply_filter(y, design_band_filter(cfg.band, y.fs))
+    y = band_filter(y, cfg)
     y = resample(y, cfg.target_fs)
     return normalize_recording(y)
 
-
-def band_filter_stream(
-    x: TimeSeriesTensor, low_hz: float = 0.5, high_hz: float = 32.0, stop_atten_db: float = 80.0
-) -> TimeSeriesTensor:
-    """Band-limit a feature stream with the same filter family as the EEG."""
-    spec = BandpassSpec(low_hz, high_hz, stop_atten_db)
-    return apply_filter(x, design_band_filter(spec, x.fs))

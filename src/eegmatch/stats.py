@@ -19,6 +19,10 @@ from scipy.stats import rankdata
 from .errors import DegenerateSampleError, InvalidInputError
 from .tensors import atomic_path
 
+# points of the density grid of a summary, and the violin figure's size in px
+KDE_GRID_POINTS = 512
+FIGURE_WIDTH = 640
+FIGURE_HEIGHT = 420
 
 @dataclass(frozen=True)
 class WilcoxonResult:
@@ -125,18 +129,13 @@ def _scott_bandwidth(x: np.ndarray) -> float:
     return sigma * x.size ** (-0.2)
 
 
-def summarize(
-    name: str,
-    subjects: list[str],
-    accuracies: np.ndarray,
-    grid_points: int = 512,
-) -> ConditionSummary:
+def summarize(name: str, subjects: list[str], accuracies: np.ndarray) -> ConditionSummary:
     """Median, quartiles and Gaussian-KDE density (Scott's rule bandwidth)."""
     x = np.asarray(accuracies, dtype=np.float64)
     if x.size < 2:
         raise InvalidInputError("summaries need at least 2 subjects")
     h = _scott_bandwidth(x)
-    grid = np.linspace(x.min() - 5 * h, x.max() + 5 * h, grid_points)
+    grid = np.linspace(x.min() - 5 * h, x.max() + 5 * h, KDE_GRID_POINTS)
     density = np.exp(-0.5 * ((grid[:, None] - x[None, :]) / h) ** 2).mean(axis=1)
     density /= h * math.sqrt(2.0 * math.pi)
     q1, med, q3 = np.percentile(x, [25, 50, 75])
@@ -152,10 +151,11 @@ def summarize(
     )
 
 
-def violin_svg(summaries: list[ConditionSummary], width: int = 640, height: int = 420) -> str:
+def violin_svg(summaries: list[ConditionSummary]) -> str:
     """Static per-condition violin chart as a standalone SVG document."""
     if not summaries:
         raise InvalidInputError("nothing to plot")
+    width, height = FIGURE_WIDTH, FIGURE_HEIGHT
     margin = 50
     lo = min(float(s.accuracies.min()) for s in summaries)
     hi = max(float(s.accuracies.max()) for s in summaries)

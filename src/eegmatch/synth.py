@@ -3,8 +3,8 @@
 Stories are random word sequences from a fixed pseudo-lexicon; each phone is
 rendered as a class-specific tone/noise burst so the mel spectrogram carries
 per-phone spectral identity beyond bare intensity. EEG is a mixing matrix
-applied to the temporally filtered, delayed coupling feature plus colored
-noise at a requested SNR. Everything is deterministic per seed.
+applied to the temporally filtered coupling feature plus colored noise at a
+requested SNR. Everything is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 import yaml
 
 from .alignments import (
+    EMBEDDING_DIM,
     AlignmentTrack,
     EmbeddingTable,
     Interval,
@@ -34,7 +35,20 @@ from .tensors import TimeSeriesTensor, atomic_path, write_timeseries
 
 EEG_CHANNELS = 64
 FEATURE_FS = 64.0
-DEFAULT_AUDIO_FS = 16000
+AUDIO_FS = 16000
+# share of a story's duration spent in pauses between words
+SILENCE_FRAC = 0.25
+LEXICON_SIZE = 40
+LEXICON_SEED = 7
+RESPONSE_KERNEL_S = 0.4
+# background noise: NOISE_RANK correlated sources mixed into every channel,
+# SOURCE_NOISE_FRAC of the noise power from the evoked sources themselves
+# and SENSOR_NOISE_FRAC independent per channel
+NOISE_RANK = 8
+SOURCE_NOISE_FRAC = 0.5
+SENSOR_NOISE_FRAC = 0.1
+# low-pass cutoff of the response's gain and latency drift
+JITTER_CUTOFF_HZ = 0.2
 
 # 40 Dutch-flavored IPA symbols grouped into the six phonetic classes.
 _INVENTORY_SPEC = {
@@ -53,16 +67,14 @@ def default_inventory() -> PhonemeInventory:
     return PhonemeInventory(symbols=symbols, class_map=class_map)
 
 
-def default_lexicon(
-    inv: PhonemeInventory | None = None, size: int = 40, seed: int = 7
-) -> dict[str, list[str]]:
+def default_lexicon(inv: PhonemeInventory | None = None) -> dict[str, list[str]]:
     """Pseudo-words mapped to fixed phone sequences (each contains a vowel)."""
     inv = inv or default_inventory()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LEXICON_SEED)
     vowels = [s for s in inv.symbols if inv.class_map[s].endswith("vowel")]
     consonants = [s for s in inv.symbols if not inv.class_map[s].endswith("vowel")]
     lexicon = {}
-    for i in range(size):
+    for i in range(LEXICON_SIZE):
         n_phones = int(rng.integers(2, 5))
         phones = [str(rng.choice(consonants if j % 2 == 0 else vowels)) for j in range(n_phones)]
         lexicon[f"word{i:02d}"] = phones
@@ -130,13 +142,12 @@ class SynthStory:
 def generate_story(
     duration_s: float,
     seed: int,
-    fs: float = DEFAULT_AUDIO_FS,
     inv: PhonemeInventory | None = None,
     lexicon: dict[str, list[str]] | None = None,
-    silence_frac: float = 0.25,
     story_id: str = "story",
 ) -> SynthStory:
     """Concatenated syllable bursts with silences; alignments tile speech exactly."""
+    fs = AUDIO_FS
     inv = inv or default_inventory()
     lexicon = lexicon or default_lexicon(inv)
     words = list(lexicon)
@@ -156,7 +167,7 @@ def generate_story(
             else:
                 durs.append(rng.uniform(0.06, 0.12))
         word_dur = sum(durs)
-        pause = word_dur * silence_frac / (1.0 - silence_frac) * rng.uniform(0.5, 1.5)
+        pause = word_dur * SILENCE_FRAC / (1.0 - SILENCE_FRAC) * rng.uniform(0.5, 1.5)
         if cursor + word_dur + pause >= duration_s - 0.05:
             break
         word_start = cursor
@@ -177,19 +188,19 @@ def generate_story(
     )
 
 
-def synth_embeddings(vocab: list[str], dimension: int = 300, seed: int = 11) -> EmbeddingTable:
+def synth_embeddings(vocab: list[str], seed: int = 11) -> EmbeddingTable:
     """Unit-norm random vectors for the pseudo-lexicon."""
     rng = np.random.default_rng(seed)
     vectors = {}
     for word in vocab:
-        v = rng.standard_normal(dimension)
+        v = rng.standard_normal(EMBEDDING_DIM)
         vectors[word] = v / np.linalg.norm(v)
-    return EmbeddingTable(vectors, dimension=dimension)
+    return EmbeddingTable(vectors)
 
 
-def default_response_kernel(fs: float = FEATURE_FS, length_s: float = 0.4) -> np.ndarray:
-    """Difference of gamma shapes peaking near 100 ms and 200 ms."""
-    t = np.arange(int(round(length_s * fs))) / fs
+def default_response_kernel() -> np.ndarray:
+    """Difference of gamma shapes peaking near 100 ms and 200 ms, at 64 Hz."""
+    t = np.arange(int(round(RESPONSE_KERNEL_S * FEATURE_FS))) / FEATURE_FS
 
     def gamma_shape(k: float, theta: float) -> np.ndarray:
         g = t ** (k - 1) * np.exp(-t / theta)
@@ -201,14 +212,18 @@ def default_response_kernel(fs: float = FEATURE_FS, length_s: float = 0.4) -> np
 
 @dataclass
 class ForwardModelConfig:
-    """Speech-to-EEG coupling: delay, temporal kernel, mixing, noise.
+    """Speech-to-EEG coupling: temporal kernel, mixing, noise.
 
-    Noise is spatially structured by default: ``noise_rank`` background
-    sources mixed into all channels plus a ``sensor_noise_frac`` share of
-    independent per-channel noise. Real EEG background activity is strongly
-    correlated across channels; unstructured noise would let 64-channel
-    diversity erase any finite SNR. Set ``noise_rank=None`` for independent
-    channels.
+    The response to each feature channel is that channel convolved with
+    ``kernel``, a 64 Hz impulse response; a response latency is a kernel
+    with leading zeros.
+
+    Noise is spatially structured: ``NOISE_RANK`` background sources mixed
+    into all channels, a ``SOURCE_NOISE_FRAC`` share from the evoked sources
+    themselves and a ``SENSOR_NOISE_FRAC`` share of independent per-channel
+    noise. Real EEG background activity is strongly correlated across
+    channels; unstructured noise would let 64-channel diversity erase any
+    finite SNR.
 
     The evoked response varies over time by default, as real evoked activity
     does: a purely LTI (linear time-invariant) response makes 5 s windows
@@ -218,41 +233,26 @@ class ForwardModelConfig:
     the order of half their mean amplitude; a slow latency shift with
     standard deviation ``latency_jitter_ms = 15`` stands for their
     trial-to-trial latency spread of 10-20 ms. Both processes are low-passed
-    at ``jitter_cutoff_hz`` (fluctuations over seconds, like attention and
+    at ``JITTER_CUTOFF_HZ`` (fluctuations over seconds, like attention and
     arousal) and drawn from a stream of their own, so they never change the
     noise. Set both to 0 for an LTI response.
     """
 
     rng_seed: int
-    latency_ms: float = 0.0
     kernel: np.ndarray = field(default_factory=default_response_kernel)
     mixing: np.ndarray | None = None  # (channels, features); None draws one per seed
     snr_db: float = 10.0
     noise_color: str = "pink"
     n_channels: int = EEG_CHANNELS
-    noise_rank: int | None = 8
-    sensor_noise_frac: float = 0.1
-    source_noise_frac: float = 0.5
     # response variability applied to the evoked response before mixing
     gain_jitter_std: float = 0.5
     latency_jitter_ms: float = 15.0
-    jitter_cutoff_hz: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise InvalidSpecError("latency must be nonnegative")
         if np.isnan(self.snr_db):
             raise InvalidSpecError("snr_db must be a number or +-inf")
         if self.noise_color not in ("white", "pink"):
             raise InvalidSpecError(f"noise_color must be white|pink, got {self.noise_color!r}")
-        if self.noise_rank is not None and self.noise_rank < 1:
-            raise InvalidSpecError("noise_rank must be >= 1 or None")
-        if not 0.0 <= self.sensor_noise_frac <= 1.0:
-            raise InvalidSpecError("sensor_noise_frac must be in [0, 1]")
-        if not 0.0 <= self.source_noise_frac <= 1.0 - self.sensor_noise_frac:
-            raise InvalidSpecError(
-                "source_noise_frac must be in [0, 1 - sensor_noise_frac]"
-            )
         if self.gain_jitter_std < 0 or self.latency_jitter_ms < 0:
             raise InvalidSpecError("jitter magnitudes must be nonnegative")
 
@@ -268,7 +268,7 @@ def _pink_noise(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 
 def generate_eeg(features: TimeSeriesTensor, cfg: ForwardModelConfig) -> TimeSeriesTensor:
-    """Mixing x (kernel (*) delayed features) + noise scaled to snr_db."""
+    """Mixing x (kernel (*) features) + noise scaled to snr_db."""
     rng = np.random.default_rng(cfg.rng_seed)
     f_dim, n_t = features.data.shape
     mixing = cfg.mixing
@@ -278,12 +278,10 @@ def generate_eeg(features: TimeSeriesTensor, cfg: ForwardModelConfig) -> TimeSer
         raise InvalidSpecError(
             f"mixing shape {mixing.shape} != ({cfg.n_channels}, {f_dim})"
         )
-    delay = int(round(cfg.latency_ms / 1000.0 * features.fs))
-    delayed = np.pad(features.data, ((0, 0), (delay, 0)))[:, :n_t]
     kernel = np.asarray(cfg.kernel, dtype=np.float64)
-    resp = np.empty_like(delayed)
+    resp = np.empty_like(features.data)
     for f in range(f_dim):
-        resp[f] = np.convolve(delayed[f], kernel)[:n_t]
+        resp[f] = np.convolve(features.data[f], kernel)[:n_t]
 
     # the response variability has a stream of its own, so switching it on or
     # off leaves the noise (and with it every signal-off recording) unchanged
@@ -291,8 +289,7 @@ def generate_eeg(features: TimeSeriesTensor, cfg: ForwardModelConfig) -> TimeSer
 
     def slow_process(std: float) -> np.ndarray:
         raw = jitter_rng.standard_normal(n_t)
-        sos = signal.butter(4, cfg.jitter_cutoff_hz, btype="lowpass", output="sos",
-                            fs=features.fs)
+        sos = signal.butter(4, JITTER_CUTOFF_HZ, btype="lowpass", output="sos", fs=features.fs)
         slow = signal.sosfilt(sos, raw)
         return slow / slow.std() * std
 
@@ -319,24 +316,19 @@ def generate_eeg(features: TimeSeriesTensor, cfg: ForwardModelConfig) -> TimeSer
     def unit_power(x: np.ndarray) -> np.ndarray:
         return x / np.sqrt(np.mean(x**2))
 
-    if cfg.noise_rank is None:
-        noise = draw((cfg.n_channels, n_t))
-    else:
-        # background activity from the evoked sources themselves (same
-        # topography as the signal, spatially inseparable from it), plus
-        # rank-limited correlated background and an independent sensor floor
-        spread = rng.standard_normal((cfg.n_channels, cfg.noise_rank)) / np.sqrt(cfg.noise_rank)
-        background = unit_power(spread @ draw((cfg.noise_rank, n_t)))
-        source = unit_power(mixing @ draw((f_dim, n_t)))
-        sensor = unit_power(draw((cfg.n_channels, n_t)))
-        w_src = cfg.source_noise_frac
-        w_sen = cfg.sensor_noise_frac
-        w_bg = 1.0 - w_src - w_sen
-        noise = (
-            np.sqrt(w_src) * source
-            + np.sqrt(w_bg) * background
-            + np.sqrt(w_sen) * sensor
-        )
+    # background activity from the evoked sources themselves (same topography
+    # as the signal, spatially inseparable from it), plus rank-limited
+    # correlated background and an independent sensor floor
+    spread = rng.standard_normal((cfg.n_channels, NOISE_RANK)) / np.sqrt(NOISE_RANK)
+    background = unit_power(spread @ draw((NOISE_RANK, n_t)))
+    source = unit_power(mixing @ draw((f_dim, n_t)))
+    sensor = unit_power(draw((cfg.n_channels, n_t)))
+    w_bg = 1.0 - SOURCE_NOISE_FRAC - SENSOR_NOISE_FRAC
+    noise = (
+        np.sqrt(SOURCE_NOISE_FRAC) * source
+        + np.sqrt(w_bg) * background
+        + np.sqrt(SENSOR_NOISE_FRAC) * sensor
+    )
     p_sig = float(np.mean(sig**2))
     if p_sig > 0:
         # scale on 0.5 Hz highpassed copies: pink noise carries most of its

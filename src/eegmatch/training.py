@@ -27,6 +27,11 @@ from .model import (
 from .tensors import atomic_path
 from .windows import DecisionWindowSet
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,9 +43,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 100
     patience: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -82,17 +84,16 @@ class AdamState:
         self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
     def update(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
         self.step += 1
-        b1c = 1.0 - cfg.beta1**self.step
-        b2c = 1.0 - cfg.beta2**self.step
+        b1c = 1.0 - ADAM_BETA1**self.step
+        b2c = 1.0 - ADAM_BETA2**self.step
         for key, g in grads.items():
             m = self.m[key]
             v = self.v[key]
-            m += (1.0 - cfg.beta1) * (g - m)
-            v += (1.0 - cfg.beta2) * (g * g - v)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
             params.tensors[key] -= (
-                cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.adam_eps)
+                self.cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
             ).astype(params.tensors[key].dtype)
 
 
@@ -192,28 +193,27 @@ def train(
 
 
 def evaluate_per_subject(
-    params: ModelParams,
-    test_set: DecisionWindowSet,
-    feature_name: str = "",
-    batch_size: int = 256,
+    params: ModelParams, test_set: DecisionWindowSet, feature_name: str = ""
 ) -> list[SubjectResult]:
     """Per-subject accuracy over both orderings of every test triple."""
-    _, _, correct = evaluate_set(params, test_set, batch_size)
+    _, _, correct = evaluate_set(params, test_set)
     subjects = sorted({r.subject_id for r in test_set.recordings})
-    by_subject = {s: [] for s in subjects}
-    for sample in range(test_set.n_samples):
-        by_subject[test_set.subject_of_sample(sample)].append(correct[sample])
+    code = {s: k for k, s in enumerate(subjects)}
+    subject_of_rec = np.array([code[r.subject_id] for r in test_set.recordings], dtype=np.int64)
+    # samples 2i and 2i + 1 are the two orders of triple i
+    of_sample = np.repeat(subject_of_rec[test_set.rec_index], 2)
+    n_windows = np.bincount(of_sample, minlength=len(subjects))
+    n_correct = np.bincount(of_sample, weights=correct, minlength=len(subjects))
     results = []
-    for subject in subjects:
-        hits = by_subject[subject]
-        if not hits:
+    for k, subject in enumerate(subjects):
+        if not n_windows[k]:
             warnings.warn(f"subject {subject} has zero test windows; excluded")
             continue
         results.append(
             SubjectResult(
                 subject_id=subject,
-                test_accuracy=float(np.mean(hits)),
-                n_windows=len(hits),
+                test_accuracy=float(n_correct[k] / n_windows[k]),
+                n_windows=int(n_windows[k]),
                 feature_name=feature_name,
             )
         )

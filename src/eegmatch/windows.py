@@ -134,12 +134,6 @@ class DecisionWindowSet:
     def eeg_channels(self) -> int:
         return self.recordings[0].eeg.shape[0] if self.recordings else 0
 
-    def subject_of_triple(self, i: int) -> str:
-        return self.recordings[self.rec_index[i]].subject_id
-
-    def triple_subjects(self) -> list[str]:
-        return [self.subject_of_triple(i) for i in range(self.n_triples)]
-
     @property
     def mismatch_offset(self) -> int:
         """Frames from a triple's matched segment to its mismatched one."""
@@ -204,9 +198,6 @@ class DecisionWindowSet:
         segments = self._feature_windows(unique // stride, unique % stride, dtype)
         eeg = self._eeg_windows(rec, start, dtype)
         return eeg, segments, rows[: idx.size], rows[idx.size :]
-
-    def subject_of_sample(self, s: int) -> str:
-        return self.subject_of_triple(int(s) // 2)
 
 
 def make_windows(

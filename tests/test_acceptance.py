@@ -14,10 +14,10 @@ import pytest
 from scipy import signal as sp_signal
 
 from conftest import backward, forward, generic_params, max_relative_error, numeric_gradients
-from eegmatch.acoustic import envelope_powerlaw, vad_frames
+from eegmatch.acoustic import raw_envelope, vad_frames
 from eegmatch.features import StoryAssets, extract_feature, feature_dims
 from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
-from eegmatch.preproc import BandpassSpec, PreprocConfig, design_bandpass, preprocess_eeg, resample
+from eegmatch.preproc import PreprocConfig, band_sos, preprocess_eeg, resample
 from eegmatch.stats import wilcoxon_exact, wilcoxon_signed_rank
 from eegmatch.synth import (
     EEG_CHANNELS,
@@ -309,8 +309,8 @@ class TestDspProperties:
         carrier = (0.55 + 0.45 * np.sin(2 * np.pi * 4 * t)) * rng.standard_normal(t.size)
         x = TimeSeriesTensor(carrier[None, :], 16000.0)
         alpha = 2.7
-        env = envelope_powerlaw(x, band_limit=False)
-        env_scaled = envelope_powerlaw(x.with_data(alpha * x.data), band_limit=False)
+        env = raw_envelope(x)
+        env_scaled = raw_envelope(x.with_data(alpha * x.data))
         rel = np.abs(env_scaled.data - alpha**0.6 * env.data) / np.maximum(
             np.abs(alpha**0.6 * env.data), 1e-300
         )
@@ -327,9 +327,9 @@ class TestDspProperties:
         report("dsp-vad-fraction", f"(|frac-0.25| = {deviation:.2e})")
 
     def test_bandpass_meets_80db_stopband(self):
-        coeffs = design_bandpass(BandpassSpec(0.5, 32.0, 80.0), fs=8000.0)
+        sos = band_sos(0.5, 32.0, 80.0, fs=8000.0)
         grid = np.concatenate([np.linspace(0.01, 0.25, 200), np.linspace(40.0, 3999.0, 2000)])
-        _, h = sp_signal.sosfreqz(coeffs.sos, worN=grid, fs=8000.0)
+        _, h = sp_signal.sosfreqz(sos, worN=grid, fs=8000.0)
         worst = 20 * np.log10(np.abs(h)).max()
         assert worst <= -80.0 + 1e-6
         report("dsp-stopband", f"(worst stopband {worst:.1f} dB)")

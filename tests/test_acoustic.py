@@ -10,7 +10,9 @@ from eegmatch.acoustic import (
     erb_space,
     gammatone_powerlaw_mean,
     mel_filterbank,
+    mel_magnitudes,
     mel_spectrogram,
+    raw_envelope,
     read_wav,
     vad,
     vad_frame_energies,
@@ -34,14 +36,14 @@ def am_noise(seconds, mod_hz, fs=FS, seed=0):
 class TestEnvelope:
     def test_silence_is_zero_prebandpass(self):
         silent = TimeSeriesTensor(np.zeros((1, int(FS))), FS)
-        env = envelope_powerlaw(silent, band_limit=False)
+        env = raw_envelope(silent)
         np.testing.assert_allclose(env.data, 0.0, atol=1e-15)
 
     def test_powerlaw_scaling_raw(self):
         x = am_noise(2.0, 4.0)
         alpha = 3.7
-        env_x = envelope_powerlaw(x, band_limit=False)
-        env_ax = envelope_powerlaw(x.with_data(alpha * x.data), band_limit=False)
+        env_x = raw_envelope(x)
+        env_ax = raw_envelope(x.with_data(alpha * x.data))
         np.testing.assert_allclose(env_ax.data, alpha**0.6 * env_x.data, rtol=1e-6)
 
     def test_powerlaw_scaling_survives_band_limiting(self):
@@ -88,7 +90,7 @@ class TestMelSpectrogram:
     def test_tone_energy_concentrates(self):
         t = np.arange(int(FS * 2)) / FS
         tone = TimeSeriesTensor(np.sin(2 * np.pi * 440.0 * t)[None, :], FS)
-        mel = mel_spectrogram(tone, band_limit=False)
+        mel = mel_magnitudes(tone)
         band_energy = mel.data.sum(axis=1)
         bank = mel_filterbank(MEL_BANDS, 512, FS, 50.0, 5000.0)
         centers_hz = np.fft.rfftfreq(512, 1 / FS)
@@ -98,7 +100,7 @@ class TestMelSpectrogram:
 
     def test_silence_zero_prebandpass(self):
         silent = TimeSeriesTensor(np.zeros((1, int(FS))), FS)
-        mel = mel_spectrogram(silent, band_limit=False)
+        mel = mel_magnitudes(silent)
         np.testing.assert_allclose(mel.data, 0.0, atol=1e-15)
 
     def test_shape_and_rate(self):
@@ -109,8 +111,8 @@ class TestMelSpectrogram:
 
     def test_band_average_correlates_with_envelope(self):
         x = am_noise(10.0, 3.0, seed=4)
-        mel = mel_spectrogram(x, band_limit=False)
-        env = envelope_powerlaw(x, band_limit=False)
+        mel = mel_magnitudes(x)
+        env = raw_envelope(x)
         env64 = env.data[0][:: int(FS / FRAME_RATE)][: mel.n_samples]
         mean_bands = mel.data.mean(axis=0)[: env64.size]
         r = np.corrcoef(mean_bands, env64)[0, 1]
@@ -125,6 +127,33 @@ class TestMelSpectrogram:
         bin_hz = np.fft.rfftfreq(512, 1 / FS)
         inside = (bin_hz > 340.0) & (bin_hz < 4000.0)
         np.testing.assert_allclose(bank.sum(axis=0)[inside], 1.0, atol=1e-9)
+
+
+def test_band_limited_features_pinned():
+    """Envelope and mel equal their values from before ``band_limit`` was split off.
+
+    The samples were produced by ``envelope_powerlaw`` and ``mel_spectrogram``
+    when each took a ``band_limit`` flag and filtered through
+    ``band_filter_stream``, on ``generate_story(8.0, seed=5)``: envelope
+    frames 100-105, and frames 100-102 of every ninth mel band.
+    """
+    from eegmatch.synth import generate_story
+
+    audio = generate_story(8.0, seed=5).audio
+    np.testing.assert_allclose(
+        envelope_powerlaw(audio).data[0, 100:106],
+        [-0.0003921776477264392, 0.003807956432358996, -0.019947443775606,
+         0.018186004600690288, 0.03104007588247163, 0.02879725335875881],
+        rtol=1e-12, atol=0,
+    )
+    np.testing.assert_allclose(
+        mel_spectrogram(audio).data[::9, 100:103],
+        [[-0.8127991632370807, -0.8028961601618981, -0.6729115357058459],
+         [-2.11719556948671, -1.915298210032483, -1.3693744209287955],
+         [5.515826444917859, 4.974209523530167, 2.0206593022892054],
+         [28.33627387323585, 19.662408266133212, -0.6781455950855273]],
+        rtol=1e-12, atol=0,
+    )
 
 
 class TestVad:

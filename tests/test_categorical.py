@@ -198,9 +198,7 @@ class TestWordEmbeddings:
     @pytest.fixture()
     def table(self):
         rng = np.random.default_rng(11)
-        return EmbeddingTable(
-            {w: rng.standard_normal(300) for w in ("Huis", "boom", "kat")}, dimension=300
-        )
+        return EmbeddingTable({w: rng.standard_normal(300) for w in ("Huis", "boom", "kat")})
 
     def test_word_vector_span(self, table):
         track = track_of([(0.0, 0.5, "huis")], kind="word")
@@ -222,12 +220,10 @@ class TestWordEmbeddings:
         out = word_embedding_sequence(track, table, duration_s=1.0)
         np.testing.assert_array_equal(out.data[:, 32], table.lookup("boom"))
 
-    def test_oov_zero_and_error_modes(self, table):
+    def test_oov_word_is_zero(self, table):
         track = track_of([(0.0, 0.5, "zebra")], kind="word")
-        out = word_embedding_sequence(track, table, 0.5, oov="zero")
+        out = word_embedding_sequence(track, table, 0.5)
         assert out.data.sum() == 0
-        with pytest.raises(UnknownLabelError, match="zebra"):
-            word_embedding_sequence(track, table, 0.5, oov="error")
 
     def test_embedding_file_roundtrip(self, tmp_path, table):
         write_embeddings(tmp_path / "emb.txt", table)

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import errno
+import logging
 import shutil
 from pathlib import Path
 
@@ -128,6 +130,19 @@ def cache_files(out) -> set:
     return {p for p in (out / "cache").rglob("*") if p.is_file()}
 
 
+def absolute_manifest(dataset) -> dict:
+    """``dataset``'s manifest with absolute paths, to be edited and written elsewhere."""
+    raw = yaml.safe_load(dataset.read_text())
+    root = dataset.parent
+    raw["inventory"] = str(root / raw["inventory"])
+    raw["embeddings"] = str(root / raw["embeddings"])
+    for entries in raw["subjects"].values():
+        for entry in entries:
+            for key in ("eeg", "audio", "phonemes", "words"):
+                entry[key] = str(root / entry[key])
+    return raw
+
+
 class TestRunPipeline:
     def test_full_run_emits_artifacts(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -211,6 +226,21 @@ class TestRunStats:
         for row in rows:
             tied = {row["feature_a"], row["feature_b"]} == {"vad", "envelope"}
             assert (row["z"] == "") == tied and bool(row["note"]) == tied
+
+    def test_one_subject_grid_has_notes_and_no_violin(self, dataset, tmp_path, caplog):
+        raw = absolute_manifest(dataset)
+        del raw["subjects"]["sub01"]
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(raw))
+        cfg, out = write_experiment(manifest, tmp_path, features=["vad", "envelope"])
+        with caplog.at_level(logging.WARNING, logger="eegmatch.pipeline"):
+            assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert "no violin" in caplog.text
+        assert not (out / "figures").exists()
+        rows = list(csv.DictReader((out / "stats" / "comparisons.csv").read_text().splitlines()))
+        assert [(r["feature_a"], r["feature_b"], r["z"]) for r in rows] == [("vad", "envelope", "")]
+        assert rows[0]["note"]
+        assert "stats/comparisons.csv" in yaml.safe_load((out / "artifacts.yaml").read_text())
 
 
 @pytest.fixture
@@ -495,7 +525,73 @@ class TestCli:
         assert rc == 2
         assert str(model / "cell.yaml") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", [
+        "manifest without subjects", "experiment without features", "train key typo",
+        "removed adam key", "preproc edges out of order", "alignment row with two fields",
+    ])
+    def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
+        raw = absolute_manifest(dataset)
+        manifest, cfg, out = tmp_path / "manifest.yaml", tmp_path / "exp.yaml", tmp_path / "out"
+        exp = experiment_yaml(manifest, out, max_epochs=1)
+        if case == "manifest without subjects":
+            del raw["subjects"]
+            named = [str(manifest.resolve()), "'subjects'"]
+        elif case == "experiment without features":
+            del exp["features"]
+            named = [str(cfg), "'features'"]
+        elif case in ("train key typo", "removed adam key"):
+            key = "betas" if case == "train key typo" else "adam_eps"
+            exp["train"][key] = 3
+            named = [str(cfg), "train", key]
+        elif case == "preproc edges out of order":
+            exp["preproc"] = {"low_hz": 40.0, "high_hz": 32.0}
+            named = [str(cfg), "preproc"]
+        else:
+            rows = Path(raw["subjects"]["sub00"][0]["phonemes"]).read_text().splitlines()
+            rows[2] = "\t".join(rows[2].split("\t")[:2])
+            bad = tmp_path / "bad.phonemes.tsv"
+            bad.write_text("\n".join(rows) + "\n")
+            for entries in raw["subjects"].values():
+                entries[0]["phonemes"] = str(bad)
+            named = [str(bad), "line 3"]
+        manifest.write_text(yaml.safe_dump(raw))
+        cfg.write_text(yaml.safe_dump(exp))
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        if case.startswith(("train", "removed", "preproc")):
+            assert not out.exists()
+
     def test_error_exit_code(self, dataset, tmp_path):
         cfg, _ = write_experiment(dataset, tmp_path, manifest=str(tmp_path / "missing.yaml"))
         rc = cli.main(["preprocess", "--config", str(cfg)])
         assert rc == 3  # io error
+
+
+def test_cli_surface():
+    """Every command's flags, by long name: 21 in all, and ``run`` takes ``--config`` only."""
+
+    def flags(parser, command=()):
+        found = {" ".join(command): sorted(
+            max(a.option_strings, key=len) for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction))}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    found.update(flags(sub, command + (name,)))
+        return found
+
+    surface = {k: v for k, v in flags(cli.build_parser()).items() if v}
+    assert surface == {
+        "": ["--verbose"],
+        "synth make": ["--coupling", "--duration", "--noise-color", "--out", "--seed",
+                       "--snr-db", "--stories", "--subjects"],
+        "preprocess": ["--config"],
+        "featurize": ["--config"],
+        "train": ["--config", "--feature"],
+        "evaluate": ["--manifest", "--model", "--out"],
+        "stats compare": ["--a", "--b"],
+        "stats violin": ["--in", "--out"],
+        "run": ["--config"],
+    }
+    assert sum(map(len, surface.values())) == 21

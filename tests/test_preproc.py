@@ -2,20 +2,12 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from eegmatch.errors import (
-    DegenerateChannelError,
-    InvalidInputError,
-    InvalidSpecError,
-    SampleRateMismatchError,
-)
+from eegmatch.errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
 from eegmatch.preproc import (
-    BandpassSpec,
     PreprocConfig,
-    apply_filter,
+    band_filter,
+    band_sos,
     common_average_reference,
-    design_band_filter,
-    design_bandpass,
-    design_highpass,
     normalize_recording,
     preprocess_eeg,
     resample,
@@ -67,75 +59,73 @@ class TestCommonAverageReference:
 
 class TestDesignBandpass:
     def test_stopbands_meet_80db(self):
-        coeffs = design_bandpass(BandpassSpec(0.5, 32.0, 80.0), fs=8000.0)
+        sos = band_sos(0.5, 32.0, 80.0, fs=8000.0)
         grid_lo = np.linspace(0.01, 0.25, 200)
         grid_hi = np.linspace(40.0, 3999.0, 2000)
         for grid in (grid_lo, grid_hi):
-            _, h = signal.sosfreqz(coeffs.sos, worN=grid, fs=8000.0)
+            _, h = signal.sosfreqz(sos, worN=grid, fs=8000.0)
             assert 20 * np.log10(np.abs(h)).max() <= -80.0 + 1e-6
 
     def test_passband_midpoint(self):
-        coeffs = design_bandpass(BandpassSpec(0.5, 32.0, 80.0), fs=8000.0)
-        _, h = signal.sosfreqz(coeffs.sos, worN=np.array([4.0]), fs=8000.0)
+        sos = band_sos(0.5, 32.0, 80.0, fs=8000.0)
+        _, h = signal.sosfreqz(sos, worN=np.array([4.0]), fs=8000.0)
         mag_db = 20 * np.log10(np.abs(h[0]))
         assert -3.0 <= mag_db <= 0.1
 
     def test_edges_outside_nyquist_rejected(self):
+        with pytest.raises(InvalidSpecError):  # stopband edge 37.5 Hz above Nyquist
+            band_sos(0.5, 30.0, 80.0, fs=64.0)
         with pytest.raises(InvalidSpecError):
-            design_bandpass(BandpassSpec(0.5, 40.0, 80.0), fs=64.0)
+            band_sos(-1.0, 32.0, 80.0, fs=8000.0)
         with pytest.raises(InvalidSpecError):
-            design_bandpass(BandpassSpec(-1.0, 32.0, 80.0), fs=8000.0)
+            band_sos(0.5, 32.0, 0.0, fs=8000.0)
 
     def test_band_filter_falls_back_to_highpass_at_nyquist(self):
-        coeffs = design_band_filter(BandpassSpec(0.5, 32.0, 80.0), fs=64.0)
-        np.testing.assert_array_equal(coeffs.sos, design_highpass(0.5, 80.0, 64.0).sos)
-        _, h = signal.sosfreqz(coeffs.sos, worN=np.array([0.1, 4.0]), fs=64.0)
+        sos = band_sos(0.5, 32.0, 80.0, fs=64.0)
+        order, wn = signal.cheb2ord(0.5, 0.25, gpass=0.1, gstop=80.0, fs=64.0)
+        np.testing.assert_array_equal(
+            sos, signal.cheby2(order, 80.0, wn, btype="highpass", output="sos", fs=64.0)
+        )
+        _, h = signal.sosfreqz(sos, worN=np.array([0.1, 4.0]), fs=64.0)
         mags = 20 * np.log10(np.abs(h))
         assert mags[0] <= -80.0
         assert mags[1] >= -1.0
 
 
-@pytest.fixture(scope="module")
-def coeffs():
-    return design_bandpass(BandpassSpec(0.5, 32.0, 80.0), fs=8000.0)
-
-
 class TestApplyFilter:
+    """``band_filter`` with the paper's 0.5-32 Hz band, designed at 8 kHz."""
 
-    def test_zero_signal(self, coeffs):
+    def test_zero_signal(self):
         x = TimeSeriesTensor(np.zeros((2, 8000)), fs=8000.0)
-        out = apply_filter(x, coeffs)
+        out = band_filter(x, PreprocConfig())
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
-    def test_4hz_preserved(self, coeffs):
+    def test_4hz_preserved(self):
         x = TimeSeriesTensor(sine(4.0, 8000.0, 20.0)[None, :], fs=8000.0)
-        out = apply_filter(x, coeffs)
+        out = band_filter(x, PreprocConfig())
         mid = out.data[0, 5 * 8000 : 15 * 8000]
         amp = fitted_amplitude(mid, 4.0, 8000.0)
         assert abs(amp - 1.0) < 0.05
 
-    def test_60hz_attenuated_60db(self, coeffs):
+    def test_60hz_attenuated_60db(self):
         x = TimeSeriesTensor(sine(60.0, 8000.0, 20.0)[None, :], fs=8000.0)
-        out = apply_filter(x, coeffs)
+        out = band_filter(x, PreprocConfig())
         mid = out.data[0, 5 * 8000 : 15 * 8000]
         amp = fitted_amplitude(mid, 60.0, 8000.0)
         assert 20 * np.log10(max(amp, 1e-300)) <= -60.0
 
-    def test_rate_mismatch_rejected(self, coeffs):
-        with pytest.raises(SampleRateMismatchError):
-            apply_filter(TimeSeriesTensor(np.ones((1, 100)), fs=500.0), coeffs)
-
-    def test_length_preserved(self, coeffs):
+    def test_length_preserved(self):
         x = TimeSeriesTensor(np.random.default_rng(0).standard_normal((3, 12345)), fs=8000.0)
-        assert apply_filter(x, coeffs).n_samples == 12345
+        assert band_filter(x, PreprocConfig()).n_samples == 12345
 
-    def test_linearity(self, coeffs):
+    def test_linearity(self):
         rng = np.random.default_rng(5)
         x = TimeSeriesTensor(rng.standard_normal((2, 4000)), fs=8000.0)
         y = TimeSeriesTensor(rng.standard_normal((2, 4000)), fs=8000.0)
         a, b = 2.5, -1.25
-        combined = apply_filter(x.with_data(a * x.data + b * y.data), coeffs)
-        separate = a * apply_filter(x, coeffs).data + b * apply_filter(y, coeffs).data
+        cfg = PreprocConfig()
+        combined = band_filter(x.with_data(a * x.data + b * y.data), cfg)
+        separate = a * band_filter(x, cfg).data + b * band_filter(y, cfg).data
         scale = np.abs(separate).max()
         np.testing.assert_allclose(combined.data, separate, atol=1e-9 * scale)
 
@@ -224,4 +214,30 @@ class TestFullChain:
 
     def test_highpass_rejects_bad_edge(self):
         with pytest.raises(InvalidSpecError):
-            design_highpass(40.0, 80.0, fs=64.0)
+            band_sos(40.0, 80.0, 80.0, fs=64.0)
+
+    @pytest.mark.parametrize("fs,expected", [
+        # the bandpass path
+        (512.0, [[-0.18517915325944911, 1.5773222662056103, -0.455009029099956],
+                 [0.6673465884916993, -2.448300257458378, -1.4944757458516238],
+                 [0.21581364112601498, -1.025813661946352, -1.2210956381167275]]),
+        # the highpass path: the upper edge sits at Nyquist
+        (64.0, [[-0.3322973911468069, -1.2731626064310895, -0.06981409684054696],
+                [-0.0819718018779177, -0.3598369716191012, -0.2523457123843646],
+                [0.09488553663489839, 0.005564838287468239, -0.8501071701262587]]),
+    ])
+    def test_pinned_output(self, fs, expected):
+        """The chain's output is the same as when the band had two wrapper types.
+
+        The samples were produced by ``preprocess_eeg`` with the default
+        config when the band was designed through ``BandpassSpec`` and
+        ``design_band_filter``, on 20 s of 8-channel white noise: draws of
+        ``default_rng(10)``, first a 512 Hz and then a 64 Hz recording;
+        every third channel, frames 200-202.
+        """
+        rng = np.random.default_rng(10)
+        x512 = rng.standard_normal((8, 20 * 512))
+        x64 = rng.standard_normal((8, 20 * 64))
+        x = TimeSeriesTensor(x512 if fs == 512.0 else x64, fs=fs)
+        out = preprocess_eeg(x)
+        np.testing.assert_allclose(out.data[::3, 200:203], expected, rtol=1e-12, atol=0)

@@ -4,6 +4,7 @@ import pytest
 from eegmatch.acoustic import envelope_powerlaw
 from eegmatch.errors import InvalidSpecError
 from eegmatch.synth import (
+    SILENCE_FRAC,
     ForwardModelConfig,
     default_inventory,
     default_lexicon,
@@ -38,10 +39,11 @@ class TestStoryGeneration:
         assert total_phones == pytest.approx(total_words)
 
     def test_silence_fraction_near_configured(self):
-        story = generate_story(duration_s=60.0, seed=2, silence_frac=0.25)
+        story = generate_story(duration_s=60.0, seed=2)
         speech = sum(iv.end_s - iv.start_s for iv in story.words.intervals)
         silence = 1.0 - speech / story.audio.duration_s
-        assert abs(silence - 0.25) <= 0.05
+        assert SILENCE_FRAC == 0.25
+        assert abs(silence - SILENCE_FRAC) <= 0.05
 
     def test_same_seed_identical(self):
         a = generate_story(10.0, seed=3)
@@ -91,10 +93,10 @@ class TestForwardModel:
         rng = np.random.default_rng(6)
         feat = TimeSeriesTensor(rng.standard_normal((1, 64 * 60)), 64.0)
         latency_ms = 125.0
+        delay = round(latency_ms / 1000 * 64)
         cfg = ForwardModelConfig(
             rng_seed=7,
-            latency_ms=latency_ms,
-            kernel=np.array([1.0]),  # delta kernel isolates the latency
+            kernel=np.eye(delay + 1)[delay],  # a delayed delta isolates the latency
             mixing=np.ones((4, 1)),
             snr_db=np.inf,
             n_channels=4,
@@ -102,7 +104,7 @@ class TestForwardModel:
         eeg = generate_eeg(feat, cfg)
         lags = np.arange(0, 32)
         xc = [np.dot(eeg.data[0, lag:], feat.data[0, : feat.n_samples - lag]) for lag in lags]
-        assert lags[int(np.argmax(xc))] == round(latency_ms / 1000 * 64)
+        assert lags[int(np.argmax(xc))] == delay
 
     def test_signal_off_uncorrelated(self):
         rng = np.random.default_rng(8)
@@ -122,7 +124,7 @@ class TestForwardModel:
         feat = TimeSeriesTensor(rng.standard_normal((2, 64 * 30)), 64.0)
         sos = sp.butter(4, 0.5, btype="highpass", output="sos", fs=64.0)
         for snr_db in (-10.0, 0.0, 10.0):
-            base = dict(latency_ms=0.0, mixing=None, n_channels=16, noise_color="pink")
+            base = dict(mixing=None, n_channels=16, noise_color="pink")
             eeg = generate_eeg(feat, ForwardModelConfig(rng_seed=11, snr_db=snr_db, **base))
             clean = generate_eeg(feat, ForwardModelConfig(rng_seed=11, snr_db=np.inf, **base))
             noise = eeg.data - clean.data
@@ -179,8 +181,6 @@ class TestForwardModel:
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpecError):
-            ForwardModelConfig(rng_seed=1, latency_ms=-5.0)
-        with pytest.raises(InvalidSpecError):
             ForwardModelConfig(rng_seed=1, noise_color="brown")
 
     def test_white_noise_supported(self):
@@ -194,7 +194,9 @@ class TestForwardModel:
 def coupled():
     decoder_story = generate_story(90.0, seed=20)
     env = envelope_powerlaw(decoder_story.audio)
-    cfg = ForwardModelConfig(rng_seed=21, latency_ms=50.0, snr_db=10.0)
+    # a 50 ms response latency: the kernel starts with round(0.05 * 64) zeros
+    kernel = np.concatenate([np.zeros(3), default_response_kernel()])
+    cfg = ForwardModelConfig(rng_seed=21, kernel=kernel, snr_db=10.0)
     return generate_eeg(env, cfg), env
 
 

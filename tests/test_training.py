@@ -326,7 +326,8 @@ class TestEvaluation:
             hits = 0
             n = 0
             for s in range(ws.n_samples):
-                if ws.subject_of_sample(s) != res.subject_id:
+                # sample s is one order of triple s // 2
+                if ws.recordings[ws.rec_index[s // 2]].subject_id != res.subject_id:
                     continue
                 eeg, a, b, label = ws.gather_samples(np.array([s]), np.float64)
                 p, _ = forward(params, eeg[0], a[0], b[0])

@@ -154,7 +154,8 @@ class TestAssembleDataset:
         sets = assemble_dataset(recs)
         per_piece = (2816 - 704) // 32 + 1
         assert sets["train"].n_triples == 2 * 2 * per_piece
-        subjects = set(sets["train"].triple_subjects())
+        train = sets["train"]
+        subjects = {train.recordings[r].subject_id for r in train.rec_index}
         assert subjects == {"s1", "s2"}
 
     def test_provenance_recovers_counts(self):
@@ -163,7 +164,8 @@ class TestAssembleDataset:
             recording(8000, seed=2, subject="s2"),
         ]
         sets = assemble_dataset(recs)
-        test_subjects = sets["test"].triple_subjects()
+        test = sets["test"]
+        test_subjects = [test.recordings[r].subject_id for r in test.rec_index]
         assert test_subjects.count("s1") == window_starts(704, SPEC).size
         assert test_subjects.count("s2") == window_starts(800, SPEC).size
 
