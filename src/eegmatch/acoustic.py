@@ -100,13 +100,15 @@ def raw_envelope(audio: TimeSeriesTensor) -> TimeSeriesTensor:
     )
 
 
-def envelope_powerlaw(audio: TimeSeriesTensor) -> TimeSeriesTensor:
+def envelope_powerlaw(
+    audio: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()
+) -> TimeSeriesTensor:
     """Auditory-subband amplitude envelope with power-law compression, at 64 Hz.
 
-    The :func:`raw_envelope` of ``audio``, band-limited to 0.5-32 Hz with the
-    EEG's filter and resampled to 64 Hz.
+    The :func:`raw_envelope` of ``audio``, band-limited with the EEG's filter
+    to the ``cfg`` band (0.5-32 Hz by default) and resampled to 64 Hz.
     """
-    return resample(band_filter(raw_envelope(audio), PreprocConfig()), FRAME_RATE)
+    return resample(band_filter(raw_envelope(audio), cfg), FRAME_RATE)
 
 
 def _hz_to_mel(f):
@@ -159,12 +161,14 @@ def mel_magnitudes(audio: TimeSeriesTensor) -> TimeSeriesTensor:
     return TimeSeriesTensor(bank @ spec, FRAME_RATE)
 
 
-def mel_spectrogram(audio: TimeSeriesTensor) -> TimeSeriesTensor:
-    """The :func:`mel_magnitudes` of ``audio``, each band band-limited to 0.5-32 Hz.
+def mel_spectrogram(
+    audio: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()
+) -> TimeSeriesTensor:
+    """The :func:`mel_magnitudes` of ``audio``, each band band-limited to the ``cfg`` band.
 
-    At 64 frames/s the band is realized as the 0.5 Hz highpass.
+    At 64 frames/s the default 0.5-32 Hz band is realized as the 0.5 Hz highpass.
     """
-    return band_filter(mel_magnitudes(audio), PreprocConfig())
+    return band_filter(mel_magnitudes(audio), cfg)
 
 
 def vad_frame_energies(audio: TimeSeriesTensor) -> np.ndarray:

@@ -55,9 +55,10 @@ def cmd_preprocess(args) -> int:
 def cmd_featurize(args) -> int:
     """Fill the experiment's feature cache, as ``run`` would."""
     spec, manifest, loader = _experiment(args.config)
+    cfg = PreprocConfig(**spec.preproc)
     for name in spec.features:
         for story_id in manifest.story_ids:
-            feat = loader.feature_cached(story_id, name, spec.out_dir / pipeline.FEATURE_CACHE)
+            feat = loader.feature_cached(story_id, name, spec.out_dir / pipeline.FEATURE_CACHE, cfg)
             print(f"{story_id}/{name}: {feat.n_channels}x{feat.n_samples}")
     return 0
 

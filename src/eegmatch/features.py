@@ -23,6 +23,7 @@ from .categorical import (
     word_embedding_sequence,
 )
 from .errors import InvalidSpecError
+from .preproc import PreprocConfig
 from .tensors import TimeSeriesTensor
 
 PART_DIMS = {
@@ -82,13 +83,14 @@ def feature_dims(name: str) -> tuple[list[int], list[bool]]:
     return [PART_DIMS[p] for p in parts], [p == "wordemb" for p in parts]
 
 
-def extract_part(part: str, assets: StoryAssets) -> TimeSeriesTensor:
+def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTensor:
+    """One feature part; the acoustic parts are band-limited to the ``cfg`` band."""
     dur = assets.duration_s
     inv = assets.inventory
     if part == "envelope":
-        return envelope_powerlaw(assets.audio)
+        return envelope_powerlaw(assets.audio, cfg)
     if part == "mel":
-        return mel_spectrogram(assets.audio)
+        return mel_spectrogram(assets.audio, cfg)
     if part == "vad":
         return vad(assets.audio)
     ph = None
@@ -123,6 +125,12 @@ def join_parts(tensors: list[TimeSeriesTensor]) -> TimeSeriesTensor:
     return trimmed[0] if len(trimmed) == 1 else concat_features(trimmed)
 
 
-def extract_feature(name: str, assets: StoryAssets) -> TimeSeriesTensor:
-    """Stacked 64 Hz tensor for a (possibly concatenated) feature name."""
-    return join_parts([extract_part(p, assets) for p in canonical_parts(name)])
+def extract_feature(
+    name: str, assets: StoryAssets, cfg: PreprocConfig = PreprocConfig()
+) -> TimeSeriesTensor:
+    """Stacked 64 Hz tensor for a (possibly concatenated) feature name.
+
+    ``cfg`` is the experiment's preprocessing, whose band the acoustic parts
+    share with the EEG.
+    """
+    return join_parts([extract_part(p, assets, cfg) for p in canonical_parts(name)])

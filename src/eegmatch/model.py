@@ -15,6 +15,20 @@ One forward, :func:`_forward`, runs the front once per input block and the
 LSTM once over all their rows; :func:`forward_batch` and
 :func:`forward_segments` are adapters over it, and :func:`backward_batch`
 differentiates either.
+
+Layout. The API takes EEG and speech batches as (B, C, T). Inside, every
+activation is time-major, (T, B, C), from the first layer to the head: a
+conv pads its input time-major once, as one (T+K-1)*B-row matrix, so each
+tap is one GEMM on a contiguous block of its rows, and a time-distributed
+dense layer and its gradients are one GEMM each over T*B rows. The LSTM's
+input projection is one matmul over all steps before its loop, and its
+weight and input gradients are one GEMM each over all T*B rows after the
+backward loop, so both loops run only the recurrence. Within them the
+state is unit-major: one step's gates are a (4H, B) block, rows i, f, g, o.
+One ``tanh`` gives all four gates, since sigmoid(z) = 1/2 + tanh(z/2)/2 and
+the i, f and o rows of the weights are halved beforehand, which is exact.
+The head's own logistic is :func:`_sigmoid`, which keeps the output exactly
+antisymmetric.
 """
 
 from __future__ import annotations
@@ -152,54 +166,66 @@ def zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# layer primitives (batched, channels x time)
+# layer primitives (batched, time-major: (T, B, C))
 # ---------------------------------------------------------------------------
 
+
 def _conv1d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """'same'-padded 1-D convolution over time. x: (B,C,T), w: (F,C,K)."""
-    n_b, _, n_t = x.shape
+    """'same'-padded 1-D convolution over time. x: (B,C,T), w: (F,C,K) -> (T,B,F).
+
+    The input is padded time-major once, as a (T+K-1)*B x C matrix, so each
+    tap's operand is the contiguous row block that starts j frames later.
+    """
+    n_b, n_c, n_t = x.shape
     n_f, _, k = w.shape
     pad_l = (k - 1) // 2
-    xpad = np.pad(x, ((0, 0), (0, 0), (pad_l, k - 1 - pad_l)))
-    out = np.zeros((n_f, n_b, n_t), dtype=x.dtype)
+    xpad = np.zeros((n_t + k - 1, n_b, n_c), dtype=x.dtype)
+    xpad[pad_l : pad_l + n_t] = x.transpose(2, 0, 1)
+    rows = xpad.reshape(-1, n_c)
+    out = np.zeros((n_t * n_b, n_f), dtype=x.dtype)
     for j in range(k):
-        out += np.tensordot(w[:, :, j], xpad[:, :, j : j + n_t], axes=([1], [1]))
-    out = out.transpose(1, 0, 2) + b[None, :, None]
-    return out, (xpad, x.shape)
+        out += rows[j * n_b : (j + n_t) * n_b] @ w[:, :, j].T
+    out += b
+    return out.reshape(n_t, n_b, n_f), rows
 
 
-def _conv1d_same_bwd(dout: np.ndarray, cache, w: np.ndarray):
+def _rows_last(dout: np.ndarray) -> np.ndarray:
+    """A (T,B,D) gradient as a contiguous (D, T*B) matrix.
+
+    Sums over T*B rows then run along contiguous memory: BLAS takes them as
+    dot products and numpy sums pairwise. Over the transposed view both add
+    row after row, which in float32 loses digits that the match and mismatch
+    gradients, nearly cancelling, then expose.
+    """
+    return np.ascontiguousarray(dout.reshape(-1, dout.shape[2]).T)
+
+
+def _conv1d_same_bwd(dout: np.ndarray, rows: np.ndarray, w: np.ndarray):
     """Weight and bias gradients; every conv reads data, so no input gradient."""
-    xpad, x_shape = cache
-    n_b, n_c, n_t = x_shape
-    n_f, _, k = w.shape
-    # dw[:, :, j] = dout (F x B*T) @ tap-j input (B*T x C). The input is put
-    # time-major once, so each tap's operand is a plain row block.
-    dout2 = dout.transpose(1, 0, 2).reshape(n_f, n_b * n_t)
-    x_tc = np.ascontiguousarray(xpad.transpose(0, 2, 1))
+    n_t, n_b, _ = dout.shape
+    dout_t = _rows_last(dout)
     dw = np.empty_like(w)
-    for j in range(k):
-        dw[:, :, j] = np.dot(dout2, x_tc[:, j : j + n_t].reshape(n_b * n_t, n_c))
-    db = dout.sum(axis=(0, 2))
-    return dw, db
+    for j in range(w.shape[2]):
+        dw[:, :, j] = dout_t @ rows[j * n_b : (j + n_t) * n_b]
+    return dw, dout_t.sum(axis=1)
 
 
 def _td_dense(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Dense layer applied to every time step. x: (B,F,T), w: (D,F)."""
-    out = np.tensordot(w, x, axes=([1], [1])).transpose(1, 0, 2) + b[None, :, None]
-    return out, x
+    """Dense layer applied to every time step. x: (T,B,F), w: (D,F) -> (T,B,D)."""
+    out = x.reshape(-1, x.shape[2]) @ w.T
+    out += b
+    return out.reshape(x.shape[:2] + (w.shape[0],)), x
 
 
 def _td_dense_bwd(dout: np.ndarray, x: np.ndarray):
     """Weight and bias gradients of :func:`_td_dense`."""
-    dw = np.tensordot(dout, x, axes=([0, 2], [0, 2]))
-    db = dout.sum(axis=(0, 2))
-    return dw, db
+    dout_t = _rows_last(dout)
+    return dout_t @ x.reshape(-1, x.shape[2]), dout_t.sum(axis=1)
 
 
 def _td_dense_dx(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Input gradient of :func:`_td_dense`, needed only where a conv follows."""
-    return np.tensordot(w, dout, axes=([0], [1])).transpose(1, 0, 2)
+    return (dout.reshape(-1, dout.shape[2]) @ w).reshape(dout.shape[:2] + (w.shape[1],))
 
 
 def _relu(x: np.ndarray):
@@ -211,9 +237,10 @@ def _relu_bwd(dout: np.ndarray, mask: np.ndarray):
 
 
 def _maxpool(x: np.ndarray):
-    """Window-3 stride-3 max over time, remainder frames dropped.
+    """Window-3 stride-3 max over time (axis 0), remainder frames dropped.
 
-    The taps are compared as strided views, latest tap first. On a tie,
+    The taps are compared as strided views, latest tap first, into an
+    output in the memory order of ``x``. On a tie,
     ``np.maximum`` has been seen to return its second operand, so the
     earliest tap is kept, as ``argmax`` would, down to the sign of a zero.
     NumPy does not document that order; it is pinned by
@@ -221,22 +248,22 @@ def _maxpool(x: np.ndarray):
     test to re-run after a NumPy upgrade. The backward pass does not rely on
     it: ``_maxpool_bwd`` finds the first maximum by ``==``.
     """
-    n = x.shape[2] // POOL * POOL
-    out = x[:, :, 0:n:POOL]
+    n = x.shape[0] // POOL * POOL
+    out = x[0:n:POOL].copy(order="K")
     for k in range(1, POOL):
-        out = np.maximum(x[:, :, k:n:POOL], out)
+        np.maximum(x[k:n:POOL], out, out=out)
     return out, (x, out)
 
 
 def _maxpool_bwd(dout: np.ndarray, cache):
     """Route each gradient to the first tap holding its window's maximum."""
     x, out = cache
-    n = out.shape[2] * POOL
+    n = out.shape[0] * POOL
     dx = np.zeros(x.shape, dtype=dout.dtype)
     free = np.ones(out.shape, dtype=bool)
     for k in range(POOL):
-        first = free & (x[:, :, k:n:POOL] == out) if k < POOL - 1 else free
-        np.copyto(dx[:, :, k:n:POOL], dout, where=first)
+        first = free & (x[k:n:POOL] == out) if k < POOL - 1 else free
+        np.copyto(dx[k:n:POOL], dout, where=first)
         free &= ~first
     return dx
 
@@ -249,79 +276,98 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-    """Full sequence LSTM. x: (B,T,I); returns hidden stack (B,T,H)."""
-    n_b, n_t, _ = x.shape
+    """Full-sequence LSTM. x: (T,N,I); returns the hidden states (T,N,H).
+
+    The input projection is one matmul over all T steps before the loop; it
+    leaves each step's gates a contiguous (4H, N) block, rows i, f, g, o
+    (a single (4H, T*N) GEMM takes as long but leaves strided blocks, which
+    are slower to update per step). One ``tanh`` gives all four gates:
+    sigmoid(z) = 1/2 + tanh(z/2)/2, and the i, f and o rows of the weights
+    are halved beforehand, which is exact. The loop writes the gates, cell
+    states, cell tanh and hidden states in place, with no per-step copies.
+    Gates and cells are unit-major per step; the hidden states are stored
+    (T+1, N, H), so the head reads them as they are and :func:`_lstm_bwd`
+    forms the recurrent weight gradient as one GEMM.
+    """
+    n_t, n_r, _ = x.shape
     h_units = wh.shape[1]
-    pre_x = np.tensordot(x, wx, axes=([2], [1]))  # (B,T,4H)
-    h = np.zeros((n_b, h_units), dtype=x.dtype)
-    c = np.zeros((n_b, h_units), dtype=x.dtype)
-    hs = np.empty((n_b, n_t, h_units), dtype=x.dtype)
-    cache = {
-        "x": x,
-        "h_prev": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-        "c_prev": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-        "i": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-        "f": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-        "g": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-        "o": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-        "tanh_c": np.empty((n_t, n_b, h_units), dtype=x.dtype),
-    }
+    scale = np.full((4 * h_units, 1), 0.5, dtype=x.dtype)
+    scale[2 * h_units : 3 * h_units] = 1.0
+    gates = np.matmul(wx * scale, x.transpose(0, 2, 1))  # (T, 4H, N)
+    gates += b[:, None] * scale
+    wh_half = wh * scale
+    sig_if, sig_o = gates[:, : 2 * h_units], gates[:, 3 * h_units :]
+    cells = np.zeros((n_t + 1, h_units, n_r), dtype=x.dtype)  # cells[t]: entering step t
+    tanh_c = np.empty((n_t, h_units, n_r), dtype=x.dtype)
+    hs = np.zeros((n_t + 1, n_r, h_units), dtype=x.dtype)  # hs[t]: entering step t
     for t in range(n_t):
-        z = pre_x[:, t] + h @ wh.T + b
-        gates = _sigmoid(z)  # the cell-gate quarter is unused
-        i = gates[:, :h_units]
-        f = gates[:, h_units : 2 * h_units]
-        g = np.tanh(z[:, 2 * h_units : 3 * h_units])
-        o = gates[:, 3 * h_units :]
-        cache["h_prev"][t] = h
-        cache["c_prev"][t] = c
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache["i"][t], cache["f"][t], cache["g"][t] = i, f, g
-        cache["o"][t], cache["tanh_c"][t] = o, tanh_c
-        hs[:, t] = h
-    return hs, cache
+        z = gates[t]
+        z += wh_half @ hs[t].T
+        np.tanh(z, out=z)
+        for s in (sig_if[t], sig_o[t]):
+            s *= 0.5
+            s += 0.5
+        i, f, g, o = z.reshape(4, h_units, n_r)
+        np.multiply(f, cells[t], out=cells[t + 1])
+        cells[t + 1] += i * g
+        np.tanh(cells[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=hs[t + 1].T)
+    cache = {"x": x, "gates": gates, "cells": cells, "tanh_c": tanh_c, "hs": hs}
+    return hs[1:], cache
 
 
 def _lstm_bwd(dhs: np.ndarray, cache, wx: np.ndarray, wh: np.ndarray):
-    """Gradients of :func:`_lstm`: input, then wx, wh and bias."""
-    x = cache["x"]
-    n_b, n_t, _ = x.shape
+    """Gradients of :func:`_lstm`: input, then wx, wh and bias.
+
+    The loop runs only the recurrence: dh, dc, the gate gradient dz of each
+    step and dh <- wh^T dz. Each step's dz is stored unit-major, in a
+    (4H, T*N) matrix, so the input gradient and the weight gradients are one
+    GEMM each over all T*N rows.
+    """
+    x, gates, cells, tanh_c = cache["x"], cache["gates"], cache["cells"], cache["tanh_c"]
+    n_t, n_r, n_i = x.shape
     h_units = wh.shape[1]
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * h_units, dtype=x.dtype)
-    dx = np.empty_like(x)
-    dh_next = np.zeros((n_b, h_units), dtype=x.dtype)
-    dc_next = np.zeros((n_b, h_units), dtype=x.dtype)
+    dhs = np.ascontiguousarray(dhs.transpose(0, 2, 1))  # (T, H, N)
+    dz = np.empty((4 * h_units, n_t, n_r), dtype=x.dtype)
+    dz_t = np.empty((4 * h_units, n_r), dtype=x.dtype)
+    upstream = np.empty_like(dz_t)  # d(loss)/d(gate), rows i, f, g, o
+    up_i, up_f, up_g, up_o = upstream.reshape(4, h_units, n_r)
+    dz_g = dz_t[2 * h_units : 3 * h_units]
+    dh = np.zeros((h_units, n_r), dtype=x.dtype)
+    dc = np.zeros((h_units, n_r), dtype=x.dtype)
     for t in range(n_t - 1, -1, -1):
-        i, f, g, o = cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t]
-        tanh_c = cache["tanh_c"][t]
-        dh = dhs[:, t] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        df = dc * cache["c_prev"][t]
-        di = dc * g
-        dg = dc * i
-        dc_next = dc * f
-        dz = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
-            axis=1,
-        )
-        dwx += dz.T @ x[:, t]
-        dwh += dz.T @ cache["h_prev"][t]
-        db += dz.sum(axis=0)
-        dx[:, t] = dz @ wx
-        dh_next = dz @ wh
-    return dx, dwx, dwh, db
+        gates_t, tanh_ct = gates[t], tanh_c[t]
+        i, f, g, o = gates_t.reshape(4, h_units, n_r)
+        dh += dhs[t]
+        np.multiply(tanh_ct, tanh_ct, out=up_o)  # dc += dh * o * (1 - tanh_c^2)
+        np.subtract(1.0, up_o, out=up_o)
+        up_o *= o
+        up_o *= dh
+        dc += up_o
+        np.multiply(dc, g, out=up_i)
+        np.multiply(dc, cells[t], out=up_f)
+        np.multiply(dc, i, out=up_g)
+        np.multiply(dh, tanh_ct, out=up_o)
+        np.subtract(1.0, gates_t, out=dz_t)  # s(1-s) on the sigmoid rows ...
+        dz_t *= gates_t
+        np.multiply(g, g, out=dz_g)  # ... and 1-g^2 on the cell row
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_t *= upstream
+        dz[:, t] = dz_t
+        dc *= f
+        dh = wh.T @ dz_t
+    dz = dz.reshape(4 * h_units, n_t * n_r)
+    h_prev = cache["hs"][:n_t].reshape(n_t * n_r, h_units)
+    dx = (dz.T @ wx).reshape(x.shape)
+    return dx, dz @ x.reshape(n_t * n_r, n_i), dz @ h_prev, dz.sum(axis=1)
 
 
 def _cosine_seq(u: np.ndarray, v: np.ndarray):
-    """Per-step cosine similarity of two (B,D,T) stacks -> (B,T)."""
-    dot = (u * v).sum(axis=1)
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
+    """Per-step cosine similarity of two (T,B,D) stacks -> (T,B)."""
+    # einsum, since numpy's sum over a last axis of 16 entries is slow
+    dot = np.einsum("tbd,tbd->tb", u, v)
+    nu = np.sqrt(np.einsum("tbd,tbd->tb", u, u))
+    nv = np.sqrt(np.einsum("tbd,tbd->tb", v, v))
     nuc = np.maximum(nu, COSINE_EPS)
     nvc = np.maximum(nv, COSINE_EPS)
     s = dot / (nuc * nvc)
@@ -332,12 +378,9 @@ def _cosine_seq_bwd(ds: np.ndarray, cache):
     u, v, dot, nu, nv, nuc, nvc = cache
     mu = (nu > COSINE_EPS).astype(u.dtype)
     mv = (nv > COSINE_EPS).astype(u.dtype)
-    du = ds[:, None, :] * (
-        v / (nuc * nvc)[:, None, :] - (mu * dot / (nuc**3 * nvc))[:, None, :] * u
-    )
-    dv = ds[:, None, :] * (
-        u / (nuc * nvc)[:, None, :] - (mv * dot / (nvc**3 * nuc))[:, None, :] * v
-    )
+    inv = ds / (nuc * nvc)
+    du = v * inv[..., None] - u * (inv * mu * dot / nuc**2)[..., None]
+    dv = u * inv[..., None] - v * (inv * mv * dot / nvc**2)[..., None]
     return du, dv
 
 
@@ -415,7 +458,7 @@ def _eeg_path_bwd(params: ModelParams, dout: np.ndarray, cache, grads: dict) -> 
 
 
 def _speech_front(params: ModelParams, speech: np.ndarray):
-    """Front + dense per part and their concatenation: (B, n_parts*D, T_out)."""
+    """Front + dense per part and their concatenation: (T_out, B, n_parts*D)."""
     cfg = params.config
     t = params.tensors
     part_caches = []
@@ -431,8 +474,13 @@ def _speech_front(params: ModelParams, speech: np.ndarray):
             cache["conv"] = conv_cache
             cache["conv_mask"] = mask
         elif part.variant == "maxpool":
-            x, pool_cache = _maxpool(x)
-            cache["pool_in"] = pool_cache
+            # pool row by row, each in its own (C, T) layout, into a time-major stack
+            pooled = np.empty((x.shape[2] // POOL, len(x), part.dim), dtype=x.dtype)
+            for r, row in enumerate(x):
+                pooled[:, r] = _maxpool(row.T)[0]
+            x = pooled
+        else:
+            x = np.ascontiguousarray(x.transpose(2, 0, 1))
         dense, dense_x = _td_dense(x, t[f"sp{i}_dense_w"], t[f"sp{i}_dense_b"])
         act, mask2 = _relu(dense)
         cache["dense_x"] = dense_x
@@ -442,9 +490,9 @@ def _speech_front(params: ModelParams, speech: np.ndarray):
             cache["pool_out"] = pool_cache
         part_caches.append(cache)
         outs.append(act)
-    concat = np.concatenate(outs, axis=1)
-    widths = [o.shape[1] for o in outs]
-    return concat, {"parts": part_caches, "widths": widths, "rows": concat.shape[0]}
+    concat = np.concatenate(outs, axis=2)
+    widths = [o.shape[2] for o in outs]
+    return concat, {"parts": part_caches, "widths": widths, "rows": concat.shape[1]}
 
 
 def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: dict) -> None:
@@ -453,7 +501,7 @@ def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: di
     lo = 0
     for i, part in enumerate(cfg.parts):
         width = cache["widths"][i]
-        dact = dconcat[:, lo : lo + width, :]
+        dact = dconcat[:, :, lo : lo + width]
         lo += width
         pc = cache["parts"][i]
         if cfg.pooled and part.variant != "maxpool":
@@ -479,7 +527,7 @@ def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.n
     sim_a, cos_a = _cosine_seq(r_eeg, rep_a)
     sim_b, cos_b = _cosine_seq(r_eeg, rep_b)
     diff = sim_a - sim_b
-    m = params.tensors["head_w"][0] * diff.mean(axis=1)
+    m = params.tensors["head_w"][0] * diff.mean(axis=0)
     return m, (cos_a, cos_b, diff)
 
 
@@ -501,10 +549,9 @@ def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
     r_eeg, eeg_cache = _eeg_path(params, eeg)
     fronts = [_speech_front(params, x) for x in blocks]
     t = params.tensors
-    lstm_in = np.concatenate([front for front, _ in fronts]).transpose(0, 2, 1)
+    lstm_in = np.concatenate([front for front, _ in fronts], axis=1)
     hs, lstm_cache = _lstm(lstm_in, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    rep = hs.transpose(0, 2, 1)
-    m, sims = _head(params, r_eeg, rep[match_row], rep[mismatch_row])
+    m, sims = _head(params, r_eeg, hs[:, match_row], hs[:, mismatch_row])
     trace = ForwardTrace(
         eeg=eeg_cache,
         fronts=[cache for _, cache in fronts],
@@ -562,12 +609,12 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     grads = zeros_like_params(params)
     cos_a, cos_b, diff = trace.sims
     p = trace.p
-    t_out = diff.shape[1]
+    t_out = diff.shape[0]
     w = params.tensors["head_w"][0]
 
     dm = dloss * p * (1.0 - p)
-    ddiff = (dm / t_out)[:, None] * np.ones_like(diff)
-    grads["head_w"][0] = float((dm * diff.mean(axis=1)).sum())
+    ddiff = (dm / t_out)[None, :] * np.ones_like(diff)
+    grads["head_w"][0] = float((dm * diff.mean(axis=0)).sum())
     dsim_a = ddiff * w
     dsim_b = -ddiff * w
 
@@ -577,16 +624,15 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     # A segment used as a match and as a mismatch gets both gradients; rows
     # are distinct within each map, so each += touches a row once.
     dhs = np.zeros(trace.lstm["x"].shape[:2] + (cfg.lstm_units,), dtype=dv_a.dtype)
-    dhs[trace.match_row] += dv_a.transpose(0, 2, 1)
-    dhs[trace.mismatch_row] += dv_b.transpose(0, 2, 1)
+    dhs[:, trace.match_row] += dv_a
+    dhs[:, trace.mismatch_row] += dv_b
     dlstm_in, dwx, dwh, db = _lstm_bwd(dhs, trace.lstm, t["lstm_wx"], t["lstm_wh"])
     grads["lstm_wx"] += dwx
     grads["lstm_wh"] += dwh
     grads["lstm_b"] += db
-    dconcat = dlstm_in.transpose(0, 2, 1)
     lo = 0
     for cache in trace.fronts:
-        _speech_front_bwd(params, dconcat[lo : lo + cache["rows"]], cache, grads)
+        _speech_front_bwd(params, dlstm_in[:, lo : lo + cache["rows"]], cache, grads)
         lo += cache["rows"]
     _eeg_path_bwd(params, du_a + du_b, trace.eeg, grads)
     return grads

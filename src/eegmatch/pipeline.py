@@ -269,18 +269,21 @@ class AssetLoader:
             )
         return self._assets[story_id]
 
-    def feature_cached(self, story_id: str, name: str, cache_dir: Path) -> TimeSeriesTensor:
-        """A story's feature, read from or written to ``cache_dir``.
+    def feature_cached(
+        self, story_id: str, name: str, cache_dir: Path, cfg: PreprocConfig
+    ) -> TimeSeriesTensor:
+        """A story's feature under the ``cfg`` band, read from or written to ``cache_dir``.
 
-        The key covers every input file a feature can read. A ``+`` name that
-        misses is joined from its parts' own entries, so a part shared by
-        several features is extracted once.
+        The key covers the band and every input file a feature can read. A
+        ``+`` name that misses is joined from its parts' own entries, so a
+        part shared by several features is extracted once.
         """
         rec = self._by_story[story_id]
         embeddings = self.manifest.embeddings_path
         key = config_hash(
             {
                 "feature": name,
+                "band": [cfg.low_hz, cfg.high_hz, cfg.stop_atten_db],
                 "audio": self.file_hash(rec.audio_path),
                 "phonemes": self.file_hash(rec.phonemes_path),
                 "words": self.file_hash(rec.words_path),
@@ -294,9 +297,9 @@ class AssetLoader:
             return read_timeseries(target)
         parts = canonical_parts(name)
         if len(parts) == 1:
-            out = extract_feature(name, self.assets(story_id))
+            out = extract_feature(name, self.assets(story_id), cfg)
         else:
-            out = join_parts([self.feature_cached(story_id, p, cache_dir) for p in parts])
+            out = join_parts([self.feature_cached(story_id, p, cache_dir, cfg) for p in parts])
         write_timeseries(target, out)
         return out
 
@@ -314,7 +317,9 @@ def build_recordings(
         eeg = preprocess_recording_cached(
             entry, preproc_cfg, out_dir / PREPROC_CACHE, loader.file_hash
         )
-        feat = loader.feature_cached(entry.story_id, feature_name, out_dir / FEATURE_CACHE)
+        feat = loader.feature_cached(
+            entry.story_id, feature_name, out_dir / FEATURE_CACHE, preproc_cfg
+        )
         if eeg.fs != feat.fs:
             raise InvalidInputError(
                 f"{entry.recording_id}: EEG at {eeg.fs} Hz but feature at {feat.fs} Hz"

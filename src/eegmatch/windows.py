@@ -80,9 +80,12 @@ def split_recording(
     val, test = (a, b), (b, c)
     train = [(0, a), (c, length)]
     span = win.span_frames
-    if b - a < span or c - b < span or max(a, length - c) < span:
+    lengths = {"longest train piece": max(a, length - c), "val": b - a, "test": c - b}
+    short = [f"{name} has {n} frames" for name, n in lengths.items() if n < span]
+    if short:
         raise InvalidInputError(
-            f"recording of {length} frames too short to window every partition"
+            f"recording of {length} frames too short to window every partition: "
+            f"{', '.join(short)}, but a triple spans {span} frames"
         )
     return train, val, test
 
@@ -244,7 +247,10 @@ def assemble_dataset(
             length = min(rec.eeg.shape[1], rec.feature.shape[1])
             rec.eeg = rec.eeg[:, :length]
             rec.feature = rec.feature[:, :length]
-        train_ranges, val_range, test_range = split_recording(rec.eeg.shape[1], split, win)
+        try:
+            train_ranges, val_range, test_range = split_recording(rec.eeg.shape[1], split, win)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{rec.subject_id}/{rec.recording_id}: {err}") from None
         ranges = {"train": train_ranges, "val": [val_range], "test": [test_range]}
         for part, rngs in ranges.items():
             for lo, hi in rngs:

@@ -12,6 +12,7 @@ import yaml
 from eegmatch import cli, pipeline
 from eegmatch.errors import InvalidInputError, InvalidSpecError
 from eegmatch.features import StoryAssets, canonical_parts, extract_feature, feature_dims
+from eegmatch.preproc import PreprocConfig
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
 from eegmatch.tensors import read_timeseries
 from eegmatch.training import read_subject_results
@@ -257,10 +258,10 @@ class TestFeatureCache:
         calls = []
         extract = features.envelope_powerlaw
         monkeypatch.setattr(features, "envelope_powerlaw",
-                            lambda audio: calls.append(audio) or extract(audio))
+                            lambda audio, cfg: calls.append(audio) or extract(audio, cfg))
         loader = pipeline.AssetLoader(two_stories)
         cache = tmp_path / "cache"
-        got = {(story, name): loader.feature_cached(story, name, cache)
+        got = {(story, name): loader.feature_cached(story, name, cache, PreprocConfig())
                for name in ("envelope", "env+bpc") for story in two_stories.story_ids}
         assert len(calls) == 2
         for story in two_stories.story_ids:
@@ -271,17 +272,35 @@ class TestFeatureCache:
     def test_key_covers_the_embedding_table(self, two_stories, tmp_path):
         cache = tmp_path / "cache"
         story = two_stories.story_ids[0]
-        old = pipeline.AssetLoader(two_stories).feature_cached(story, "wordemb", cache)
+        old = pipeline.AssetLoader(two_stories).feature_cached(story, "wordemb", cache,
+                                                               PreprocConfig())
         path = two_stories.embeddings_path
         rows = [line.split(" ") for line in path.read_text().splitlines()]
         path.write_text("".join(
             " ".join([r[0]] + [f"{-float(v) + 0.25:.6f}" for v in r[1:]]) + "\n" for r in rows
         ))
         loader = pipeline.AssetLoader(two_stories)
-        new = loader.feature_cached(story, "wordemb", cache)
+        new = loader.feature_cached(story, "wordemb", cache, PreprocConfig())
         fresh = extract_feature("wordemb", loader.assets(story))
         assert not np.array_equal(new.data, old.data)
         np.testing.assert_array_equal(new.data, fresh.data)
+
+
+    def test_key_and_acoustic_features_follow_the_band(self, two_stories, tmp_path):
+        """``preproc: {low_hz: 1.0}`` filters the envelope as it filters the EEG."""
+        cache = tmp_path / "cache"
+        story = two_stories.story_ids[0]
+        loader = pipeline.AssetLoader(two_stories)
+        narrow = PreprocConfig(low_hz=1.0)
+        got = {(name, cfg): loader.feature_cached(story, name, cache, cfg)
+               for name in ("envelope", "vad") for cfg in (PreprocConfig(), narrow)}
+        assert not np.array_equal(got["envelope", narrow].data,
+                                  got["envelope", PreprocConfig()].data)
+        fresh = extract_feature("envelope", loader.assets(story), narrow)
+        np.testing.assert_array_equal(got["envelope", narrow].data, fresh.data)
+        np.testing.assert_array_equal(got["vad", narrow].data, got["vad", PreprocConfig()].data)
+        for name in ("envelope", "vad"):  # one entry, under its own key, per band
+            assert len(list(cache.glob(f"{story}_{name}_*.ndmm"))) == 2
 
 
 class FullDisk:
@@ -325,11 +344,11 @@ class TestAtomicWrites:
         header = 4 + 12 + 2 * 8 + 8  # magic, version/dtype/rank, dims, rate of a rank-2 tensor
         monkeypatch.setattr(tensors, "open", full_disk(header), raising=False)
         with pytest.raises(OSError, match="No space"):
-            pipeline.AssetLoader(two_stories).feature_cached(story, "vad", cache)
+            pipeline.AssetLoader(two_stories).feature_cached(story, "vad", cache, PreprocConfig())
         assert list(cache.iterdir()) == []
         monkeypatch.undo()
         loader = pipeline.AssetLoader(two_stories)
-        got = loader.feature_cached(story, "vad", cache)
+        got = loader.feature_cached(story, "vad", cache, PreprocConfig())
         np.testing.assert_array_equal(got.data, extract_feature("vad", loader.assets(story)).data)
         assert [p.suffix for p in cache.iterdir()] == [".ndmm"]
 
@@ -561,6 +580,18 @@ class TestCli:
         assert all(name in err for name in named), err
         if case.startswith(("train", "removed", "preproc")):
             assert not out.exists()
+
+    def test_recording_too_short_for_the_split_is_named(self, tmp_path, capsys):
+        """60 s is 3,840 frames: the default 10 % validation range holds 384, a triple spans 704."""
+        manifest = write_synth_dataset(tmp_path / "ds", n_subjects=1, n_stories=1,
+                                       duration_s=60.0, seed=4)
+        entry = pipeline.load_manifest(manifest).recordings[0]
+        cfg, _ = write_experiment(manifest, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{entry.subject_id}/{entry.recording_id}" in err, err
+        assert "val has 384 frames" in err and "test has 384 frames" in err, err
+        assert "train" not in err and "a triple spans 704 frames" in err, err
 
     def test_error_exit_code(self, dataset, tmp_path):
         cfg, _ = write_experiment(dataset, tmp_path, manifest=str(tmp_path / "missing.yaml"))
