@@ -12,9 +12,16 @@ the two speech inputs. Everything is computed in 64-bit floats unless the
 architecture selects 32-bit.
 
 One forward, :func:`_forward`, runs the front once per input block and the
-LSTM once over all their rows; :func:`forward_batch` and
-:func:`forward_segments` are adapters over it, and :func:`backward_batch`
-differentiates either.
+LSTM once over all their rows; :func:`forward_batch` is the adapter over it
+that training uses, and :func:`backward_batch` differentiates it.
+:func:`forward_windows` scores window sets without gradients. The EEG path
+and the conv and no-conv speech fronts run once over the frames that a
+recording's windows cover, and each window is sliced from them. A window's
+first and last few frames read its own zero padding, so they are computed
+again from its own inputs. The word-embedding front pools before its dense
+layer, so it runs per segment; the LSTM restarts at every window, so it and
+the head run per segment, on blocks of segments. The probabilities are bit
+for bit those of :func:`forward_batch`.
 
 Layout. The API takes EEG and speech batches as (B, C, T). Inside, every
 activation is time-major, (T, B, C), from the first layer to the head: a
@@ -39,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
+from .windows import gather_windows
 
 COSINE_EPS = 1e-8
 PROB_CLAMP = 1e-7
@@ -429,16 +437,20 @@ def _check_batch_shapes(config: ArchitectureConfig, eeg, blocks, batch_sizes) ->
         raise InvalidInputError("batch sizes disagree")
 
 
-def _eeg_path(params: ModelParams, eeg: np.ndarray):
+def _eeg_frames(params: ModelParams, eeg: np.ndarray):
+    """Conv, ReLU, dense and ReLU of the EEG path, (T, B, D), before any pooling."""
     t = params.tensors
     conv, conv_cache = _conv1d_same(eeg, t["eeg_conv_w"], t["eeg_conv_b"])
     act1, mask1 = _relu(conv)
     dense, dense_x = _td_dense(act1, t["eeg_dense_w"], t["eeg_dense_b"])
     act2, mask2 = _relu(dense)
-    cache = {"conv": conv_cache, "mask1": mask1, "dense_x": dense_x, "mask2": mask2}
+    return act2, {"conv": conv_cache, "mask1": mask1, "dense_x": dense_x, "mask2": mask2}
+
+
+def _eeg_path(params: ModelParams, eeg: np.ndarray):
+    act2, cache = _eeg_frames(params, eeg)
     if params.config.pooled:
-        pooled, pool_cache = _maxpool(act2)
-        cache["pool"] = pool_cache
+        pooled, cache["pool"] = _maxpool(act2)
         return pooled, cache
     return act2, cache
 
@@ -457,37 +469,41 @@ def _eeg_path_bwd(params: ModelParams, dout: np.ndarray, cache, grads: dict) -> 
     grads["eeg_conv_b"] += db
 
 
+def _speech_part(params: ModelParams, i: int, x: np.ndarray):
+    """Part ``i``'s front and dense layer on its (B, dim, T) channels: (T_out, B, D).
+
+    A maxpool part pools its input first; the other parts are not pooled here.
+    """
+    part = params.config.parts[i]
+    t = params.tensors
+    cache: dict = {}
+    if part.variant == "conv":
+        conv, cache["conv"] = _conv1d_same(x, t[f"sp{i}_conv_w"], t[f"sp{i}_conv_b"])
+        x, cache["conv_mask"] = _relu(conv)
+    elif part.variant == "maxpool":
+        # pool row by row, each in its own (C, T) layout, into a time-major stack
+        pooled = np.empty((x.shape[2] // POOL, len(x), part.dim), dtype=x.dtype)
+        for r, row in enumerate(x):
+            pooled[:, r] = _maxpool(row.T)[0]
+        x = pooled
+    else:
+        x = np.ascontiguousarray(x.transpose(2, 0, 1))
+    dense, cache["dense_x"] = _td_dense(x, t[f"sp{i}_dense_w"], t[f"sp{i}_dense_b"])
+    act, cache["dense_mask"] = _relu(dense)
+    return act, cache
+
+
 def _speech_front(params: ModelParams, speech: np.ndarray):
     """Front + dense per part and their concatenation: (T_out, B, n_parts*D)."""
     cfg = params.config
-    t = params.tensors
     part_caches = []
     outs = []
     lo = 0
     for i, part in enumerate(cfg.parts):
-        x = speech[:, lo : lo + part.dim, :]
+        act, cache = _speech_part(params, i, speech[:, lo : lo + part.dim, :])
         lo += part.dim
-        cache: dict = {"variant": part.variant}
-        if part.variant == "conv":
-            conv, conv_cache = _conv1d_same(x, t[f"sp{i}_conv_w"], t[f"sp{i}_conv_b"])
-            x, mask = _relu(conv)
-            cache["conv"] = conv_cache
-            cache["conv_mask"] = mask
-        elif part.variant == "maxpool":
-            # pool row by row, each in its own (C, T) layout, into a time-major stack
-            pooled = np.empty((x.shape[2] // POOL, len(x), part.dim), dtype=x.dtype)
-            for r, row in enumerate(x):
-                pooled[:, r] = _maxpool(row.T)[0]
-            x = pooled
-        else:
-            x = np.ascontiguousarray(x.transpose(2, 0, 1))
-        dense, dense_x = _td_dense(x, t[f"sp{i}_dense_w"], t[f"sp{i}_dense_b"])
-        act, mask2 = _relu(dense)
-        cache["dense_x"] = dense_x
-        cache["dense_mask"] = mask2
         if cfg.pooled and part.variant != "maxpool":
-            act, pool_cache = _maxpool(act)
-            cache["pool_out"] = pool_cache
+            act, cache["pool_out"] = _maxpool(act)
         part_caches.append(cache)
         outs.append(act)
     concat = np.concatenate(outs, axis=2)
@@ -576,24 +592,145 @@ def forward_batch(
     return trace.p, trace
 
 
-def forward_segments(
-    params: ModelParams,
-    eeg: np.ndarray,
-    segments: np.ndarray,
-    match_row: np.ndarray,
-    mismatch_row: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of both orders of triples that share speech segments.
+class _FrameTrack:
+    """A frame-wise path run once over the frames its windows cover.
 
-    Triple ``j`` pairs ``eeg[j]`` with matched segment
-    ``segments[match_row[j]]`` and mismatched segment
-    ``segments[mismatch_row[j]]``. ``segments`` is the one input block, so
-    the speech front and the LSTM run once per row of it. Returns the
-    probability of the (match, mismatch) order and of the swapped order;
-    the swapped logit is exactly the negated one, so both are bit for bit
-    what :func:`forward_batch` returns for each order.
+    ``path`` maps a (B, C, T) input to (T, B, D) activations, each frame
+    computed from ``reach`` = (before, after) frames around it, with zeros
+    beyond the input's ends. Windows are keyed ``recording * stride +
+    start``; ``keys`` (sorted, distinct) are merged into runs of
+    overlapping or touching windows, and ``path`` runs once over each run.
     """
-    m, _ = _forward(params, eeg, [segments], match_row, mismatch_row)
+
+    def __init__(self, path, inputs, reach, keys, stride, n_frames, dtype):
+        self.path, self.inputs, self.reach = path, inputs, reach
+        self.keys, self.stride, self.n_frames, self.dtype = keys, stride, n_frames, dtype
+        rec, start = np.divmod(keys, stride)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = (rec[1:] != rec[:-1]) | (start[1:] > start[:-1] + n_frames)
+        heads = np.flatnonzero(first)
+        run = np.cumsum(first) - 1
+        lo = start[heads]
+        hi = start[np.append(heads[1:], keys.size) - 1] + n_frames
+        base = np.cumsum(hi - lo) - (hi - lo)
+        self.pos = base[run] + start - lo[run]  # row of each window's first frame
+        self.frames = np.concatenate([
+            path(np.asarray(inputs[r][None, :, a:b], dtype=dtype))[:, 0]
+            for r, a, b in zip(rec[heads].tolist(), lo.tolist(), hi.tolist())
+        ])
+
+    def windows(self, keys: np.ndarray) -> np.ndarray:
+        """(T, B, D) activations of windows ``keys``, bit for bit as ``path`` gives them alone.
+
+        Interior frames are sliced from the runs. A window's first ``before``
+        and last ``after`` frames read its zero padding, so they are computed
+        again from its own first and last ``before + after`` frames.
+        """
+        n_t = self.n_frames
+        pos = self.pos[np.searchsorted(self.keys, keys)]
+        out = self.frames[pos + np.arange(n_t)[:, None]]
+        before, after = self.reach
+        width = min(before + after, n_t)
+        if width:
+            rec, start = np.divmod(keys, self.stride)
+            edges = self.path(gather_windows(self.inputs, np.concatenate([rec, rec]),
+                                             np.concatenate([start, start + n_t - width]),
+                                             width, self.dtype))
+            before, after = min(before, n_t), min(after, n_t)
+            out[:before] = edges[:before, : keys.size]
+            out[n_t - after :] = edges[width - after :, keys.size :]
+        return out
+
+
+def _conv_reach(k: int) -> tuple[int, int]:
+    """Frames a 'same' convolution of kernel ``k`` reads before and after each output frame."""
+    return (k - 1) // 2, k - 1 - (k - 1) // 2
+
+
+def _blocks(match_key: np.ndarray, mismatch_key: np.ndarray, rows: int):
+    """Bounds of runs of consecutive triples holding at most ``rows`` distinct segments.
+
+    A last run of one triple joins the run before it, two rows over:
+    numpy sums the head's mean over a lone triple's frames pairwise but over
+    several triples' frames in order, so a lone triple would not score bit
+    for bit as it does among others.
+    """
+    bounds, seen = [0], set()
+    for j, pair in enumerate(zip(match_key.tolist(), mismatch_key.tolist())):
+        if seen and len(seen.union(pair)) > rows:
+            bounds.append(j)
+            seen = set()
+        seen.update(pair)
+    if len(bounds) > 1 and match_key.size - bounds[-1] == 1:
+        bounds.pop()
+    return zip(bounds, bounds[1:] + [match_key.size])
+
+
+def forward_windows(
+    params: ModelParams,
+    eeg: Sequence[np.ndarray],
+    feature: Sequence[np.ndarray],
+    rec_index: np.ndarray,
+    start: np.ndarray,
+    offset: int,
+    block_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of both orders of every triple, with fronts run per recording.
+
+    Triple ``j`` pairs recording ``rec_index[j]``'s EEG window at
+    ``start[j]`` with that recording's feature segments at ``start[j]`` (the
+    match) and ``start[j] + offset`` (the mismatch); ``eeg[r]`` and
+    ``feature[r]`` are recording ``r``'s (C, L) and (F, L) arrays. A pooled
+    config pools each sliced window from its first frame. The LSTM and head
+    run on blocks of consecutive triples, by recording and start, holding at
+    most ``block_rows`` distinct segments (see :func:`_blocks`).
+    """
+    cfg = params.config
+    dt = cfg.np_dtype
+    n_t = cfg.frames
+    rec_index = np.asarray(rec_index, dtype=np.int64)
+    start = np.asarray(start, dtype=np.int64)
+    stride = max(x.shape[1] for x in eeg)
+    order = np.lexsort((start, rec_index))
+    eeg_key = (rec_index * stride + start)[order]
+    mismatch_key = eeg_key + offset
+    segment_keys = np.union1d(eeg_key, mismatch_key)
+
+    def track(path, inputs, reach, keys):
+        return _FrameTrack(path, inputs, reach, keys, stride, n_t, dt)
+
+    eeg_track = track(lambda x: _eeg_frames(params, x)[0], eeg,
+                      _conv_reach(cfg.eeg_conv_kernel), np.unique(eeg_key))
+    parts = []  # a track per frame-wise part, the inputs of a maxpool part
+    lo = 0
+    for i, part in enumerate(cfg.parts):
+        inputs = [f[lo : lo + part.dim] for f in feature]
+        lo += part.dim
+        if part.variant == "maxpool":
+            parts.append(inputs)
+        else:
+            reach = _conv_reach(cfg.speech_conv_kernel) if part.variant == "conv" else (0, 0)
+            parts.append(track(lambda x, i=i: _speech_part(params, i, x)[0], inputs, reach,
+                               segment_keys))
+
+    t = params.tensors
+    m = np.empty(start.size, dtype=dt)
+    for a, b in _blocks(eeg_key, mismatch_key, block_rows):
+        keys = np.union1d(eeg_key[a:b], mismatch_key[a:b])
+        r_eeg = eeg_track.windows(eeg_key[a:b])
+        outs = []
+        for i, part in enumerate(parts):
+            if isinstance(part, _FrameTrack):
+                act = part.windows(keys)
+                outs.append(_maxpool(act)[0] if cfg.pooled else act)
+            else:
+                segments = gather_windows(part, *np.divmod(keys, stride), n_t, dt)
+                outs.append(_speech_part(params, i, segments)[0])
+        if cfg.pooled:
+            r_eeg = _maxpool(r_eeg)[0]
+        hs, _ = _lstm(np.concatenate(outs, axis=2), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+        rows = np.searchsorted(keys, np.stack([eeg_key[a:b], mismatch_key[a:b]]))
+        m[order[a:b]], _ = _head(params, r_eeg, hs[:, rows[0]], hs[:, rows[1]])
     return _sigmoid(m), _sigmoid(-m)
 
 

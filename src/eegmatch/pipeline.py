@@ -26,9 +26,9 @@ from .checkpoint import save_checkpoint
 from .errors import DegenerateSampleError, EegMatchError, InvalidInputError
 from .features import StoryAssets, canonical_parts, extract_feature, feature_dims, join_parts
 from .model import ModelParams, config_for_feature, init_params
-from .preproc import PreprocConfig, preprocess_eeg
+from .preproc import PreprocConfig, preprocess_eeg, resampled_length
 from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
-from .tensors import TimeSeriesTensor, atomic_path, read_timeseries, write_timeseries
+from .tensors import TimeSeriesTensor, atomic_path, read_header, read_timeseries, write_timeseries
 from .training import (
     TrainConfig,
     evaluate_per_subject,
@@ -37,7 +37,14 @@ from .training import (
     write_subject_results,
     write_training_log,
 )
-from .windows import DecisionWindowSet, RecordingData, SplitSpec, WindowingSpec, assemble_dataset
+from .windows import (
+    DecisionWindowSet,
+    RecordingData,
+    SplitSpec,
+    WindowingSpec,
+    assemble_dataset,
+    split_recording,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -356,12 +363,18 @@ def build_cell(
     Every command that trains or scores a cell builds it here, so one spec
     gives the same data, architecture and seeds wherever it is used.
     """
-    win = WindowingSpec(**spec.windowing)
-    recordings = build_recordings(
-        manifest, feature_name, loader, PreprocConfig(**spec.preproc), spec.out_dir
-    )
+    win, split = WindowingSpec(**spec.windowing), SplitSpec(**spec.split)
+    preproc = PreprocConfig(**spec.preproc)
+    # refuse a recording too short for the split before any cache is written
+    for entry in manifest.recordings:
+        dims, fs = read_header(entry.eeg_path)
+        try:
+            split_recording(resampled_length(dims[-1], fs, preproc.target_fs), split, win)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{entry.subject_id}/{entry.recording_id}: {err}") from None
+    recordings = build_recordings(manifest, feature_name, loader, preproc, spec.out_dir)
     seed = child_seed(spec.seed, feature_name)
-    sets = assemble_dataset(recordings, win, SplitSpec(**spec.split), seed=seed)
+    sets = assemble_dataset(recordings, win, split, seed=seed)
     dims, flags = feature_dims(feature_name)
     arch_kwargs = {
         "dtype": spec.dtype,

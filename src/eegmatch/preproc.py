@@ -102,6 +102,11 @@ def _rational_ratio(fs_in: float, fs_out: float) -> tuple[int, int]:
     return ratio.numerator, ratio.denominator
 
 
+def resampled_length(n_samples: int, fs_in: float, fs_out: float) -> int:
+    """Length of ``n_samples`` at ``fs_in`` after :func:`resample` to ``fs_out``."""
+    return int(round(n_samples * fs_out / fs_in))
+
+
 def resample(x: TimeSeriesTensor, fs_out: float) -> TimeSeriesTensor:
     """Polyphase resampling with a Kaiser-windowed anti-aliasing lowpass.
 
@@ -120,7 +125,7 @@ def resample(x: TimeSeriesTensor, fs_out: float) -> TimeSeriesTensor:
     numtaps |= 1
     fir = signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_up)
     out = signal.resample_poly(x.data, up, down, axis=1, window=fir)
-    n_target = int(round(x.n_samples * fs_out / x.fs))
+    n_target = resampled_length(x.n_samples, x.fs, fs_out)
     if out.shape[1] > n_target:
         out = out[:, :n_target]
     elif out.shape[1] < n_target:

@@ -93,21 +93,32 @@ def write_tensor(path: str | Path, data: np.ndarray, fs: float) -> None:
         fh.write(np.ascontiguousarray(data).astype(f"<f{data.itemsize}").tobytes())
 
 
+def _read_header(fh, path) -> tuple[np.dtype, tuple[int, ...], float]:
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise InvalidInputError(f"{path}: bad magic {magic!r}")
+    version, code, rank = struct.unpack("<III", fh.read(12))
+    if version != FORMAT_VERSION:
+        raise InvalidInputError(f"{path}: unsupported format version {version}")
+    if code not in _DTYPE_CODES:
+        raise InvalidInputError(f"{path}: unknown dtype code {code}")
+    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+    (fs,) = struct.unpack("<d", fh.read(8))
+    return _DTYPE_CODES[code], dims, fs
+
+
+def read_header(path: str | Path) -> tuple[tuple[int, ...], float]:
+    """(dims, fs) of a file written by :func:`write_tensor`, without reading its payload."""
+    with open(path, "rb") as fh:
+        _, dims, fs = _read_header(fh, path)
+    return dims, fs
+
+
 def read_tensor(path: str | Path) -> tuple[np.ndarray, float]:
     """Read an array written by :func:`write_tensor`. Returns (data, fs)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise InvalidInputError(f"{path}: bad magic {magic!r}")
-        version, code, rank = struct.unpack("<III", fh.read(12))
-        if version != FORMAT_VERSION:
-            raise InvalidInputError(f"{path}: unsupported format version {version}")
-        if code not in _DTYPE_CODES:
-            raise InvalidInputError(f"{path}: unknown dtype code {code}")
-        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-        (fs,) = struct.unpack("<d", fh.read(8))
-        dtype = _DTYPE_CODES[code]
-        count = int(np.prod(dims)) if rank else 1
+        dtype, dims, fs = _read_header(fh, path)
+        count = int(np.prod(dims)) if dims else 1
         payload = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
         if payload.size != count:
             raise InvalidInputError(f"{path}: truncated payload")

@@ -20,7 +20,7 @@ from .model import (
     ModelParams,
     backward_batch,
     forward_batch,
-    forward_segments,
+    forward_windows,
     loss,
     loss_grad,
 )
@@ -112,21 +112,31 @@ def evaluate_set(
 ) -> tuple[float, float, np.ndarray]:
     """(mean loss, accuracy, per-sample correctness) over both orderings.
 
-    Each forward pass covers ``batch_size // 2`` triples and scores both of
-    their samples, running the speech branch once per distinct segment of
-    those triples (see :func:`forward_segments`).
+    The EEG path and the frame-wise speech fronts run once per recording,
+    over the frames its triples cover, and each window is sliced from them
+    with its edge frames recomputed from its own inputs; the LSTM and head
+    run on blocks of at most ``batch_size`` distinct segments, pooled across
+    recordings (see :func:`forward_windows`). Each probability is bit for
+    bit what :func:`forward_batch` gives its sample among others.
     """
     if ws.n_samples == 0:
         raise InvalidInputError("cannot evaluate an empty window set")
+    cfg = params.config
+    for what, got, want in (("window length", ws.spec.window_frames, cfg.frames),
+                            ("EEG channel count", ws.eeg_channels, cfg.eeg_channels),
+                            ("feature dimension", ws.feature_dim, cfg.feature_dim)):
+        if got != want:
+            raise InvalidInputError(f"window set's {what} {got} != the model's {want}")
+    p_match, p_swapped = forward_windows(
+        params, [r.eeg for r in ws.recordings], [r.feature for r in ws.recordings],
+        ws.rec_index, ws.start_frame, ws.mismatch_offset, batch_size,
+    )
     losses = np.empty(ws.n_samples)
+    losses[0::2] = loss(p_match, 1.0)
+    losses[1::2] = loss(p_swapped, 0.0)
     correct = np.empty(ws.n_samples, dtype=bool)
-    for idx in _batched(ws.n_triples, _triples_per_pass(batch_size)):
-        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, params.config.np_dtype)
-        p_match, p_swapped = forward_segments(params, eeg, segments, match_row, mismatch_row)
-        losses[2 * idx] = loss(p_match, np.ones(idx.size))
-        losses[2 * idx + 1] = loss(p_swapped, np.zeros(idx.size))
-        correct[2 * idx] = p_match >= 0.5
-        correct[2 * idx + 1] = p_swapped < 0.5
+    correct[0::2] = p_match >= 0.5
+    correct[1::2] = p_swapped < 0.5
     return float(losses.mean()), float(correct.mean()), correct
 
 

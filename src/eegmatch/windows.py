@@ -90,6 +90,15 @@ def split_recording(
     return train, val, test
 
 
+def gather_windows(arrays, rec_idx: np.ndarray, starts: np.ndarray, width: int,
+                   dtype) -> np.ndarray:
+    """(N, C, width) stack of ``arrays[rec_idx[j]][:, starts[j]:][:, :width]`` in ``dtype``."""
+    out = np.empty((len(starts), arrays[0].shape[0], width), dtype=dtype)
+    for j, (r, s) in enumerate(zip(rec_idx.tolist(), starts.tolist())):
+        out[j] = arrays[r][:, s : s + width]
+    return out
+
+
 @dataclass
 class RecordingData:
     """A recording's aligned EEG and feature arrays at the window rate."""
@@ -142,21 +151,13 @@ class DecisionWindowSet:
         """Frames from a triple's matched segment to its mismatched one."""
         return self.spec.window_frames + self.spec.gap_frames
 
-    def _windows(self, arrays, rows: int, rec_idx: np.ndarray, starts: np.ndarray, dtype):
-        """Windows ``arrays[rec_idx[j]][:, starts[j]:][:, :window]``, cast once into ``dtype``."""
-        w = self.spec.window_frames
-        out = np.empty((len(starts), rows, w), dtype=dtype)
-        for j, (r, s) in enumerate(zip(rec_idx.tolist(), starts.tolist())):
-            out[j] = arrays[r][:, s : s + w]
-        return out
-
     def _eeg_windows(self, rec_idx: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
         eeg = [r.eeg for r in self.recordings]
-        return self._windows(eeg, self.eeg_channels, rec_idx, starts, dtype)
+        return gather_windows(eeg, rec_idx, starts, self.spec.window_frames, dtype)
 
     def _feature_windows(self, rec_idx: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
         feature = [r.feature for r in self.recordings]
-        return self._windows(feature, self.feature_dim, rec_idx, starts, dtype)
+        return gather_windows(feature, rec_idx, starts, self.spec.window_frames, dtype)
 
     def gather_triples(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Materialize float64 (eeg, match, mismatch) stacks for triple indices."""
@@ -181,26 +182,6 @@ class DecisionWindowSet:
         b = self._feature_windows(rec, np.where(swapped, start, other), dtype)
         labels = (~swapped).astype(np.float64)
         return self._eeg_windows(rec, start, dtype), a, b, labels
-
-    def gather_segments(
-        self, idx: np.ndarray, dtype
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(eeg, segments, match_row, mismatch_row) for triple indices.
-
-        ``segments`` holds each distinct speech segment of the triples once;
-        triple ``j``'s matched segment is ``segments[match_row[j]]`` and its
-        mismatched one ``segments[mismatch_row[j]]``. With the paper's
-        windows a mismatched segment starts 12 hops after its matched one, so
-        it is the matched segment of the triple 12 hops on.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        rec, start = self.rec_index[idx], self.start_frame[idx]
-        stride = max(r.feature.shape[1] for r in self.recordings)
-        keys = np.concatenate([rec * stride + start, rec * stride + start + self.mismatch_offset])
-        unique, rows = np.unique(keys, return_inverse=True)
-        segments = self._feature_windows(unique // stride, unique % stride, dtype)
-        eeg = self._eeg_windows(rec, start, dtype)
-        return eeg, segments, rows[: idx.size], rows[idx.size :]
 
 
 def make_windows(

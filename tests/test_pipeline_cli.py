@@ -586,12 +586,15 @@ class TestCli:
         manifest = write_synth_dataset(tmp_path / "ds", n_subjects=1, n_stories=1,
                                        duration_s=60.0, seed=4)
         entry = pipeline.load_manifest(manifest).recordings[0]
-        cfg, _ = write_experiment(manifest, tmp_path)
+        cfg, out = write_experiment(manifest, tmp_path)
         assert cli.main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"{entry.subject_id}/{entry.recording_id}" in err, err
         assert "val has 384 frames" in err and "test has 384 frames" in err, err
         assert "train" not in err and "a triple spans 704 frames" in err, err
+        # refused before any cache is written
+        for cache in (pipeline.PREPROC_CACHE, pipeline.FEATURE_CACHE):
+            assert not list((out / cache).glob("*")), cache
 
     def test_error_exit_code(self, dataset, tmp_path):
         cfg, _ = write_experiment(dataset, tmp_path, manifest=str(tmp_path / "missing.yaml"))

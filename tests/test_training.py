@@ -1,7 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import gather_segments
 
 from eegmatch import training
 from eegmatch.errors import InvalidInputError, TrainingDivergedError
@@ -11,6 +13,7 @@ from eegmatch.model import (
     _forward,
     backward_batch,
     forward_batch,
+    forward_windows,
     init_params,
     loss,
     loss_grad,
@@ -26,7 +29,15 @@ from eegmatch.training import (
     write_subject_results,
     write_training_log,
 )
-from eegmatch.windows import RecordingData, assemble_dataset
+from eegmatch.tensors import TimeSeriesTensor
+from eegmatch.windows import (
+    DecisionWindowSet,
+    RecordingData,
+    WindowingSpec,
+    assemble_dataset,
+    make_windows,
+    window_starts,
+)
 
 L = 7040  # shortest length with one window per partition piece
 
@@ -184,7 +195,7 @@ class TestTriplePass:
                              np.random.default_rng(51))
         params.tensors["head_w"][:] = 3.0
         idx = np.arange(20)  # consecutive: triple j's mismatch is triple j + 12's match
-        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, np.float64)
+        eeg, segments, match_row, mismatch_row = gather_segments(ws, idx, np.float64)
         assert len(segments) < 2 * idx.size
         _, trace = _forward(params, eeg, [segments], match_row, mismatch_row)
         got = backward_batch(params, trace, loss_grad(trace.p, 1.0) / idx.size)
@@ -289,6 +300,128 @@ class TestEvaluation:
         np.testing.assert_array_equal(correct, ref)
         assert mean_loss == float(losses.mean())
         assert 0.0 < correct.mean() < 1.0
+
+    @staticmethod
+    def assert_scores_as_forward_batch(params, ws, batch_size):
+        """Both orders' probabilities, the correctness and the mean loss of
+        ``evaluate_set`` equal to ``forward_batch`` over all triples at once."""
+        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
+        p, _ = forward_batch(params, eeg, match, mismatch)
+        q, _ = forward_batch(params, eeg, mismatch, match)
+        got_p, got_q = forward_windows(
+            params, [r.eeg for r in ws.recordings], [r.feature for r in ws.recordings],
+            ws.rec_index, ws.start_frame, ws.mismatch_offset, batch_size)
+        np.testing.assert_array_equal(got_p, p)
+        np.testing.assert_array_equal(got_q, q)
+        mean_loss, acc, correct = evaluate_set(params, ws, batch_size)
+        losses = np.empty(ws.n_samples)
+        ref = np.empty(ws.n_samples, dtype=bool)
+        losses[0::2], losses[1::2] = loss(p, 1.0), loss(q, 0.0)
+        ref[0::2], ref[1::2] = p >= 0.5, q < 0.5
+        np.testing.assert_array_equal(correct, ref)
+        assert mean_loss == float(losses.mean())
+        assert acc == correct.mean()
+
+    @staticmethod
+    def whole_recordings(lengths, feat_dim, seed) -> DecisionWindowSet:
+        """Every triple of each recording, recordings in turn."""
+        recs = noise_recordings(n_subjects=len(lengths), length=max(lengths),
+                                feat_dim=feat_dim, seed=seed)
+        starts = []
+        for rec, n in zip(recs, lengths):
+            rec.eeg, rec.feature = rec.eeg[:, :n], rec.feature[:, :n]
+            starts.append(window_starts(n, WindowingSpec()))
+        return DecisionWindowSet(
+            WindowingSpec(), recs,
+            rec_index=np.repeat(np.arange(len(recs)), [s.size for s in starts]),
+            start_frame=np.concatenate(starts),
+        )
+
+    @EVERY_FRONT
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_per_recording_fronts_match_forward_batch_bit_for_bit(self, parts, dtype):
+        """Windows at frame 0, a recording of one triple, mismatched windows
+        ending on their recording's last frame, starts at every residue mod 3."""
+        ws = self.whole_recordings([2000, 704, 704 + 15 * 32], sum(p.dim for p in parts), 61)
+        offset = ws.mismatch_offset
+        ends = ws.start_frame + offset + ws.spec.window_frames
+        assert (ws.start_frame == 0).sum() == 3
+        assert np.bincount(ws.rec_index)[1] == 1
+        assert [ends[ws.rec_index == r].max() for r in range(3)] == [1984, 704, 1184]
+        assert set(ws.start_frame % 3) == {0, 1, 2}
+        params = init_params(replace(small_arch(dtype=dtype), parts=parts),
+                             np.random.default_rng(62))
+        params.tensors["head_w"][:] = 30.0
+        for batch_size in (12, 256):
+            self.assert_scores_as_forward_batch(params, ws, batch_size)
+
+    @EVERY_FRONT
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_shuffled_train_set_matches_forward_batch_bit_for_bit(self, parts, dtype):
+        recs = noise_recordings(feat_dim=sum(p.dim for p in parts), seed=63)
+        ws = assemble_dataset(recs, seed=9)["train"]
+        assert not (np.diff(ws.rec_index) >= 0).all()
+        params = init_params(replace(small_arch(dtype=dtype), parts=parts),
+                             np.random.default_rng(64))
+        params.tensors["head_w"][:] = 30.0
+        self.assert_scores_as_forward_batch(params, ws, 64)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_lone_triples_match_forward_batch_bit_for_bit(self, dtype):
+        """numpy sums a lone triple's head mean pairwise, several in order.
+
+        A set of one triple scores alone, as ``forward_batch`` scores it. Of
+        13 consecutive triples, 12 hold the 24 segments a block of 24 rows
+        takes, and the 13th, left alone, joins them.
+        """
+        params = init_params(replace(small_arch(dtype=dtype), parts=(SpeechPart(3, "conv"),)),
+                             np.random.default_rng(65))
+        params.tensors["head_w"][:] = 30.0
+        one = self.whole_recordings([704], 3, 66)
+        assert one.n_triples == 1
+        self.assert_scores_as_forward_batch(params, one, 256)
+        thirteen = self.whole_recordings([704 + 12 * 32], 3, 67)
+        assert thirteen.n_triples == 13
+        self.assert_scores_as_forward_batch(params, thirteen, 24)
+
+    @pytest.mark.parametrize("field, value", [
+        ("frames", 256), ("eeg_channels", 5), ("parts", (SpeechPart(2, "conv"),)),
+    ], ids=["window-length", "eeg-channels", "feature-dim"])
+    def test_window_set_unlike_the_model_is_refused(self, noise_sets, field, value):
+        params = init_params(replace(small_arch(), **{field: value}), np.random.default_rng(68))
+        with pytest.raises(InvalidInputError, match="window set's"):
+            evaluate_set(params, noise_sets["test"])
+
+    def test_peak_memory_of_a_long_recording_is_bounded(self):
+        """900 s of 64 EEG channels and 28 mel bands at 64 Hz, the default
+        architecture in float32, the default block of R = 256 segment rows.
+
+        Bound, fixed before measuring, in 4-byte values. A block of R rows of
+        T = 320 frames holds the LSTM's gates (4H = 64 per row and frame),
+        its cells, cell tanh, hidden states and input (16 each), the speech
+        windows and their concatenation (16 each), the EEG windows and the
+        two gathered hidden-state stacks (16 each) and the head's per-frame
+        sums: under 256 values per row and frame. The fronts of a recording
+        of L frames hold a cast and a padded copy of its 64 EEG channels,
+        the conv and dense activations and masks, and the frames kept for
+        slicing: under 256 values per frame. The bound is the sum,
+        4 * 256 * (R * T + L) bytes: 143 MB for L = 57,600, where the EEG
+        windows of the recording's 1,779 triples alone take 146 MB.
+        """
+        rng = np.random.default_rng(69)
+        n_frames = 900 * 64
+        ws = make_windows(TimeSeriesTensor(rng.standard_normal((64, n_frames)), 64.0),
+                          TimeSeriesTensor(rng.standard_normal((28, n_frames)), 64.0))
+        assert ws.n_triples == 1779
+        params = init_params(ArchitectureConfig(dtype="float32"), np.random.default_rng(70))
+        tracemalloc.start()
+        try:
+            evaluate_set(params, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * 256 * (256 * 320 + n_frames)
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
     def test_degenerate_model_scores_exactly_half(self, noise_sets):
         params = init_params(small_arch(), np.random.default_rng(21))

@@ -220,29 +220,3 @@ class TestGather:
             assert g.dtype == dtype
             np.testing.assert_array_equal(g, w.astype(dtype))
         np.testing.assert_array_equal(got[3], want[3])
-
-    def test_consecutive_triples_share_segments(self):
-        rec = recording(5000, seed=8)
-        ws = make_windows(
-            TimeSeriesTensor(rec.eeg, 64.0), TimeSeriesTensor(rec.feature, 64.0), SPEC
-        )
-        idx = np.arange(128)
-        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, np.float64)
-        # the mismatch offset is 12 hops, so 128 triples span 140 segments
-        assert segments.shape == (140, 2, 320)
-        ref_eeg, match, mismatch = ws.gather_triples(idx)
-        np.testing.assert_array_equal(eeg, ref_eeg)
-        np.testing.assert_array_equal(segments[match_row], match)
-        np.testing.assert_array_equal(segments[mismatch_row], mismatch)
-
-    def test_segments_of_different_recordings_stay_apart(self, sets):
-        ws = sets["test"]  # recordings in turn, the same start frames in each
-        idx = np.arange(ws.n_triples)
-        assert len(set(ws.rec_index)) == 3
-        eeg, segments, match_row, mismatch_row = ws.gather_segments(idx, np.float32)
-        ref_eeg, match, mismatch = ws.gather_triples(idx)
-        assert segments.shape[0] == idx.size + 3 * 12
-        np.testing.assert_array_equal(eeg, ref_eeg.astype(np.float32))
-        np.testing.assert_array_equal(segments[match_row], match.astype(np.float32))
-        np.testing.assert_array_equal(segments[mismatch_row], mismatch.astype(np.float32))
-
