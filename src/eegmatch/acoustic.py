@@ -15,9 +15,8 @@ from scipy.io import wavfile
 
 from .errors import InvalidInputError
 from .preproc import PreprocConfig, band_filter, resample
-from .tensors import TimeSeriesTensor
+from .tensors import FRAME_RATE, TimeSeriesTensor
 
-FRAME_RATE = 64.0
 ENVELOPE_BANDS = 28
 ENVELOPE_EXPONENT = 0.6
 MEL_BANDS = 28

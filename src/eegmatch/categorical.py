@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acoustic import FRAME_RATE
 from .alignments import EMBEDDING_DIM, AlignmentTrack, EmbeddingTable, PhonemeInventory
 from .errors import InvalidInputError, InvalidSpecError
-from .tensors import TimeSeriesTensor
+from .tensors import FRAME_RATE, TimeSeriesTensor
 
 # Broad phonetic classes: the five paper categories (nasals and approximants
 # merged) plus silence as the last row.

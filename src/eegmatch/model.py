@@ -1,19 +1,22 @@
 """Dual-path match/mismatch network: forward pass and analytic gradients.
 
-The EEG path runs a 1-D convolution over time followed by a time-distributed
-dense layer; each speech input runs a variant-specific front (1-D conv for
-features with two or more channels, nothing for one-channel features, or a
-stride-3 max-pool for word embeddings), a time-distributed dense layer and a
-shared LSTM. Per-step cosine similarity between the EEG and each speech
-representation gives two similarity sequences; the head scales the mean of
-their difference by one weight. A bias would cancel in that difference, so
-the head has none, and the output probability is exactly antisymmetric in
-the two speech inputs. Everything is computed in 64-bit floats unless the
-architecture selects 32-bit.
+Every input runs a front: a 1-D conv over time with a ReLU (the EEG and
+speech features with two or more channels), nothing (one-channel features)
+or a stride-3 max-pool (word embeddings), then a time-distributed dense
+layer and a ReLU. The EEG path is the conv front ``eeg``, built, run and
+differentiated by the same code as each speech part's front ``sp{i}``
+(:func:`_fronts`, :func:`_front`, :func:`_front_bwd`); the speech fronts
+then share an LSTM. Per-step cosine similarity between the EEG and each
+speech representation gives two similarity sequences; the head scales the
+mean of their difference by one weight. A bias would cancel in that
+difference, so the head has none, and the output probability is exactly
+antisymmetric in the two speech inputs. Everything is computed in 64-bit
+floats unless the architecture selects 32-bit.
 
-One forward, :func:`_forward`, runs the front once per input block and the
-LSTM once over all their rows; :func:`forward_batch` is the adapter over it
-that training uses, and :func:`backward_batch` differentiates it.
+One forward, :func:`_forward`, runs the EEG front once, the speech fronts
+once per input block and the LSTM once over all their rows;
+:func:`forward_batch` is the adapter over it that training uses, and
+:func:`backward_batch` differentiates it.
 :func:`forward_windows` scores window sets without gradients. The EEG path
 and the conv and no-conv speech fronts run once over the frames that a
 recording's windows cover, and each window is sliced from them. A window's
@@ -136,6 +139,13 @@ class ModelParams:
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
+def _fronts(config: ArchitectureConfig):
+    """(name, input channels, variant, conv filters, conv kernel) of every front, the EEG's first."""
+    yield "eeg", config.eeg_channels, "conv", config.eeg_conv_filters, config.eeg_conv_kernel
+    for i, part in enumerate(config.parts):
+        yield f"sp{i}", part.dim, part.variant, config.speech_conv_filters, config.speech_conv_kernel
+
+
 def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
     """He/Glorot-style initialization; LSTM forget bias starts at 1."""
     dt = config.np_dtype
@@ -144,21 +154,15 @@ def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelPa
     def he(shape, fan_in):
         return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dt)
 
-    c, k, f = config.eeg_channels, config.eeg_conv_kernel, config.eeg_conv_filters
     d, h = config.embed_dim, config.lstm_units
-    t["eeg_conv_w"] = he((f, c, k), c * k)
-    t["eeg_conv_b"] = np.zeros(f, dtype=dt)
-    t["eeg_dense_w"] = he((d, f), f)
-    t["eeg_dense_b"] = np.zeros(d, dtype=dt)
-    for i, part in enumerate(config.parts):
-        width = part.dim
-        if part.variant == "conv":
-            fs, ks = config.speech_conv_filters, config.speech_conv_kernel
-            t[f"sp{i}_conv_w"] = he((fs, part.dim, ks), part.dim * ks)
-            t[f"sp{i}_conv_b"] = np.zeros(fs, dtype=dt)
-            width = fs
-        t[f"sp{i}_dense_w"] = he((d, width), width)
-        t[f"sp{i}_dense_b"] = np.zeros(d, dtype=dt)
+    for name, dim, variant, filters, kernel in _fronts(config):
+        width = dim
+        if variant == "conv":
+            t[f"{name}_conv_w"] = he((filters, dim, kernel), dim * kernel)
+            t[f"{name}_conv_b"] = np.zeros(filters, dtype=dt)
+            width = filters
+        t[f"{name}_dense_w"] = he((d, width), width)
+        t[f"{name}_dense_b"] = np.zeros(d, dtype=dt)
     i_dim = config.lstm_input_dim
     t["lstm_wx"] = (rng.standard_normal((4 * h, i_dim)) / np.sqrt(i_dim)).astype(dt)
     t["lstm_wh"] = (rng.standard_normal((4 * h, h)) / np.sqrt(h)).astype(dt)
@@ -415,8 +419,8 @@ def loss_grad(p: float | np.ndarray, label: float | np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Cached activations of one forward call; consumed once by backward."""
 
-    eeg: dict
-    fronts: list
+    eeg: tuple  # the EEG front's (name, variant, cache)
+    fronts: list  # per speech block: its rows and each part's (name, variant, cache)
     lstm: dict
     match_row: np.ndarray
     mismatch_row: np.ndarray
@@ -437,101 +441,58 @@ def _check_batch_shapes(config: ArchitectureConfig, eeg, blocks, batch_sizes) ->
         raise InvalidInputError("batch sizes disagree")
 
 
-def _eeg_frames(params: ModelParams, eeg: np.ndarray):
-    """Conv, ReLU, dense and ReLU of the EEG path, (T, B, D), before any pooling."""
-    t = params.tensors
-    conv, conv_cache = _conv1d_same(eeg, t["eeg_conv_w"], t["eeg_conv_b"])
-    act1, mask1 = _relu(conv)
-    dense, dense_x = _td_dense(act1, t["eeg_dense_w"], t["eeg_dense_b"])
-    act2, mask2 = _relu(dense)
-    return act2, {"conv": conv_cache, "mask1": mask1, "dense_x": dense_x, "mask2": mask2}
+def _front(params: ModelParams, name: str, variant: str, x: np.ndarray):
+    """Front ``name`` on its (B, C, T) input: (T_out, B, D), before any pool after it.
 
-
-def _eeg_path(params: ModelParams, eeg: np.ndarray):
-    act2, cache = _eeg_frames(params, eeg)
-    if params.config.pooled:
-        pooled, cache["pool"] = _maxpool(act2)
-        return pooled, cache
-    return act2, cache
-
-
-def _eeg_path_bwd(params: ModelParams, dout: np.ndarray, cache, grads: dict) -> None:
-    t = params.tensors
-    if params.config.pooled:
-        dout = _maxpool_bwd(dout, cache["pool"])
-    dout = _relu_bwd(dout, cache["mask2"])
-    dw, db = _td_dense_bwd(dout, cache["dense_x"])
-    grads["eeg_dense_w"] += dw
-    grads["eeg_dense_b"] += db
-    dout = _relu_bwd(_td_dense_dx(dout, t["eeg_dense_w"]), cache["mask1"])
-    dw, db = _conv1d_same_bwd(dout, cache["conv"], t["eeg_conv_w"])
-    grads["eeg_conv_w"] += dw
-    grads["eeg_conv_b"] += db
-
-
-def _speech_part(params: ModelParams, i: int, x: np.ndarray):
-    """Part ``i``'s front and dense layer on its (B, dim, T) channels: (T_out, B, D).
-
-    A maxpool part pools its input first; the other parts are not pooled here.
+    A conv front convolves and rectifies, a maxpool front pools its input
+    and a no-conv front reads it as it is; then each runs its dense layer
+    and a ReLU.
     """
-    part = params.config.parts[i]
     t = params.tensors
     cache: dict = {}
-    if part.variant == "conv":
-        conv, cache["conv"] = _conv1d_same(x, t[f"sp{i}_conv_w"], t[f"sp{i}_conv_b"])
+    if variant == "conv":
+        conv, cache["conv"] = _conv1d_same(x, t[f"{name}_conv_w"], t[f"{name}_conv_b"])
         x, cache["conv_mask"] = _relu(conv)
-    elif part.variant == "maxpool":
+    elif variant == "maxpool":
         # pool row by row, each in its own (C, T) layout, into a time-major stack
-        pooled = np.empty((x.shape[2] // POOL, len(x), part.dim), dtype=x.dtype)
+        pooled = np.empty((x.shape[2] // POOL, len(x), x.shape[1]), dtype=x.dtype)
         for r, row in enumerate(x):
             pooled[:, r] = _maxpool(row.T)[0]
         x = pooled
     else:
         x = np.ascontiguousarray(x.transpose(2, 0, 1))
-    dense, cache["dense_x"] = _td_dense(x, t[f"sp{i}_dense_w"], t[f"sp{i}_dense_b"])
+    dense, cache["dense_x"] = _td_dense(x, t[f"{name}_dense_w"], t[f"{name}_dense_b"])
     act, cache["dense_mask"] = _relu(dense)
     return act, cache
 
 
-def _speech_front(params: ModelParams, speech: np.ndarray):
-    """Front + dense per part and their concatenation: (T_out, B, n_parts*D)."""
-    cfg = params.config
-    part_caches = []
-    outs = []
-    lo = 0
-    for i, part in enumerate(cfg.parts):
-        act, cache = _speech_part(params, i, speech[:, lo : lo + part.dim, :])
-        lo += part.dim
-        if cfg.pooled and part.variant != "maxpool":
-            act, cache["pool_out"] = _maxpool(act)
-        part_caches.append(cache)
-        outs.append(act)
-    concat = np.concatenate(outs, axis=2)
-    widths = [o.shape[2] for o in outs]
-    return concat, {"parts": part_caches, "widths": widths, "rows": concat.shape[1]}
+def _pool_after(config: ArchitectureConfig, variant: str, act: np.ndarray):
+    """A front's output on the model's time axis, and the pool's cache (None if unpooled).
+
+    A maxpool part sets that axis, so the frame-wise fronts are pooled after
+    their dense layer.
+    """
+    if config.pooled and variant != "maxpool":
+        return _maxpool(act)
+    return act, None
 
 
-def _speech_front_bwd(params: ModelParams, dconcat: np.ndarray, cache, grads: dict) -> None:
-    cfg = params.config
+def _front_bwd(params: ModelParams, name: str, variant: str, cache, dout: np.ndarray,
+               grads: dict) -> None:
+    """Add front ``name``'s gradients, given d(loss)/d(its output after :func:`_pool_after`)."""
     t = params.tensors
-    lo = 0
-    for i, part in enumerate(cfg.parts):
-        width = cache["widths"][i]
-        dact = dconcat[:, :, lo : lo + width]
-        lo += width
-        pc = cache["parts"][i]
-        if cfg.pooled and part.variant != "maxpool":
-            dact = _maxpool_bwd(dact, pc["pool_out"])
-        dact = _relu_bwd(dact, pc["dense_mask"])
-        dw, db2 = _td_dense_bwd(dact, pc["dense_x"])
-        grads[f"sp{i}_dense_w"] += dw
-        grads[f"sp{i}_dense_b"] += db2
-        # no-conv and maxpool parts read the data directly: their gradients stop here
-        if part.variant == "conv":
-            dx = _relu_bwd(_td_dense_dx(dact, t[f"sp{i}_dense_w"]), pc["conv_mask"])
-            dw, db2 = _conv1d_same_bwd(dx, pc["conv"], t[f"sp{i}_conv_w"])
-            grads[f"sp{i}_conv_w"] += dw
-            grads[f"sp{i}_conv_b"] += db2
+    if cache["pool"] is not None:
+        dout = _maxpool_bwd(dout, cache["pool"])
+    dout = _relu_bwd(dout, cache["dense_mask"])
+    dw, db = _td_dense_bwd(dout, cache["dense_x"])
+    grads[f"{name}_dense_w"] += dw
+    grads[f"{name}_dense_b"] += db
+    # every front reads data: only a conv front has weights below its dense layer
+    if variant == "conv":
+        dout = _relu_bwd(_td_dense_dx(dout, t[f"{name}_dense_w"]), cache["conv_mask"])
+        dw, db = _conv1d_same_bwd(dout, cache["conv"], t[f"{name}_conv_w"])
+        grads[f"{name}_conv_w"] += dw
+        grads[f"{name}_conv_b"] += db
 
 
 def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.ndarray):
@@ -552,9 +513,10 @@ def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
     """Logit that triple ``j``'s matched segment is the match, and the trace.
 
     Triple ``j`` pairs ``eeg[j]`` with rows ``match_row[j]`` and
-    ``mismatch_row[j]`` of the speech ``blocks`` stacked in order. The speech
-    front runs once per block, and the shared LSTM once over the stacked
-    fronts, so its time loop runs once however many blocks there are.
+    ``mismatch_row[j]`` of the speech ``blocks`` stacked in order. The EEG
+    front runs once, each speech front once per block on its part's
+    channels, and the shared LSTM once over the stacked speech fronts, so
+    its time loop runs once however many blocks there are.
     """
     cfg = params.config
     dt = cfg.np_dtype
@@ -562,15 +524,29 @@ def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
     blocks = [np.ascontiguousarray(x, dtype=dt) for x in blocks]
     _check_batch_shapes(cfg, eeg, blocks, (len(match_row), len(mismatch_row)))
 
-    r_eeg, eeg_cache = _eeg_path(params, eeg)
-    fronts = [_speech_front(params, x) for x in blocks]
+    def run(name, variant, x):
+        act, cache = _front(params, name, variant, x)
+        act, cache["pool"] = _pool_after(cfg, variant, act)
+        return act, (name, variant, cache)
+
+    (name, _, variant, _, _), *parts = _fronts(cfg)
+    r_eeg, eeg_front = run(name, variant, eeg)
+    lstm_in, fronts = [], []
+    for x in blocks:
+        outs, caches, lo = [], [], 0
+        for name, dim, variant, _, _ in parts:
+            act, cache = run(name, variant, x[:, lo : lo + dim])
+            lo += dim
+            outs.append(act)
+            caches.append(cache)
+        lstm_in.append(np.concatenate(outs, axis=2))
+        fronts.append((len(x), caches))
     t = params.tensors
-    lstm_in = np.concatenate([front for front, _ in fronts], axis=1)
-    hs, lstm_cache = _lstm(lstm_in, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    hs, lstm_cache = _lstm(np.concatenate(lstm_in, axis=1), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
     m, sims = _head(params, r_eeg, hs[:, match_row], hs[:, mismatch_row])
     trace = ForwardTrace(
-        eeg=eeg_cache,
-        fronts=[cache for _, cache in fronts],
+        eeg=eeg_front,
+        fronts=fronts,
         lstm=lstm_cache,
         match_row=match_row,
         mismatch_row=mismatch_row,
@@ -696,38 +672,34 @@ def forward_windows(
     mismatch_key = eeg_key + offset
     segment_keys = np.union1d(eeg_key, mismatch_key)
 
-    def track(path, inputs, reach, keys):
-        return _FrameTrack(path, inputs, reach, keys, stride, n_t, dt)
-
-    eeg_track = track(lambda x: _eeg_frames(params, x)[0], eeg,
-                      _conv_reach(cfg.eeg_conv_kernel), np.unique(eeg_key))
-    parts = []  # a track per frame-wise part, the inputs of a maxpool part
+    tracks = []  # per front: a frame-wise front's track, or a maxpool part's inputs
     lo = 0
-    for i, part in enumerate(cfg.parts):
-        inputs = [f[lo : lo + part.dim] for f in feature]
-        lo += part.dim
-        if part.variant == "maxpool":
-            parts.append(inputs)
+    for name, dim, variant, _, kernel in _fronts(cfg):
+        if name == "eeg":
+            inputs, keys = eeg, np.unique(eeg_key)
         else:
-            reach = _conv_reach(cfg.speech_conv_kernel) if part.variant == "conv" else (0, 0)
-            parts.append(track(lambda x, i=i: _speech_part(params, i, x)[0], inputs, reach,
-                               segment_keys))
+            inputs, keys = [f[lo : lo + dim] for f in feature], segment_keys
+            lo += dim
+        if variant != "maxpool":
+            reach = _conv_reach(kernel) if variant == "conv" else (0, 0)
+            path = lambda x, name=name, variant=variant: _front(params, name, variant, x)[0]
+            inputs = _FrameTrack(path, inputs, reach, keys, stride, n_t, dt)
+        tracks.append((name, variant, inputs))
 
     t = params.tensors
     m = np.empty(start.size, dtype=dt)
     for a, b in _blocks(eeg_key, mismatch_key, block_rows):
         keys = np.union1d(eeg_key[a:b], mismatch_key[a:b])
-        r_eeg = eeg_track.windows(eeg_key[a:b])
-        outs = []
-        for i, part in enumerate(parts):
-            if isinstance(part, _FrameTrack):
-                act = part.windows(keys)
-                outs.append(_maxpool(act)[0] if cfg.pooled else act)
+        reps = []
+        for name, variant, track in tracks:
+            window_keys = eeg_key[a:b] if name == "eeg" else keys
+            if isinstance(track, _FrameTrack):
+                act = track.windows(window_keys)
             else:
-                segments = gather_windows(part, *np.divmod(keys, stride), n_t, dt)
-                outs.append(_speech_part(params, i, segments)[0])
-        if cfg.pooled:
-            r_eeg = _maxpool(r_eeg)[0]
+                segments = gather_windows(track, *np.divmod(window_keys, stride), n_t, dt)
+                act = _front(params, name, variant, segments)[0]
+            reps.append(_pool_after(cfg, variant, act)[0])
+        r_eeg, *outs = reps
         hs, _ = _lstm(np.concatenate(outs, axis=2), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
         rows = np.searchsorted(keys, np.stack([eeg_key[a:b], mismatch_key[a:b]]))
         m[order[a:b]], _ = _head(params, r_eeg, hs[:, rows[0]], hs[:, rows[1]])
@@ -767,9 +739,10 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     grads["lstm_wx"] += dwx
     grads["lstm_wh"] += dwh
     grads["lstm_b"] += db
-    lo = 0
-    for cache in trace.fronts:
-        _speech_front_bwd(params, dlstm_in[:, lo : lo + cache["rows"]], cache, grads)
-        lo += cache["rows"]
-    _eeg_path_bwd(params, du_a + du_b, trace.eeg, grads)
+    d, lo = cfg.embed_dim, 0
+    for rows, caches in trace.fronts:
+        for k, front in enumerate(caches):
+            _front_bwd(params, *front, dlstm_in[:, lo : lo + rows, k * d : (k + 1) * d], grads)
+        lo += rows
+    _front_bwd(params, *trace.eeg, du_a + du_b, grads)
     return grads

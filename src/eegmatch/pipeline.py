@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -155,6 +155,7 @@ class ExperimentSpec:
             raise InvalidInputError("experiment needs at least one feature")
         for name in self.features:
             feature_dims(name)  # raises for unregistered names
+        self.seed, self.dtype = int(self.seed), str(self.dtype)
         # build each block's config as build_cell will, so that a typo or a
         # bad value is refused before anything is computed or written
         checks = {
@@ -170,6 +171,21 @@ class ExperimentSpec:
             except (TypeError, ValueError) as exc:
                 raise InvalidInputError(f"{block}: {exc}") from None
 
+    def cell(self, feature: str, inputs: list[str]) -> dict:
+        """What ``feature``'s cell key hashes and its ``cell.yaml`` records.
+
+        That is the feature, every setting (see :data:`CELL_SETTINGS`) and
+        the hashes of the EEG ``inputs``.
+        """
+        return {"feature": feature, **{k: getattr(self, k) for k in CELL_SETTINGS},
+                "inputs": inputs}
+
+
+# Every field of an experiment but its grid's features, manifest and output
+# describes each of its cells, so a changed setting can never reuse a cell.
+CELL_SETTINGS = tuple(f.name for f in fields(ExperimentSpec)
+                      if f.name not in ("features", "manifest", "out_dir"))
+
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """The experiment that ``path`` describes; a malformed description is refused by name."""
@@ -181,16 +197,13 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     for key in ("features", "manifest", "out"):
         if key not in raw:
             raise InvalidInputError(f"{path}: no {key!r} key")
-    blocks = {key: raw.get(key, {}) for key in ("train", "arch", "windowing", "split", "preproc")}
     base = path.parent
     try:
         return ExperimentSpec(
             features=list(raw["features"]),
             manifest=(base / raw["manifest"]).resolve(),
             out_dir=(base / raw["out"]).resolve(),
-            seed=int(raw.get("seed", 0)),
-            dtype=str(raw.get("dtype", "float32")),
-            **blocks,
+            **{key: raw[key] for key in CELL_SETTINGS if key in raw},
         )
     except EegMatchError as exc:
         raise type(exc)(f"{path}: {exc}") from None
@@ -369,7 +382,7 @@ def build_cell(
     for entry in manifest.recordings:
         dims, fs = read_header(entry.eeg_path)
         try:
-            split_recording(resampled_length(dims[-1], fs, preproc.target_fs), split, win)
+            split_recording(resampled_length(dims[-1], fs, win.fs), split, win)
         except InvalidInputError as err:
             raise InvalidInputError(f"{entry.subject_id}/{entry.recording_id}: {err}") from None
     recordings = build_recordings(manifest, feature_name, loader, preproc, spec.out_dir)
@@ -397,17 +410,8 @@ def run_feature_cell(
     slug = feature_slug(feature_name)
     out = spec.out_dir
     results_path = out / "results" / f"{slug}.csv"
-    cell_cfg = {
-        "feature": feature_name,
-        "seed": spec.seed,
-        "dtype": spec.dtype,
-        "train": spec.train,
-        "arch": spec.arch,
-        "windowing": spec.windowing,
-        "split": spec.split,
-        "preproc": spec.preproc,
-        "inputs": sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings),
-    }
+    cell_cfg = spec.cell(feature_name,
+                         sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings))
     key = config_hash(cell_cfg)
     model_dir = out / "models" / slug
     stamp = model_dir / "cell.yaml"

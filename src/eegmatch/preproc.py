@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal
 
 from .errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
-from .tensors import TimeSeriesTensor
+from .tensors import FRAME_RATE, TimeSeriesTensor
 
 # Passband ripple budget for the minimum-order Chebyshev-II design. Kept small
 # so the zero-phase (squared-magnitude) response still preserves passband
@@ -36,7 +36,7 @@ def _check_band(low_hz: float, high_hz: float, stop_atten_db: float) -> None:
 
 @dataclass(frozen=True)
 class PreprocConfig:
-    """Filter edges, attenuation and target rate for the EEG chain.
+    """Filter edges and attenuation for the EEG chain, which ends at :data:`FRAME_RATE`.
 
     The edges are checked against Nyquist when the band is designed for a
     stream's rate (:func:`band_sos`).
@@ -45,12 +45,9 @@ class PreprocConfig:
     low_hz: float = 0.5
     high_hz: float = 32.0
     stop_atten_db: float = 80.0
-    target_fs: float = 64.0
 
     def __post_init__(self) -> None:
         _check_band(self.low_hz, self.high_hz, self.stop_atten_db)
-        if not self.target_fs > 0:
-            raise InvalidSpecError(f"target rate must be positive, got {self.target_fs}")
 
 
 def common_average_reference(x: TimeSeriesTensor) -> TimeSeriesTensor:
@@ -150,6 +147,6 @@ def preprocess_eeg(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()) ->
     """Full EEG chain: reference -> band filter -> resample -> normalize."""
     y = common_average_reference(x)
     y = band_filter(y, cfg)
-    y = resample(y, cfg.target_fs)
+    y = resample(y, FRAME_RATE)
     return normalize_recording(y)
 

@@ -2,8 +2,8 @@
 
 The Wilcoxon signed-rank statistic uses the classical zero-discard rule,
 average ranks for ties, tie-corrected variance, a continuity correction and
-a two-sided normal p. An exact-enumeration computation over all sign
-assignments is exposed for verification at small n.
+a two-sided normal p. The tests check it against exact enumeration over all
+sign assignments at small n.
 """
 
 from __future__ import annotations
@@ -87,25 +87,6 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     z = (delta - correction) / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail
     return WilcoxonResult(z=float(z), p=float(p), n_effective=n, w_plus=w_plus)
-
-
-def wilcoxon_exact(a: np.ndarray, b: np.ndarray, max_n: int = 20) -> WilcoxonResult:
-    """Exact two-sided p by enumerating all 2^n sign assignments of the ranks."""
-    ranks, d = _signed_ranks(a, b)
-    n = d.size
-    if n > max_n:
-        raise InvalidInputError(f"exact enumeration limited to n <= {max_n}, got {n}")
-    w_plus = float(ranks[d > 0].sum())
-    mu = n * (n + 1) / 4.0
-    observed = abs(w_plus - mu)
-    hits = 0
-    for signs in range(1 << n):
-        w = sum(ranks[i] for i in range(n) if signs >> i & 1)
-        if abs(w - mu) >= observed - 1e-12:
-            hits += 1
-    return WilcoxonResult(
-        z=float("nan"), p=hits / float(1 << n), n_effective=n, w_plus=w_plus
-    )
 
 
 @dataclass

@@ -31,10 +31,9 @@ from .alignments import (
     write_inventory,
 )
 from .errors import InvalidSpecError
-from .tensors import TimeSeriesTensor, atomic_path, write_timeseries
+from .tensors import FRAME_RATE, TimeSeriesTensor, atomic_path, write_timeseries
 
 EEG_CHANNELS = 64
-FEATURE_FS = 64.0
 AUDIO_FS = 16000
 # share of a story's duration spent in pauses between words
 SILENCE_FRAC = 0.25
@@ -200,7 +199,7 @@ def synth_embeddings(vocab: list[str], seed: int = 11) -> EmbeddingTable:
 
 def default_response_kernel() -> np.ndarray:
     """Difference of gamma shapes peaking near 100 ms and 200 ms, at 64 Hz."""
-    t = np.arange(int(round(RESPONSE_KERNEL_S * FEATURE_FS))) / FEATURE_FS
+    t = np.arange(int(round(RESPONSE_KERNEL_S * FRAME_RATE))) / FRAME_RATE
 
     def gamma_shape(k: float, theta: float) -> np.ndarray:
         g = t ** (k - 1) * np.exp(-t / theta)

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# Hz: the rate of preprocessed EEG, of every speech feature and so of the model's frames
+FRAME_RATE = 64.0
+
 MAGIC = b"NDMM"
 FORMAT_VERSION = 1
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
@@ -119,10 +122,10 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, float]:
     with open(path, "rb") as fh:
         dtype, dims, fs = _read_header(fh, path)
         count = int(np.prod(dims)) if dims else 1
-        payload = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
+        payload = np.fromfile(fh, dtype=dtype, count=count)
         if payload.size != count:
             raise InvalidInputError(f"{path}: truncated payload")
-    return payload.reshape(dims).copy(), fs
+    return payload.reshape(dims), fs
 
 
 def write_timeseries(path: str | Path, x: TimeSeriesTensor) -> None:

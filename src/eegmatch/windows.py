@@ -11,11 +11,12 @@ triple straddles a boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, SampleRateMismatchError
-from .tensors import TimeSeriesTensor
+from .tensors import FRAME_RATE, TimeSeriesTensor
 
 PARTITIONS = ("train", "val", "test")
 
@@ -25,7 +26,7 @@ class WindowingSpec:
     window_s: float = 5.0
     overlap_frac: float = 0.9
     gap_s: float = 1.0
-    fs: float = 64.0
+    fs: ClassVar[float] = FRAME_RATE  # not a setting: every stream it windows is at this rate
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.overlap_frac < 1.0):

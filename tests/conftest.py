@@ -1,11 +1,13 @@
-"""Shared fixtures and the finite-difference gradient oracle."""
+"""Shared fixtures, the finite-difference gradient oracle and the exact Wilcoxon oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from eegmatch.model import ArchitectureConfig, backward_batch, forward_batch, init_params
+from eegmatch.stats import WilcoxonResult
 
 
 # One (eeg, a, b) triple through the batched model, for the finite-difference oracle.
@@ -74,6 +76,32 @@ def numeric_gradients(params, eeg, sa, sb, key: str, step: float = 1e-5) -> np.n
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def wilcoxon_exact(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
+    """Exact two-sided signed-rank p, by enumerating all 2^n sign assignments of the ranks.
+
+    Zero differences are discarded and ties take average ranks, as in
+    :func:`eegmatch.stats.wilcoxon_signed_rank`, whose normal p is checked
+    against this one.
+    """
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    d = d[d != 0.0]
+    n = d.size
+    if not 0 < n <= 20:
+        raise ValueError(f"exact enumeration needs 1 to 20 nonzero differences, got {n}")
+    ranks = rankdata(np.abs(d))
+    w_plus = float(ranks[d > 0].sum())
+    mu = n * (n + 1) / 4.0
+    observed = abs(w_plus - mu)
+    hits = 0
+    for signs in range(1 << n):
+        w = sum(ranks[i] for i in range(n) if signs >> i & 1)
+        if abs(w - mu) >= observed - 1e-12:
+            hits += 1
+    return WilcoxonResult(
+        z=float("nan"), p=hits / float(1 << n), n_effective=n, w_plus=w_plus
+    )
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,19 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from conftest import backward, forward, generic_params, max_relative_error, numeric_gradients
+from conftest import (
+    backward,
+    forward,
+    generic_params,
+    max_relative_error,
+    numeric_gradients,
+    wilcoxon_exact,
+)
 from eegmatch.acoustic import raw_envelope, vad_frames
 from eegmatch.features import StoryAssets, extract_feature, feature_dims
 from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
 from eegmatch.preproc import PreprocConfig, band_sos, preprocess_eeg, resample
-from eegmatch.stats import wilcoxon_exact, wilcoxon_signed_rank
+from eegmatch.stats import wilcoxon_signed_rank
 from eegmatch.synth import (
     EEG_CHANNELS,
     ForwardModelConfig,

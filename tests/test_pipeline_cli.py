@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import errno
 import logging
 import shutil
@@ -193,6 +194,20 @@ class TestRunPipeline:
         pipeline.run_pipeline(pipeline.load_experiment(cfg))
         assert len(trained) == 1
         assert yaml.safe_load(stamp.read_text())["cell"]["feature"] == "vad"
+
+    def test_every_setting_changes_the_cell_key(self, dataset, tmp_path):
+        """A new seed or dtype, or one changed key of any block, gives a cell a new key."""
+        spec = pipeline.load_experiment(write_experiment(dataset, tmp_path)[0])
+        changes = {"seed": 8, "dtype": "float64", "train": {"patience": 4},
+                   "arch": {"embed_dim": 4}, "windowing": {"overlap_frac": 0.8},
+                   "split": {"train_frac": 0.7, "val_frac": 0.2}, "preproc": {"low_hz": 1.0}}
+        assert set(changes) == set(pipeline.CELL_SETTINGS)
+        key = pipeline.config_hash(spec.cell("vad", ["eeg-hash"]))
+        for name, value in changes.items():
+            if isinstance(value, dict):
+                value = {**getattr(spec, name), **value}
+            changed = dataclasses.replace(spec, **{name: value})
+            assert pipeline.config_hash(changed.cell("vad", ["eeg-hash"])) != key, name
 
     def test_unknown_feature_rejected_at_load(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -476,7 +491,7 @@ class TestCli:
         assert cache_files(out) == cached
 
     def test_preprocess_writes_tensors(self, dataset, tmp_path, monkeypatch):
-        cfg, out = write_experiment(dataset, tmp_path, preproc={"target_fs": 64.0, "low_hz": 1.0})
+        cfg, out = write_experiment(dataset, tmp_path, preproc={"low_hz": 1.0})
         preprocessed = count_calls(monkeypatch, "preprocess_eeg")
         assert cli.main(["preprocess", "--config", str(cfg)]) == 0
         assert len(preprocessed) == 2
@@ -544,9 +559,32 @@ class TestCli:
         assert rc == 2
         assert str(model / "cell.yaml") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, key", [("windowing", "fs"), ("preproc", "target_fs")])
+    def test_evaluate_refuses_a_cell_that_sets_the_frame_rate(self, dataset, tmp_path, capsys,
+                                                              block, key):
+        from eegmatch.checkpoint import save_checkpoint
+        from eegmatch.model import config_for_feature, init_params
+
+        out = tmp_path / "out"
+        model = out / "models" / "vad"
+        (out / "cache").mkdir(parents=True)
+        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
+        cell = {"feature": "vad", "seed": 7, "dtype": "float32", "train": {}, "arch": {},
+                "windowing": {}, "split": {}, "preproc": {}, "inputs": [], block: {key: 128.0}}
+        (model / "cell.yaml").write_text(yaml.safe_dump({"key": "0", "best_epoch": 1,
+                                                          "cell": cell}))
+        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert block in err and f"'{key}'" in err, err
+        assert not list((out / "cache").rglob("*"))
+
     @pytest.mark.parametrize("case", [
         "manifest without subjects", "experiment without features", "train key typo",
         "removed adam key", "preproc edges out of order", "alignment row with two fields",
+        "windowing sets the frame rate", "preproc sets the frame rate",
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
         raw = absolute_manifest(dataset)
@@ -565,6 +603,10 @@ class TestCli:
         elif case == "preproc edges out of order":
             exp["preproc"] = {"low_hz": 40.0, "high_hz": 32.0}
             named = [str(cfg), "preproc"]
+        elif case.endswith("sets the frame rate"):  # 64 Hz is fixed, not a setting
+            block, key = case.split()[0], "fs" if case.startswith("windowing") else "target_fs"
+            exp[block] = {key: 128.0}
+            named = [str(cfg), block, f"'{key}'"]
         else:
             rows = Path(raw["subjects"]["sub00"][0]["phonemes"]).read_text().splitlines()
             rows[2] = "\t".join(rows[2].split("\t")[:2])
@@ -578,7 +620,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
-        if case.startswith(("train", "removed", "preproc")):
+        if case.startswith(("train", "removed", "preproc", "windowing")):
             assert not out.exists()
 
     def test_recording_too_short_for_the_split_is_named(self, tmp_path, capsys):

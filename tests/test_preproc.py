@@ -207,8 +207,8 @@ class TestFullChain:
         rng = np.random.default_rng(10)
         data = rng.standard_normal((8, 4 * 512))
         x = TimeSeriesTensor(data, fs=512.0)
-        a = preprocess_eeg(x, PreprocConfig(target_fs=64.0))
-        b = preprocess_eeg(TimeSeriesTensor(data.copy(), fs=512.0), PreprocConfig(target_fs=64.0))
+        a = preprocess_eeg(x, PreprocConfig())
+        b = preprocess_eeg(TimeSeriesTensor(data.copy(), fs=512.0), PreprocConfig())
         np.testing.assert_array_equal(a.data, b.data)
         assert a.fs == 64.0
 

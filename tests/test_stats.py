@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wilcoxon_exact
 from eegmatch.errors import DegenerateSampleError, InvalidInputError
 from eegmatch.stats import (
     PairedSample,
     emit_figure_data,
     summarize,
     violin_svg,
-    wilcoxon_exact,
     wilcoxon_signed_rank,
 )
 
