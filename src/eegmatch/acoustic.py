@@ -21,6 +21,9 @@ ENVELOPE_BANDS = 28
 ENVELOPE_EXPONENT = 0.6
 MEL_BANDS = 28
 STFT_WINDOW_S = 0.025
+# STFT frames windowed and transformed at once: 4 s of 64 Hz frames, about
+# 1 MB of complex spectra at 16 kHz instead of 63 MB for a 240 s story
+STFT_CHUNK_FRAMES = 256
 MEL_FMIN = 50.0
 MEL_FMAX = 5000.0
 VAD_FRAME_S = 0.015
@@ -145,8 +148,14 @@ def stft_frames_64hz(x: np.ndarray, fs: float) -> np.ndarray:
     centers = np.round(np.arange(n_frames) * fs / FRAME_RATE).astype(int)
     starts = centers - win_len // 2
     padded = np.pad(x, (win_len, win_len))
-    frames = np.stack([padded[s + win_len : s + 2 * win_len] for s in starts])
-    return np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1)).T
+    # frames x bins, returned transposed as the whole-array product was, so
+    # that ``bank @ spec`` multiplies the same memory layout
+    mags = np.empty((n_frames, n_fft // 2 + 1))
+    for lo in range(0, n_frames, STFT_CHUNK_FRAMES):
+        frames = np.stack([padded[s + win_len : s + 2 * win_len]
+                           for s in starts[lo : lo + STFT_CHUNK_FRAMES]])
+        np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1), out=mags[lo : lo + len(frames)])
+    return mags.T
 
 
 def mel_magnitudes(audio: TimeSeriesTensor) -> TimeSeriesTensor:

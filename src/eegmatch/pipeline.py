@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -28,7 +29,14 @@ from .features import StoryAssets, canonical_parts, extract_feature, feature_dim
 from .model import ModelParams, config_for_feature, init_params
 from .preproc import PreprocConfig, preprocess_eeg, resampled_length
 from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
-from .tensors import TimeSeriesTensor, atomic_path, read_header, read_timeseries, write_timeseries
+from .tensors import (
+    TimeSeriesFile,
+    TimeSeriesTensor,
+    atomic_path,
+    read_header,
+    read_timeseries,
+    write_timeseries,
+)
 from .training import (
     TrainConfig,
     evaluate_per_subject,
@@ -187,6 +195,28 @@ CELL_SETTINGS = tuple(f.name for f in fields(ExperimentSpec)
                       if f.name not in ("features", "manifest", "out_dir"))
 
 
+def _check_keys(path: Path, raw: dict, required: tuple[str, ...],
+                optional: tuple[str, ...]) -> None:
+    """Refuse ``raw``, read from ``path``, if it lacks a required key or holds an unknown one."""
+    for key in required:
+        if key not in raw:
+            raise InvalidInputError(f"{path}: no {key!r} key")
+    unknown = [repr(key) for key in raw if key not in required + optional]
+    if unknown:
+        raise InvalidInputError(f"{path}: unknown key(s) {', '.join(unknown)}")
+
+
+@contextmanager
+def _refused_as(path: Path):
+    """Refusals raised inside the block, named by ``path``, the file that described them."""
+    try:
+        yield
+    except EegMatchError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """The experiment that ``path`` describes; a malformed description is refused by name."""
     path = Path(path)
@@ -194,21 +224,15 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{path}: not a mapping")
-    for key in ("features", "manifest", "out"):
-        if key not in raw:
-            raise InvalidInputError(f"{path}: no {key!r} key")
+    _check_keys(path, raw, ("features", "manifest", "out"), CELL_SETTINGS)
     base = path.parent
-    try:
+    with _refused_as(path):
         return ExperimentSpec(
             features=list(raw["features"]),
             manifest=(base / raw["manifest"]).resolve(),
             out_dir=(base / raw["out"]).resolve(),
             **{key: raw[key] for key in CELL_SETTINGS if key in raw},
         )
-    except EegMatchError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def file_sha256(path: str | Path) -> str:
@@ -246,8 +270,7 @@ def preprocess_recording_cached(
     target = cache_dir / f"{entry.recording_id}_{key}.ndmm"
     if target.exists():
         return read_timeseries(target)
-    raw = read_timeseries(entry.eeg_path)
-    out = preprocess_eeg(raw, cfg)
+    out = preprocess_eeg(TimeSeriesFile.open(entry.eeg_path), cfg)
     write_timeseries(target, out)
     return out
 
@@ -471,9 +494,10 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     ):
         raise InvalidInputError(f"{model_dir} is not in an experiment's models/ directory")
     cell = stamp["cell"]
-    settings = {k: v for k, v in cell.items() if k not in ("feature", "inputs")}
-    return ExperimentSpec(features=[cell["feature"]], manifest=manifest,
-                          out_dir=out, **settings)
+    _check_keys(path, cell, ("feature",), ("inputs", *CELL_SETTINGS))
+    with _refused_as(path):
+        return ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out,
+                              **{key: cell[key] for key in CELL_SETTINGS if key in cell})
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:

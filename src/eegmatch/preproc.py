@@ -3,6 +3,14 @@
 Referencing, Chebyshev-II band-limiting, anti-aliased rate conversion and
 per-recording normalization. All operations are pure functions over
 immutable inputs.
+
+The EEG chain streams over channels, so its memory does not grow with the
+channel count: a first pass sums the channels one at a time for the common
+average; a second references, band-filters and resamples a few channels at
+a time into the 64 Hz output, which is then normalized whole. Its input is a
+:class:`~eegmatch.tensors.TimeSeriesTensor` in memory or a
+:class:`~eegmatch.tensors.TimeSeriesFile` read a block at a time, and the
+output has the same bits as the whole-array chain.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numpy as np
 from scipy import signal
 
 from .errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
-from .tensors import FRAME_RATE, TimeSeriesTensor
+from .tensors import FRAME_RATE, TimeSeriesFile, TimeSeriesTensor
 
 # Passband ripple budget for the minimum-order Chebyshev-II design. Kept small
 # so the zero-phase (squared-magnitude) response still preserves passband
@@ -25,6 +33,11 @@ GPASS_DB = 0.1
 # 1.25x high).
 STOP_LOW_FACTOR = 0.5
 STOP_HIGH_FACTOR = 1.25
+
+# Channels that the EEG chain references, filters and resamples at once. Its
+# peak memory is a few such blocks at the recording's rate, whatever the
+# channel count; blocks of 4 run as fast as the whole array.
+CHANNEL_BLOCK = 4
 
 
 def _check_band(low_hz: float, high_hz: float, stop_atten_db: float) -> None:
@@ -50,13 +63,22 @@ class PreprocConfig:
         _check_band(self.low_hz, self.high_hz, self.stop_atten_db)
 
 
-def common_average_reference(x: TimeSeriesTensor) -> TimeSeriesTensor:
-    """Re-express every channel relative to the instantaneous channel mean."""
+def channel_mean(x: TimeSeriesTensor | TimeSeriesFile) -> np.ndarray:
+    """The common average reference: the instantaneous mean over channels.
+
+    The channels are read one at a time, summed in order in their own dtype
+    and the sum divided by their count: the same bits as ``x.data.mean(axis=0)``, which reduces
+    over its outer axis row by row.
+    """
     if x.n_channels < 2:
         raise InvalidInputError(
             f"common-average reference needs >= 2 channels, got {x.n_channels}"
         )
-    return x.with_data(x.data - x.data.mean(axis=0, keepdims=True))
+    total = x.rows(0, 1)[0].copy()
+    for c in range(1, x.n_channels):
+        total += x.rows(c, c + 1)[0]
+    total /= x.n_channels
+    return total
 
 
 def band_sos(low_hz: float, high_hz: float, stop_atten_db: float, fs: float) -> np.ndarray:
@@ -104,6 +126,28 @@ def resampled_length(n_samples: int, fs_in: float, fs_out: float) -> int:
     return int(round(n_samples * fs_out / fs_in))
 
 
+def _anti_alias_fir(fs_in: float, fs_out: float) -> tuple[int, int, np.ndarray]:
+    """(up, down, lowpass FIR) of the polyphase conversion from ``fs_in`` to ``fs_out``."""
+    up, down = _rational_ratio(fs_in, fs_out)
+    fs_up = fs_in * up
+    cutoff = min(fs_in, fs_out) / 2.0
+    transition = 0.25 * cutoff
+    numtaps, beta = signal.kaiserord(80.0, transition / (fs_up / 2.0))
+    numtaps |= 1
+    return up, down, signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_up)
+
+
+def _resample_rows(data: np.ndarray, design: tuple[int, int, np.ndarray],
+                   n_target: int) -> np.ndarray:
+    up, down, fir = design
+    out = signal.resample_poly(data, up, down, axis=1, window=fir)
+    if out.shape[1] > n_target:
+        out = out[:, :n_target]
+    elif out.shape[1] < n_target:
+        out = np.pad(out, ((0, 0), (0, n_target - out.shape[1])))
+    return out
+
+
 def resample(x: TimeSeriesTensor, fs_out: float) -> TimeSeriesTensor:
     """Polyphase resampling with a Kaiser-windowed anti-aliasing lowpass.
 
@@ -114,19 +158,8 @@ def resample(x: TimeSeriesTensor, fs_out: float) -> TimeSeriesTensor:
         raise InvalidSpecError(f"target rate must be positive, got {fs_out}")
     if fs_out == x.fs:
         return x.with_data(x.data.copy())
-    up, down = _rational_ratio(x.fs, fs_out)
-    fs_up = x.fs * up
-    cutoff = min(x.fs, fs_out) / 2.0
-    transition = 0.25 * cutoff
-    numtaps, beta = signal.kaiserord(80.0, transition / (fs_up / 2.0))
-    numtaps |= 1
-    fir = signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_up)
-    out = signal.resample_poly(x.data, up, down, axis=1, window=fir)
-    n_target = resampled_length(x.n_samples, x.fs, fs_out)
-    if out.shape[1] > n_target:
-        out = out[:, :n_target]
-    elif out.shape[1] < n_target:
-        out = np.pad(out, ((0, 0), (0, n_target - out.shape[1])))
+    out = _resample_rows(x.data, _anti_alias_fir(x.fs, fs_out),
+                         resampled_length(x.n_samples, x.fs, fs_out))
     return x.with_data(out, fs=fs_out)
 
 
@@ -143,10 +176,23 @@ def normalize_recording(x: TimeSeriesTensor) -> TimeSeriesTensor:
     return x.with_data((x.data - mean) / std)
 
 
-def preprocess_eeg(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()) -> TimeSeriesTensor:
-    """Full EEG chain: reference -> band filter -> resample -> normalize."""
-    y = common_average_reference(x)
-    y = band_filter(y, cfg)
-    y = resample(y, FRAME_RATE)
-    return normalize_recording(y)
+def preprocess_eeg(
+    x: TimeSeriesTensor | TimeSeriesFile, cfg: PreprocConfig = PreprocConfig()
+) -> TimeSeriesTensor:
+    """Full EEG chain: reference -> band filter -> resample -> normalize.
+
+    :data:`CHANNEL_BLOCK` channels at a time are referenced to the
+    :func:`channel_mean`, band-filtered and resampled into the 64 Hz output;
+    the filter and the resampling FIR are designed once per recording.
+    """
+    mean = channel_mean(x)
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
+    design = None if x.fs == FRAME_RATE else _anti_alias_fir(x.fs, FRAME_RATE)
+    n_out = resampled_length(x.n_samples, x.fs, FRAME_RATE)
+    out = np.empty((x.n_channels, n_out))
+    for lo in range(0, x.n_channels, CHANNEL_BLOCK):
+        hi = min(lo + CHANNEL_BLOCK, x.n_channels)
+        block = signal.sosfiltfilt(sos, x.rows(lo, hi) - mean, axis=1)
+        out[lo:hi] = block if design is None else _resample_rows(block, design, n_out)
+    return normalize_recording(TimeSeriesTensor(out, FRAME_RATE))
 

@@ -2,7 +2,8 @@
 
 File layout (little-endian): magic ``NDMM``, format version u32, dtype code
 u32 (1 = float32, 2 = float64), rank u32, dims as u64 list, sampling rate as
-f64, then the payload row-major.
+f64, then the payload row-major. A :class:`TimeSeriesFile` reads a time
+series' channels a block at a time.
 """
 
 from __future__ import annotations
@@ -35,15 +36,7 @@ class TimeSeriesTensor:
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data)
-        if self.data.ndim != 2:
-            raise InvalidInputError(
-                f"expected a 2-D channels x time array, got ndim={self.data.ndim}"
-            )
-        c, t = self.data.shape
-        if c < 1 or t < 1:
-            raise InvalidInputError(f"empty tensor: shape {self.data.shape}")
-        if not self.fs > 0:
-            raise InvalidInputError(f"sampling rate must be positive, got {self.fs}")
+        _check_timeseries(self.data.shape, self.fs)
         if not np.all(np.isfinite(self.data)):
             raise InvalidInputError("tensor contains non-finite values")
 
@@ -62,6 +55,19 @@ class TimeSeriesTensor:
     def with_data(self, data: np.ndarray, fs: float | None = None) -> "TimeSeriesTensor":
         """Copy of this tensor with new data (and optionally a new rate)."""
         return TimeSeriesTensor(data, self.fs if fs is None else fs)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Channels ``lo`` to ``hi - 1``, a view."""
+        return self.data[lo:hi]
+
+
+def _check_timeseries(shape: tuple[int, ...], fs: float) -> None:
+    if len(shape) != 2:
+        raise InvalidInputError(f"expected a 2-D channels x time array, got ndim={len(shape)}")
+    if min(shape) < 1:
+        raise InvalidInputError(f"empty tensor: shape {tuple(shape)}")
+    if not fs > 0:
+        raise InvalidInputError(f"sampling rate must be positive, got {fs}")
 
 
 @contextmanager
@@ -88,12 +94,15 @@ def write_tensor(path: str | Path, data: np.ndarray, fs: float) -> None:
     if data.dtype not in _CODES_BY_KIND:
         data = data.astype(np.float64)
     code = _CODES_BY_KIND[data.dtype]
+    # a no-op on a little-endian contiguous array: the payload is written from
+    # the caller's memory, not from a copy of it
+    payload = np.ascontiguousarray(data, dtype=_DTYPE_CODES[code])
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, code, data.ndim))
         fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
         fh.write(struct.pack("<d", float(fs)))
-        fh.write(np.ascontiguousarray(data).astype(f"<f{data.itemsize}").tobytes())
+        fh.write(payload.data)
 
 
 def _read_header(fh, path) -> tuple[np.dtype, tuple[int, ...], float]:
@@ -137,3 +146,43 @@ def read_timeseries(path: str | Path) -> TimeSeriesTensor:
     if data.ndim != 2:
         raise InvalidInputError(f"{path}: expected rank 2, got {data.ndim}")
     return TimeSeriesTensor(data, fs)
+
+
+@dataclass(frozen=True)
+class TimeSeriesFile:
+    """A channels x time tensor file, read a block of channels at a time.
+
+    The payload is row-major, so a block of channels is one positioned read.
+    Nothing is memory-mapped: only the rows asked for are ever resident.
+    """
+
+    path: Path
+    dtype: np.dtype
+    n_channels: int
+    n_samples: int
+    fs: float
+    offset: int
+
+    @classmethod
+    def open(cls, path: str | Path) -> "TimeSeriesFile":
+        """The time series in ``path``; its header is checked, its payload is not read."""
+        with open(path, "rb") as fh:
+            dtype, dims, fs = _read_header(fh, path)
+            offset = fh.tell()
+        try:
+            _check_timeseries(dims, fs)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
+        return cls(Path(path), dtype, dims[0], dims[1], fs, offset)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Channels ``lo`` to ``hi - 1``, read from the file; non-finite values are refused."""
+        count = (hi - lo) * self.n_samples
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset + lo * self.n_samples * self.dtype.itemsize)
+            block = np.fromfile(fh, dtype=self.dtype, count=count)
+        if block.size != count:
+            raise InvalidInputError(f"{self.path}: truncated payload")
+        if not np.all(np.isfinite(block)):
+            raise InvalidInputError(f"{self.path}: channels {lo}-{hi - 1} hold non-finite values")
+        return block.reshape(hi - lo, self.n_samples)

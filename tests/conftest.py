@@ -1,13 +1,17 @@
-"""Shared fixtures, the finite-difference gradient oracle and the exact Wilcoxon oracle."""
+"""Shared fixtures and the oracles: finite-difference gradients, the exact Wilcoxon
+test and the whole-array EEG chain."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.stats import rankdata
 
 from eegmatch.model import ArchitectureConfig, backward_batch, forward_batch, init_params
+from eegmatch.preproc import PreprocConfig, band_sos, normalize_recording, resample
 from eegmatch.stats import WilcoxonResult
+from eegmatch.tensors import FRAME_RATE, TimeSeriesTensor
 
 
 # One (eeg, a, b) triple through the batched model, for the finite-difference oracle.
@@ -102,6 +106,18 @@ def wilcoxon_exact(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     return WilcoxonResult(
         z=float("nan"), p=hits / float(1 << n), n_effective=n, w_plus=w_plus
     )
+
+
+def preprocess_eeg_whole(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()):
+    """The EEG chain over the whole channels x time array at once, as it ran before streaming.
+
+    Every step holds all channels at the recording's rate: the reference, the
+    zero-phase band filter and the resampling each make a full copy.
+    """
+    referenced = x.data - x.data.mean(axis=0, keepdims=True)
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
+    filtered = x.with_data(signal.sosfiltfilt(sos, referenced, axis=1))
+    return normalize_recording(resample(filtered, FRAME_RATE))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ from scipy import signal
 from eegmatch.acoustic import (
     FRAME_RATE,
     MEL_BANDS,
+    STFT_CHUNK_FRAMES,
+    STFT_WINDOW_S,
     envelope_powerlaw,
     erb_space,
     gammatone_powerlaw_mean,
@@ -14,6 +16,7 @@ from eegmatch.acoustic import (
     mel_spectrogram,
     raw_envelope,
     read_wav,
+    stft_frames_64hz,
     vad,
     vad_frame_energies,
     vad_frames,
@@ -127,6 +130,20 @@ class TestMelSpectrogram:
         bin_hz = np.fft.rfftfreq(512, 1 / FS)
         inside = (bin_hz > 340.0) & (bin_hz < 4000.0)
         np.testing.assert_allclose(bank.sum(axis=0)[inside], 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("frames", [STFT_CHUNK_FRAMES // 3, 2 * STFT_CHUNK_FRAMES + 17])
+def test_chunked_stft_is_bit_identical_to_whole_array(frames):
+    """The STFT, framed a chunk at a time, has the bits and the layout of all frames at once."""
+    x = np.random.default_rng(frames).standard_normal(int(frames / FRAME_RATE * FS))
+    win_len = int(round(STFT_WINDOW_S * FS))
+    starts = np.round(np.arange(frames) * FS / FRAME_RATE).astype(int) - win_len // 2
+    padded = np.pad(x, (win_len, win_len))
+    whole = np.stack([padded[s + win_len : s + 2 * win_len] for s in starts])
+    expected = np.abs(np.fft.rfft(whole * np.hanning(win_len), n=512, axis=1)).T
+    spec = stft_frames_64hz(x, FS)
+    assert spec.strides == expected.strides
+    assert np.array_equal(spec, expected)
 
 
 def test_band_limited_features_pinned():

@@ -581,6 +581,39 @@ class TestCli:
         assert block in err and f"'{key}'" in err, err
         assert not list((out / "cache").rglob("*"))
 
+    @pytest.mark.parametrize("change, named", [({"seeds": 3}, "unknown key(s) 'seeds'"),
+                                               ({"feature": "sonogram"}, "sonogram")],
+                             ids=["unknown key", "unknown feature"])
+    def test_evaluate_refuses_a_malformed_cell_by_its_path(self, dataset, tmp_path, capsys,
+                                                           change, named):
+        from eegmatch.checkpoint import save_checkpoint
+        from eegmatch.model import config_for_feature, init_params
+
+        out = tmp_path / "out"
+        model = out / "models" / "vad"
+        (out / "cache").mkdir(parents=True)
+        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
+        cell = {"feature": "vad", "seed": 7, "dtype": "float32", "train": {}, "arch": {},
+                "windowing": {}, "split": {}, "preproc": {}, "inputs": [], **change}
+        (model / "cell.yaml").write_text(yaml.safe_dump({"key": "0", "best_epoch": 1,
+                                                          "cell": cell}))
+        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'cell.yaml'}: " in err and named in err, err
+        assert not list((out / "cache").rglob("*"))
+        assert not (tmp_path / "eval").exists()
+
+    def test_unknown_experiment_key_is_refused(self, dataset, tmp_path, capsys):
+        """A typo such as ``sed: 3`` is refused by name, before anything is written."""
+        cfg, out = write_experiment(dataset, tmp_path, sed=3)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: unknown key(s) 'sed'" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", [
         "manifest without subjects", "experiment without features", "train key typo",
         "removed adam key", "preproc edges out of order", "alignment row with two fields",

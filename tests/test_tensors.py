@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,34 @@ def test_roundtrip_rank3(tmp_path):
     back, _ = read_tensor(tmp_path / "w.ndmm")
     assert back.shape == (4, 2, 6)
     np.testing.assert_array_equal(back, data)
+
+
+@pytest.mark.parametrize("case", ["float32", "float64", "non-contiguous", "float16"])
+def test_written_bytes(tmp_path, case):
+    """Header then the row-major little-endian payload; other dtypes are widened to float64."""
+    rng = np.random.default_rng(3)
+    data = {
+        "float32": rng.standard_normal((3, 5)).astype(np.float32),
+        "float64": rng.standard_normal((2, 3, 4)),
+        "non-contiguous": rng.standard_normal((6, 8))[::2, 1::3],
+        "float16": rng.standard_normal((4, 2)).astype(np.float16),
+    }[case]
+    code, kind = (1, "<f4") if data.dtype == np.float32 else (2, "<f8")
+    header = b"NDMM" + struct.pack(f"<III{data.ndim}Qd", 1, code, data.ndim, *data.shape, 8.5)
+    write_tensor(tmp_path / "x.ndmm", data, fs=8.5)
+    payload = np.ascontiguousarray(data).astype(kind).tobytes()
+    assert (tmp_path / "x.ndmm").read_bytes() == header + payload
+
+
+def test_contiguous_payload_is_written_without_a_copy(tmp_path):
+    data = np.zeros((16, 65536))  # 8 MB
+    tracemalloc.start()
+    try:
+        write_tensor(tmp_path / "x.ndmm", data, fs=64.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.nbytes / 8
 
 
 def test_bad_magic(tmp_path):
