@@ -1,8 +1,9 @@
 """Acoustic speech features: subband envelope, mel spectrogram and VAD.
 
-All three return 64 Hz streams time-aligned to the preprocessed EEG. The
-envelope and mel spectrogram are band-limited to 0.5-32 Hz with the same
-filter family as the EEG; the binary VAD is not filtered.
+All three return :func:`~eegmatch.tensors.frame_count` frames at 64 Hz,
+time-aligned to the preprocessed EEG. The envelope and mel spectrogram reach
+them through the EEG's chain, :func:`~eegmatch.preproc.to_frame_rate`, in the
+experiment's band (0.5-32 Hz by default); the binary VAD is not filtered.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from scipy import signal
 from scipy.io import wavfile
 
 from .errors import InvalidInputError
-from .preproc import PreprocConfig, band_filter, resample
-from .tensors import FRAME_RATE, TimeSeriesTensor
+from .preproc import PreprocConfig, to_frame_rate
+from .tensors import FRAME_RATE, TimeSeriesTensor, atomic_path, frame_count
 
 ENVELOPE_BANDS = 28
 ENVELOPE_EXPONENT = 0.6
@@ -50,7 +51,8 @@ def read_wav(path: str | Path) -> TimeSeriesTensor:
 def write_wav(path: str | Path, audio: TimeSeriesTensor) -> None:
     if audio.n_channels != 1:
         raise InvalidInputError("only mono audio is written")
-    wavfile.write(path, int(audio.fs), audio.data[0].astype(np.float32))
+    with atomic_path(path) as tmp:
+        wavfile.write(tmp, int(audio.fs), audio.data[0].astype(np.float32))
 
 
 def _check_mono(audio: TimeSeriesTensor, min_fs: float) -> np.ndarray:
@@ -107,10 +109,11 @@ def envelope_powerlaw(
 ) -> TimeSeriesTensor:
     """Auditory-subband amplitude envelope with power-law compression, at 64 Hz.
 
-    The :func:`raw_envelope` of ``audio``, band-limited with the EEG's filter
-    to the ``cfg`` band (0.5-32 Hz by default) and resampled to 64 Hz.
+    The :func:`raw_envelope` of ``audio`` through the EEG's chain,
+    :func:`~eegmatch.preproc.to_frame_rate`: band-limited to the ``cfg``
+    band (0.5-32 Hz by default) at the audio rate and resampled to 64 Hz.
     """
-    return resample(band_filter(raw_envelope(audio), cfg), FRAME_RATE)
+    return to_frame_rate(raw_envelope(audio), cfg)
 
 
 def _hz_to_mel(f):
@@ -141,7 +144,7 @@ def stft_frames_64hz(x: np.ndarray, fs: float) -> np.ndarray:
     and the FFT zero-padded to the next power of two. Returns
     (n_fft//2 + 1) x n_frames.
     """
-    n_frames = int(round(x.size / fs * FRAME_RATE))
+    n_frames = frame_count(x.size, fs)
     win_len = int(round(STFT_WINDOW_S * fs))
     n_fft = 1 << (win_len - 1).bit_length()
     window = np.hanning(win_len)
@@ -174,9 +177,10 @@ def mel_spectrogram(
 ) -> TimeSeriesTensor:
     """The :func:`mel_magnitudes` of ``audio``, each band band-limited to the ``cfg`` band.
 
-    At 64 frames/s the default 0.5-32 Hz band is realized as the 0.5 Hz highpass.
+    At 64 frames/s :func:`~eegmatch.preproc.to_frame_rate` only filters, and
+    the default 0.5-32 Hz band is realized as the 0.5 Hz highpass.
     """
-    return band_filter(mel_magnitudes(audio), cfg)
+    return to_frame_rate(mel_magnitudes(audio), cfg)
 
 
 def vad_frame_energies(audio: TimeSeriesTensor) -> np.ndarray:
@@ -209,7 +213,7 @@ def vad(audio: TimeSeriesTensor) -> TimeSeriesTensor:
     upsampled to the 64 Hz grid.
     """
     flags = vad_frames(audio)
-    n_out = int(round(audio.duration_s * FRAME_RATE))
+    n_out = frame_count(audio.n_samples, audio.fs)
     centers = (np.arange(n_out) + 0.5) / FRAME_RATE
     idx = np.minimum((centers / VAD_FRAME_S).astype(int), flags.size - 1)
     return TimeSeriesTensor(flags[idx][None, :], FRAME_RATE)

@@ -4,6 +4,7 @@ Alignment files are UTF-8 TSV with a ``#kind=phoneme|word`` header line and
 one ``start_s<TAB>end_s<TAB>label`` interval per line. The inventory is a
 YAML file listing the 40 symbols and their phonetic classes. Embeddings use
 the common text distribution format: one ``word v1 ... v300`` line per word.
+Each writer leaves its file whole or as it was (:func:`~eegmatch.tensors.atomic_path`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import InvalidInputError, InvalidSpecError, UnknownLabelError
+from .tensors import atomic_path
 
 # entries per word vector, as in the pretrained 300-dimensional embeddings
 EMBEDDING_DIM = 300
@@ -93,7 +95,7 @@ def read_alignment(path: str | Path, story_id: str = "") -> AlignmentTrack:
 
 
 def write_alignment(path: str | Path, track: AlignmentTrack) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"#kind={track.kind}\n")
         for iv in track.intervals:
             fh.write(f"{iv.start_s:.6f}\t{iv.end_s:.6f}\t{iv.label}\n")
@@ -136,7 +138,7 @@ def read_inventory(path: str | Path) -> PhonemeInventory:
 
 
 def write_inventory(path: str | Path, inv: PhonemeInventory) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         yaml.safe_dump(
             {"symbols": inv.symbols, "classes": inv.class_map},
             fh,
@@ -182,6 +184,6 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def write_embeddings(path: str | Path, table: EmbeddingTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for word, vec in table._vectors.items():
             fh.write(word + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")

@@ -1,7 +1,8 @@
 """Alignment-derived categorical features and the word-embedding sequence.
 
-Frames live on the 64 Hz grid; frame ``t`` carries the label active at time
-``t / 64`` s, with half-open intervals so a frame exactly on a boundary
+Frames live on the 64 Hz grid, as many as the story's audio has
+(:func:`~eegmatch.tensors.frame_count`); frame ``t`` carries the label active
+at time ``t / 64`` s, with half-open intervals so a frame exactly on a boundary
 belongs to the later interval. Categorical features are not band-limited.
 """
 
@@ -37,10 +38,6 @@ _CLASS_TO_VC = {
 }
 
 
-def n_frames_for(duration_s: float) -> int:
-    return int(round(duration_s * FRAME_RATE))
-
-
 def _frame_span(start_s: float, end_s: float, n_frames: int, fs: float) -> tuple[int, int]:
     """Frames whose sample time t/fs falls in [start, end)."""
     first = int(np.ceil(start_s * fs - 1e-9))
@@ -49,16 +46,15 @@ def _frame_span(start_s: float, end_s: float, n_frames: int, fs: float) -> tuple
 
 
 def phoneme_onehot(
-    track: AlignmentTrack, inv: PhonemeInventory, duration_s: float
+    track: AlignmentTrack, inv: PhonemeInventory, n_frames: int
 ) -> TimeSeriesTensor:
-    """40-row one-hot phoneme identity; silence frames are all-zero."""
+    """40-row one-hot phoneme identity, ``n_frames`` long; silence frames are all-zero."""
     if track.kind != "phoneme":
         raise InvalidSpecError(f"expected a phoneme track, got kind={track.kind!r}")
-    n = n_frames_for(duration_s)
-    out = np.zeros((len(inv.symbols), n))
+    out = np.zeros((len(inv.symbols), n_frames))
     for iv in track.intervals:
         row = inv.index_of(iv.label)
-        a, b = _frame_span(iv.start_s, iv.end_s, n, FRAME_RATE)
+        a, b = _frame_span(iv.start_s, iv.end_s, n_frames, FRAME_RATE)
         out[row, a:b] = 1.0
     return TimeSeriesTensor(out, FRAME_RATE)
 
@@ -114,18 +110,17 @@ def onset_variant(feature: TimeSeriesTensor, track: AlignmentTrack) -> TimeSerie
 
 
 def word_embedding_sequence(
-    track: AlignmentTrack, table: EmbeddingTable, duration_s: float
+    track: AlignmentTrack, table: EmbeddingTable, n_frames: int
 ) -> TimeSeriesTensor:
-    """Per-frame word vectors; silence and out-of-vocabulary frames are zero vectors."""
+    """``n_frames`` word vectors; silence and out-of-vocabulary frames are zero vectors."""
     if track.kind != "word":
         raise InvalidSpecError(f"expected a word track, got kind={track.kind!r}")
-    n = n_frames_for(duration_s)
-    out = np.zeros((EMBEDDING_DIM, n))
+    out = np.zeros((EMBEDDING_DIM, n_frames))
     for iv in track.intervals:
         vec = table.lookup(iv.label)
         if vec is None:
             continue
-        a, b = _frame_span(iv.start_s, iv.end_s, n, FRAME_RATE)
+        a, b = _frame_span(iv.start_s, iv.end_s, n_frames, FRAME_RATE)
         out[:, a:b] = vec[:, None]
     return TimeSeriesTensor(out, FRAME_RATE)
 

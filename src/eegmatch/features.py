@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .acoustic import envelope_powerlaw, mel_spectrogram, vad
 from .alignments import EMBEDDING_DIM, AlignmentTrack, EmbeddingTable, PhonemeInventory
 from .categorical import (
@@ -24,7 +22,7 @@ from .categorical import (
 )
 from .errors import InvalidSpecError
 from .preproc import PreprocConfig
-from .tensors import TimeSeriesTensor
+from .tensors import TimeSeriesTensor, frame_count
 
 PART_DIMS = {
     "envelope": 1,
@@ -59,8 +57,9 @@ class StoryAssets:
     embeddings: EmbeddingTable | None = None
 
     @property
-    def duration_s(self) -> float:
-        return self.audio.duration_s
+    def n_frames(self) -> int:
+        """Frames of every feature of the story: the 64 Hz frames of its audio."""
+        return frame_count(self.audio.n_samples, self.audio.fs)
 
 
 def canonical_parts(name: str) -> list[str]:
@@ -85,7 +84,6 @@ def feature_dims(name: str) -> tuple[list[int], list[bool]]:
 
 def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTensor:
     """One feature part; the acoustic parts are band-limited to the ``cfg`` band."""
-    dur = assets.duration_s
     inv = assets.inventory
     if part == "envelope":
         return envelope_powerlaw(assets.audio, cfg)
@@ -96,7 +94,7 @@ def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeri
     ph = None
     if part in ("phoneme", "bpc", "vowel_consonant", "anyphoneme",
                 "bpc_onset", "vowel_consonant_onset", "anyphoneme_onset"):
-        ph = phoneme_onehot(assets.phonemes, inv, dur)
+        ph = phoneme_onehot(assets.phonemes, inv, assets.n_frames)
     if part == "phoneme":
         return ph
     if part == "bpc":
@@ -114,15 +112,8 @@ def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeri
     if part == "wordemb":
         if assets.embeddings is None:
             raise InvalidSpecError("wordemb requested but no embedding table loaded")
-        return word_embedding_sequence(assets.words, assets.embeddings, dur)
+        return word_embedding_sequence(assets.words, assets.embeddings, assets.n_frames)
     raise InvalidSpecError(f"unknown feature part {part!r}")
-
-
-def join_parts(tensors: list[TimeSeriesTensor]) -> TimeSeriesTensor:
-    """Trim part tensors to the shortest and stack them in order."""
-    n = min(t.n_samples for t in tensors)
-    trimmed = [t.with_data(t.data[:, :n]) for t in tensors]
-    return trimmed[0] if len(trimmed) == 1 else concat_features(trimmed)
 
 
 def extract_feature(
@@ -131,6 +122,8 @@ def extract_feature(
     """Stacked 64 Hz tensor for a (possibly concatenated) feature name.
 
     ``cfg`` is the experiment's preprocessing, whose band the acoustic parts
-    share with the EEG.
+    share with the EEG. Every part has the story's :attr:`~StoryAssets.n_frames`
+    frames, so the parts stack as they are.
     """
-    return join_parts([extract_part(p, assets, cfg) for p in canonical_parts(name)])
+    parts = [extract_part(p, assets, cfg) for p in canonical_parts(name)]
+    return parts[0] if len(parts) == 1 else concat_features(parts)

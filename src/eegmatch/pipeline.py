@@ -23,16 +23,18 @@ import yaml
 
 from .acoustic import read_wav
 from .alignments import read_alignment, read_embeddings, read_inventory
+from .categorical import concat_features
 from .checkpoint import save_checkpoint
 from .errors import DegenerateSampleError, EegMatchError, InvalidInputError
-from .features import StoryAssets, canonical_parts, extract_feature, feature_dims, join_parts
+from .features import StoryAssets, canonical_parts, extract_feature, feature_dims
 from .model import ModelParams, config_for_feature, init_params
-from .preproc import PreprocConfig, preprocess_eeg, resampled_length
+from .preproc import PreprocConfig, preprocess_eeg
 from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
 from .tensors import (
     TimeSeriesFile,
     TimeSeriesTensor,
     atomic_path,
+    frame_count,
     read_header,
     read_timeseries,
     write_timeseries,
@@ -143,6 +145,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     )
 
 
+def _settable_arch(arch: dict) -> dict:
+    """``arch``, refused if it sets what a cell derives: its frames, EEG channels or dtype."""
+    derived = [repr(key) for key in ("frames", "eeg_channels", "dtype") if key in arch]
+    if derived:
+        raise ValueError(f"{', '.join(derived)} derived by the cell, not a setting")
+    return arch
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment grid: feature conditions x fixed data and seeds."""
@@ -168,7 +178,8 @@ class ExperimentSpec:
         # bad value is refused before anything is computed or written
         checks = {
             "train": lambda b: TrainConfig(rng_seed=0, **b),
-            "arch": lambda b: config_for_feature([1], [False], **{"dtype": self.dtype, **b}),
+            "arch": lambda b: config_for_feature([1], [False], dtype=self.dtype,
+                                                 **_settable_arch(b)),
             "windowing": lambda b: WindowingSpec(**b),
             "split": lambda b: SplitSpec(**b),
             "preproc": lambda b: PreprocConfig(**b),
@@ -342,7 +353,7 @@ class AssetLoader:
         if len(parts) == 1:
             out = extract_feature(name, self.assets(story_id), cfg)
         else:
-            out = join_parts([self.feature_cached(story_id, p, cache_dir, cfg) for p in parts])
+            out = concat_features([self.feature_cached(story_id, p, cache_dir, cfg) for p in parts])
         write_timeseries(target, out)
         return out
 
@@ -367,15 +378,7 @@ def build_recordings(
             raise InvalidInputError(
                 f"{entry.recording_id}: EEG at {eeg.fs} Hz but feature at {feat.fs} Hz"
             )
-        length = min(eeg.n_samples, feat.n_samples)
-        recordings.append(
-            RecordingData(
-                subject_id=entry.subject_id,
-                recording_id=entry.recording_id,
-                eeg=eeg.data[:, :length],
-                feature=feat.data[:, :length],
-            )
-        )
+        recordings.append(RecordingData(entry.subject_id, entry.recording_id, eeg.data, feat.data))
     return recordings
 
 
@@ -405,20 +408,15 @@ def build_cell(
     for entry in manifest.recordings:
         dims, fs = read_header(entry.eeg_path)
         try:
-            split_recording(resampled_length(dims[-1], fs, win.fs), split, win)
+            split_recording(frame_count(dims[-1], fs), split, win)
         except InvalidInputError as err:
             raise InvalidInputError(f"{entry.subject_id}/{entry.recording_id}: {err}") from None
     recordings = build_recordings(manifest, feature_name, loader, preproc, spec.out_dir)
     seed = child_seed(spec.seed, feature_name)
     sets = assemble_dataset(recordings, win, split, seed=seed)
     dims, flags = feature_dims(feature_name)
-    arch_kwargs = {
-        "dtype": spec.dtype,
-        "frames": win.window_frames,
-        "eeg_channels": recordings[0].eeg.shape[0],
-        **spec.arch,
-    }
-    arch = config_for_feature(dims, flags, **arch_kwargs)
+    arch = config_for_feature(dims, flags, dtype=spec.dtype, frames=win.window_frames,
+                              eeg_channels=recordings[0].eeg.shape[0], **spec.arch)
     params0 = init_params(arch, np.random.default_rng(seed))
     return sets, params0, TrainConfig(rng_seed=seed, **spec.train)
 

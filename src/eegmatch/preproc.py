@@ -1,16 +1,19 @@
-"""Deterministic EEG / feature-stream conditioning.
+"""Deterministic conditioning of the EEG and the speech features.
 
-Referencing, Chebyshev-II band-limiting, anti-aliased rate conversion and
-per-recording normalization. All operations are pure functions over
-immutable inputs.
+One chain, :func:`to_frame_rate`, brings every stream to the 64 Hz frame
+grid: it band-limits with a zero-phase Chebyshev-II filter designed at the
+stream's rate and resamples with an anti-aliased polyphase FIR. The EEG runs
+it on its common-average-referenced channels and is then normalized per
+recording (:func:`preprocess_eeg`); the envelope and the mel spectrogram run
+it on their raw streams (:mod:`eegmatch.acoustic`). All operations are pure
+functions over immutable inputs.
 
-The EEG chain streams over channels, so its memory does not grow with the
-channel count: a first pass sums the channels one at a time for the common
-average; a second references, band-filters and resamples a few channels at
-a time into the 64 Hz output, which is then normalized whole. Its input is a
-:class:`~eegmatch.tensors.TimeSeriesTensor` in memory or a
-:class:`~eegmatch.tensors.TimeSeriesFile` read a block at a time, and the
-output has the same bits as the whole-array chain.
+The chain streams over channels, so its memory does not grow with the
+channel count: the common average sums the channels one at a time; the
+chain references, band-filters and resamples a few channels at a time into
+the 64 Hz output. Its input is a :class:`~eegmatch.tensors.TimeSeriesTensor`
+in memory or a :class:`~eegmatch.tensors.TimeSeriesFile` read a block at a
+time, and the output has the same bits as the whole-array chain.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy import signal
 
 from .errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
-from .tensors import FRAME_RATE, TimeSeriesFile, TimeSeriesTensor
+from .tensors import FRAME_RATE, TimeSeriesFile, TimeSeriesTensor, frame_count
 
 # Passband ripple budget for the minimum-order Chebyshev-II design. Kept small
 # so the zero-phase (squared-magnitude) response still preserves passband
@@ -34,8 +37,8 @@ GPASS_DB = 0.1
 STOP_LOW_FACTOR = 0.5
 STOP_HIGH_FACTOR = 1.25
 
-# Channels that the EEG chain references, filters and resamples at once. Its
-# peak memory is a few such blocks at the recording's rate, whatever the
+# Channels that the chain references, filters and resamples at once. Its
+# peak memory is a few such blocks at the stream's rate, whatever the
 # channel count; blocks of 4 run as fast as the whole array.
 CHANNEL_BLOCK = 4
 
@@ -49,7 +52,7 @@ def _check_band(low_hz: float, high_hz: float, stop_atten_db: float) -> None:
 
 @dataclass(frozen=True)
 class PreprocConfig:
-    """Filter edges and attenuation for the EEG chain, which ends at :data:`FRAME_RATE`.
+    """Filter edges and attenuation of the band that the chain gives the EEG and the features.
 
     The edges are checked against Nyquist when the band is designed for a
     stream's rate (:func:`band_sos`).
@@ -106,61 +109,48 @@ def band_sos(low_hz: float, high_hz: float, stop_atten_db: float, fs: float) -> 
     return signal.cheby2(order, stop_atten_db, wn, btype=btype, output="sos", fs=fs)
 
 
-def band_filter(x: TimeSeriesTensor, cfg: PreprocConfig) -> TimeSeriesTensor:
-    """Zero-phase (forward-backward) ``cfg`` band filter of every channel.
+def _anti_alias_fir(fs: float) -> tuple[int, int, np.ndarray]:
+    """(up, down, lowpass FIR) of the polyphase conversion from ``fs`` to :data:`FRAME_RATE`.
 
-    The filter is designed at ``x.fs`` with :func:`band_sos`, so EEG at its
-    recording rate and feature streams at 64 Hz take the same band.
+    The Kaiser-windowed lowpass cuts at min(fs, 64)/2 with an 80 dB design.
     """
-    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
-    return x.with_data(signal.sosfiltfilt(sos, x.data, axis=1))
-
-
-def _rational_ratio(fs_in: float, fs_out: float) -> tuple[int, int]:
-    ratio = (Fraction(fs_out) / Fraction(fs_in)).limit_denominator(1000)
-    return ratio.numerator, ratio.denominator
-
-
-def resampled_length(n_samples: int, fs_in: float, fs_out: float) -> int:
-    """Length of ``n_samples`` at ``fs_in`` after :func:`resample` to ``fs_out``."""
-    return int(round(n_samples * fs_out / fs_in))
-
-
-def _anti_alias_fir(fs_in: float, fs_out: float) -> tuple[int, int, np.ndarray]:
-    """(up, down, lowpass FIR) of the polyphase conversion from ``fs_in`` to ``fs_out``."""
-    up, down = _rational_ratio(fs_in, fs_out)
-    fs_up = fs_in * up
-    cutoff = min(fs_in, fs_out) / 2.0
+    ratio = (Fraction(FRAME_RATE) / Fraction(fs)).limit_denominator(1000)
+    up, down = ratio.numerator, ratio.denominator
+    fs_up = fs * up
+    cutoff = min(fs, FRAME_RATE) / 2.0
     transition = 0.25 * cutoff
     numtaps, beta = signal.kaiserord(80.0, transition / (fs_up / 2.0))
     numtaps |= 1
     return up, down, signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_up)
 
 
-def _resample_rows(data: np.ndarray, design: tuple[int, int, np.ndarray],
-                   n_target: int) -> np.ndarray:
-    up, down, fir = design
-    out = signal.resample_poly(data, up, down, axis=1, window=fir)
-    if out.shape[1] > n_target:
-        out = out[:, :n_target]
-    elif out.shape[1] < n_target:
-        out = np.pad(out, ((0, 0), (0, n_target - out.shape[1])))
-    return out
+def to_frame_rate(
+    x: TimeSeriesTensor | TimeSeriesFile,
+    cfg: PreprocConfig,
+    reference: np.ndarray | None = None,
+) -> TimeSeriesTensor:
+    """``x`` band-limited to the ``cfg`` band and brought to the 64 Hz frame grid.
 
-
-def resample(x: TimeSeriesTensor, fs_out: float) -> TimeSeriesTensor:
-    """Polyphase resampling with a Kaiser-windowed anti-aliasing lowpass.
-
-    The lowpass cuts at min(fs_in, fs_out)/2 with an 80 dB design; output
-    length is round(T * fs_out / fs_in). Identity when the rates agree.
+    :data:`CHANNEL_BLOCK` channels at a time are referenced to ``reference``
+    if one is given, filtered forward and backward with :func:`band_sos`
+    designed at ``x.fs``, and resampled by the polyphase FIR of
+    :func:`_anti_alias_fir` into the output, cut or zero-padded to
+    :func:`~eegmatch.tensors.frame_count` frames. A stream already at 64 Hz
+    is filtered only. The filter and the FIR are designed once per call.
     """
-    if not fs_out > 0:
-        raise InvalidSpecError(f"target rate must be positive, got {fs_out}")
-    if fs_out == x.fs:
-        return x.with_data(x.data.copy())
-    out = _resample_rows(x.data, _anti_alias_fir(x.fs, fs_out),
-                         resampled_length(x.n_samples, x.fs, fs_out))
-    return x.with_data(out, fs=fs_out)
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
+    design = None if x.fs == FRAME_RATE else _anti_alias_fir(x.fs)
+    n_out = frame_count(x.n_samples, x.fs)
+    out = np.zeros((x.n_channels, n_out))
+    for lo in range(0, x.n_channels, CHANNEL_BLOCK):
+        hi = min(lo + CHANNEL_BLOCK, x.n_channels)
+        block = x.rows(lo, hi) if reference is None else x.rows(lo, hi) - reference
+        block = signal.sosfiltfilt(sos, block, axis=1)
+        if design is not None:
+            up, down, fir = design
+            block = signal.resample_poly(block, up, down, axis=1, window=fir)
+        out[lo:hi, : block.shape[1]] = block[:, :n_out]  # cut, or left zero-padded
+    return TimeSeriesTensor(out, FRAME_RATE)
 
 
 def normalize_recording(x: TimeSeriesTensor) -> TimeSeriesTensor:
@@ -181,18 +171,7 @@ def preprocess_eeg(
 ) -> TimeSeriesTensor:
     """Full EEG chain: reference -> band filter -> resample -> normalize.
 
-    :data:`CHANNEL_BLOCK` channels at a time are referenced to the
-    :func:`channel_mean`, band-filtered and resampled into the 64 Hz output;
-    the filter and the resampling FIR are designed once per recording.
+    The :func:`to_frame_rate` of ``x`` referenced to its :func:`channel_mean`,
+    normalized per channel.
     """
-    mean = channel_mean(x)
-    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
-    design = None if x.fs == FRAME_RATE else _anti_alias_fir(x.fs, FRAME_RATE)
-    n_out = resampled_length(x.n_samples, x.fs, FRAME_RATE)
-    out = np.empty((x.n_channels, n_out))
-    for lo in range(0, x.n_channels, CHANNEL_BLOCK):
-        hi = min(lo + CHANNEL_BLOCK, x.n_channels)
-        block = signal.sosfiltfilt(sos, x.rows(lo, hi) - mean, axis=1)
-        out[lo:hi] = block if design is None else _resample_rows(block, design, n_out)
-    return normalize_recording(TimeSeriesTensor(out, FRAME_RATE))
-
+    return normalize_recording(to_frame_rate(x, cfg, channel_mean(x)))

@@ -354,8 +354,9 @@ def write_synth_dataset(
     """Emit a full synthetic dataset plus its manifest; returns the manifest path.
 
     The EEG-to-feature mixing matrix is drawn once per dataset (shared head
-    topography), while the noise differs per subject and story. The manifest
-    is consumable by the dataset-building and training stages.
+    topography), while the noise differs per subject and story. Every stage
+    command reads the manifest. Each file is written under a temporary name
+    and renamed, so re-making a dataset in place leaves every file whole.
     """
     from .acoustic import write_wav
     from .features import StoryAssets, extract_feature

@@ -21,6 +21,12 @@ from .errors import InvalidInputError
 # Hz: the rate of preprocessed EEG, of every speech feature and so of the model's frames
 FRAME_RATE = 64.0
 
+
+def frame_count(n_samples: int, fs: float) -> int:
+    """Frames at :data:`FRAME_RATE` of ``n_samples`` at ``fs``: of the EEG and of every feature."""
+    return int(round(n_samples / fs * FRAME_RATE))
+
+
 MAGIC = b"NDMM"
 FORMAT_VERSION = 1
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}

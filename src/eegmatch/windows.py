@@ -102,12 +102,16 @@ def gather_windows(arrays, rec_idx: np.ndarray, starts: np.ndarray, width: int,
 
 @dataclass
 class RecordingData:
-    """A recording's aligned EEG and feature arrays at the window rate."""
+    """A recording's EEG and feature arrays at the window rate, cut to one length when built."""
 
     subject_id: str
     recording_id: str
     eeg: np.ndarray      # (C, L)
     feature: np.ndarray  # (F, L)
+
+    def __post_init__(self) -> None:
+        length = min(self.eeg.shape[1], self.feature.shape[1])
+        self.eeg, self.feature = self.eeg[:, :length], self.feature[:, :length]
 
 
 @dataclass
@@ -197,9 +201,8 @@ def make_windows(
         raise SampleRateMismatchError(
             f"windowing expects {spec.fs} Hz streams, got eeg={eeg.fs}, feat={feat.fs}"
         )
-    length = min(eeg.n_samples, feat.n_samples)
-    rec = RecordingData(subject_id, recording_id, eeg.data[:, :length], feat.data[:, :length])
-    starts = window_starts(length, spec)
+    rec = RecordingData(subject_id, recording_id, eeg.data, feat.data)
+    starts = window_starts(rec.eeg.shape[1], spec)
     return DecisionWindowSet(
         spec=spec,
         recordings=[rec],
@@ -225,10 +228,6 @@ def assemble_dataset(
         p: ([], []) for p in PARTITIONS
     }
     for r_i, rec in enumerate(recordings):
-        if rec.eeg.shape[1] != rec.feature.shape[1]:
-            length = min(rec.eeg.shape[1], rec.feature.shape[1])
-            rec.eeg = rec.eeg[:, :length]
-            rec.feature = rec.feature[:, :length]
         try:
             train_ranges, val_range, test_range = split_recording(rec.eeg.shape[1], split, win)
         except InvalidInputError as err:

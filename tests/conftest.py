@@ -9,7 +9,7 @@ from scipy import signal
 from scipy.stats import rankdata
 
 from eegmatch.model import ArchitectureConfig, backward_batch, forward_batch, init_params
-from eegmatch.preproc import PreprocConfig, band_sos, normalize_recording, resample
+from eegmatch.preproc import PreprocConfig, _anti_alias_fir, band_sos, normalize_recording
 from eegmatch.stats import WilcoxonResult
 from eegmatch.tensors import FRAME_RATE, TimeSeriesTensor
 
@@ -112,12 +112,18 @@ def preprocess_eeg_whole(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig
     """The EEG chain over the whole channels x time array at once, as it ran before streaming.
 
     Every step holds all channels at the recording's rate: the reference, the
-    zero-phase band filter and the resampling each make a full copy.
+    zero-phase band filter and the resampling each make a full copy. The
+    resampled output is cut or zero-padded to round(T * 64 / fs) frames.
     """
     referenced = x.data - x.data.mean(axis=0, keepdims=True)
     sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
-    filtered = x.with_data(signal.sosfiltfilt(sos, referenced, axis=1))
-    return normalize_recording(resample(filtered, FRAME_RATE))
+    filtered = signal.sosfiltfilt(sos, referenced, axis=1)
+    if x.fs != FRAME_RATE:
+        up, down, fir = _anti_alias_fir(x.fs)
+        n_out = int(round(x.n_samples * FRAME_RATE / x.fs))
+        filtered = signal.resample_poly(filtered, up, down, axis=1, window=fir)[:, :n_out]
+        filtered = np.pad(filtered, ((0, 0), (0, n_out - filtered.shape[1])))
+    return normalize_recording(TimeSeriesTensor(filtered, FRAME_RATE))
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from conftest import (
 from eegmatch.acoustic import raw_envelope, vad_frames
 from eegmatch.features import StoryAssets, extract_feature, feature_dims
 from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
-from eegmatch.preproc import PreprocConfig, band_sos, preprocess_eeg, resample
+from eegmatch.preproc import PreprocConfig, band_sos, preprocess_eeg, to_frame_rate
 from eegmatch.stats import wilcoxon_signed_rank
 from eegmatch.synth import (
     EEG_CHANNELS,
@@ -344,7 +344,9 @@ class TestDspProperties:
     def test_40hz_suppressed_after_resample(self):
         t = np.arange(int(8000 * 20)) / 8000.0
         x = TimeSeriesTensor(np.sin(2 * np.pi * 40.0 * t)[None, :], 8000.0)
-        out = resample(x, 64.0)
+        # the band's upper edge at Nyquist leaves the 0.5 Hz highpass: only
+        # the resampling FIR acts on 40 Hz
+        out = to_frame_rate(x, PreprocConfig(high_hz=x.fs / 2))
         mid = out.data[0, 5 * 64 : 15 * 64]
         rms_ratio = np.sqrt(np.mean(mid**2)) / np.sqrt(np.mean(x.data**2))
         atten_db = -20 * np.log10(max(rms_ratio, 1e-300))

@@ -20,14 +20,13 @@ from eegmatch.categorical import (
     map_anyphoneme,
     map_bpc,
     map_vowel_consonant,
-    n_frames_for,
     onset_variant,
     phoneme_onehot,
     word_embedding_sequence,
 )
 from eegmatch.errors import InvalidInputError, InvalidSpecError, UnknownLabelError
 from eegmatch.synth import default_inventory
-from eegmatch.tensors import TimeSeriesTensor
+from eegmatch.tensors import TimeSeriesTensor, frame_count
 
 INV = default_inventory()
 
@@ -96,30 +95,30 @@ class TestPhonemeOnehot:
     def test_single_interval(self):
         sym = INV.symbols[3]
         track = track_of([(0.0, 1.0, sym)])
-        out = phoneme_onehot(track, INV, duration_s=1.5)
+        out = phoneme_onehot(track, INV, n_frames=96)
         assert out.data.shape == (40, 96)
         np.testing.assert_array_equal(out.data[3, :64], 1.0)
         assert out.data[:, 64:].sum() == 0
         assert out.data[:3].sum() + out.data[4:].sum() == 0
 
     def test_empty_track(self):
-        out = phoneme_onehot(AlignmentTrack([], "phoneme"), INV, duration_s=2.0)
+        out = phoneme_onehot(AlignmentTrack([], "phoneme"), INV, n_frames=128)
         assert out.data.shape == (40, 128)
         assert out.data.sum() == 0
 
     def test_unknown_label_named(self):
         track = track_of([(0.0, 0.5, "nope")])
         with pytest.raises(UnknownLabelError, match="nope"):
-            phoneme_onehot(track, INV, duration_s=1.0)
+            phoneme_onehot(track, INV, n_frames=64)
 
     def test_word_track_rejected(self):
         with pytest.raises(InvalidSpecError):
-            phoneme_onehot(AlignmentTrack([], "word"), INV, duration_s=1.0)
+            phoneme_onehot(AlignmentTrack([], "word"), INV, n_frames=64)
 
     @settings(max_examples=40, deadline=None)
     @given(random_tracks())
     def test_column_sums_zero_or_one(self, track):
-        out = phoneme_onehot(track, INV, duration_s=track.end_s + 0.1)
+        out = phoneme_onehot(track, INV, n_frames=round((track.end_s + 0.1) * 64))
         sums = out.data.sum(axis=0)
         assert set(np.unique(sums)) <= {0.0, 1.0}
 
@@ -127,13 +126,13 @@ class TestPhonemeOnehot:
 class TestDerivedMaps:
     def test_nasal_frame(self):
         nasal = next(s for s in INV.symbols if INV.class_map[s] == "nasal")
-        ph = phoneme_onehot(track_of([(0.0, 0.25, nasal)]), INV, 0.5)
+        ph = phoneme_onehot(track_of([(0.0, 0.25, nasal)]), INV, 32)
         bpc = map_bpc(ph, INV)
         assert bpc.data.shape[0] == 6
         np.testing.assert_array_equal(bpc.data[4, :16], 1.0)
 
     def test_silence_rows(self):
-        ph = phoneme_onehot(AlignmentTrack([], "phoneme"), INV, 0.25)
+        ph = phoneme_onehot(AlignmentTrack([], "phoneme"), INV, 16)
         np.testing.assert_array_equal(map_bpc(ph, INV).data[5], 1.0)
         np.testing.assert_array_equal(map_vowel_consonant(ph, INV).data[2], 1.0)
         np.testing.assert_array_equal(map_anyphoneme(ph).data[1], 1.0)
@@ -141,7 +140,7 @@ class TestDerivedMaps:
     def test_vowel_and_consonant_rows(self):
         vowel = next(s for s in INV.symbols if INV.class_map[s] == "short_vowel")
         cons = next(s for s in INV.symbols if INV.class_map[s] == "plosive")
-        ph = phoneme_onehot(track_of([(0.0, 0.25, vowel), (0.25, 0.5, cons)]), INV, 0.5)
+        ph = phoneme_onehot(track_of([(0.0, 0.25, vowel), (0.25, 0.5, cons)]), INV, 32)
         vc = map_vowel_consonant(ph, INV)
         np.testing.assert_array_equal(vc.data[0, :16], 1.0)
         np.testing.assert_array_equal(vc.data[1, 16:32], 1.0)
@@ -151,7 +150,7 @@ class TestDerivedMaps:
     @settings(max_examples=30, deadline=None)
     @given(random_tracks())
     def test_exactly_one_hot_per_frame(self, track):
-        ph = phoneme_onehot(track, INV, duration_s=track.end_s + 0.05)
+        ph = phoneme_onehot(track, INV, n_frames=round((track.end_s + 0.05) * 64))
         for mapped in (map_bpc(ph, INV), map_vowel_consonant(ph, INV), map_anyphoneme(ph)):
             np.testing.assert_array_equal(mapped.data.sum(axis=0), 1.0)
             assert set(np.unique(mapped.data)) <= {0.0, 1.0}
@@ -161,7 +160,7 @@ class TestOnsets:
     def test_single_interval_single_pulse(self):
         cons = next(s for s in INV.symbols if INV.class_map[s] == "fricative")
         track = track_of([(0.1, 0.4, cons)])
-        ph = phoneme_onehot(track, INV, 0.5)
+        ph = phoneme_onehot(track, INV, 32)
         onset = onset_variant(map_vowel_consonant(ph, INV), track)
         assert onset.data[1].sum() == 1.0
         assert onset.data[0].sum() == 0.0
@@ -171,7 +170,7 @@ class TestOnsets:
     def test_consecutive_consonants_get_separate_pulses(self):
         c1, c2 = [s for s in INV.symbols if INV.class_map[s] == "plosive"][:2]
         track = track_of([(0.0, 0.2, c1), (0.2, 0.4, c2)])
-        ph = phoneme_onehot(track, INV, 0.5)
+        ph = phoneme_onehot(track, INV, 32)
         vc = map_vowel_consonant(ph, INV)
         # the plain feature shows one unbroken consonant run
         assert np.all(vc.data[1, : int(0.4 * 64)] == 1.0)
@@ -181,7 +180,7 @@ class TestOnsets:
     def test_silence_row_kept(self):
         sym = INV.symbols[0]
         track = track_of([(0.25, 0.5, sym)])
-        ph = phoneme_onehot(track, INV, 0.75)
+        ph = phoneme_onehot(track, INV, 48)
         base = map_anyphoneme(ph)
         onset = onset_variant(base, track)
         np.testing.assert_array_equal(onset.data[1], base.data[1])
@@ -189,7 +188,7 @@ class TestOnsets:
     @settings(max_examples=30, deadline=None)
     @given(random_tracks())
     def test_pulse_count_equals_interval_count(self, track):
-        ph = phoneme_onehot(track, INV, duration_s=track.end_s + 0.05)
+        ph = phoneme_onehot(track, INV, n_frames=round((track.end_s + 0.05) * 64))
         onset = onset_variant(map_bpc(ph, INV), track)
         assert onset.data[:5].sum() == len(track)
 
@@ -202,7 +201,7 @@ class TestWordEmbeddings:
 
     def test_word_vector_span(self, table):
         track = track_of([(0.0, 0.5, "huis")], kind="word")
-        out = word_embedding_sequence(track, table, duration_s=1.0)
+        out = word_embedding_sequence(track, table, n_frames=64)
         assert out.data.shape == (300, 64)
         expected = table.lookup("huis")
         np.testing.assert_array_equal(out.data[:, :32], np.tile(expected[:, None], 32))
@@ -212,17 +211,17 @@ class TestWordEmbeddings:
         assert table.lookup("HUIS") is not None
 
     def test_empty_track(self, table):
-        out = word_embedding_sequence(AlignmentTrack([], "word"), table, 0.5)
+        out = word_embedding_sequence(AlignmentTrack([], "word"), table, 32)
         assert out.data.sum() == 0
 
     def test_boundary_frame_belongs_to_later_word(self, table):
         track = track_of([(0.0, 0.5, "huis"), (0.5, 1.0, "boom")], kind="word")
-        out = word_embedding_sequence(track, table, duration_s=1.0)
+        out = word_embedding_sequence(track, table, n_frames=64)
         np.testing.assert_array_equal(out.data[:, 32], table.lookup("boom"))
 
     def test_oov_word_is_zero(self, table):
         track = track_of([(0.0, 0.5, "zebra")], kind="word")
-        out = word_embedding_sequence(track, table, 0.5)
+        out = word_embedding_sequence(track, table, 32)
         assert out.data.sum() == 0
 
     def test_embedding_file_roundtrip(self, tmp_path, table):
@@ -256,5 +255,5 @@ class TestConcat:
             concat_features([a, b])
 
     def test_frame_count_matches_duration(self):
-        assert n_frames_for(12.0) == 768
-        assert n_frames_for(1.007) == round(1.007 * 64)
+        assert frame_count(12 * 16000, 16000.0) == 768
+        assert frame_count(1007, 1000.0) == round(1.007 * 64)

@@ -12,10 +12,17 @@ import yaml
 
 from eegmatch import cli, pipeline
 from eegmatch.errors import InvalidInputError, InvalidSpecError
-from eegmatch.features import StoryAssets, canonical_parts, extract_feature, feature_dims
+from eegmatch.features import (
+    PART_DIMS,
+    StoryAssets,
+    canonical_parts,
+    extract_feature,
+    extract_part,
+    feature_dims,
+)
 from eegmatch.preproc import PreprocConfig
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
-from eegmatch.tensors import read_timeseries
+from eegmatch.tensors import frame_count, read_timeseries
 from eegmatch.training import read_subject_results
 
 
@@ -74,7 +81,21 @@ class TestFeatureRegistry:
         out = extract_feature(name, story_assets)
         assert out.n_channels == channels
         assert out.fs == 64.0
-        assert abs(out.n_samples - round(story_assets.duration_s * 64)) <= 1
+        assert abs(out.n_samples - round(story_assets.audio.duration_s * 64)) <= 1
+
+    @pytest.mark.parametrize("seconds", [8.0, 13.337])
+    def test_every_part_has_the_frames_of_its_audio(self, seconds):
+        """Every part has ``frame_count`` frames, so parts stack without a cut."""
+        inv = default_inventory()
+        lexicon = default_lexicon(inv)
+        story = generate_story(seconds, seed=3, inv=inv, lexicon=lexicon)
+        assets = StoryAssets(story.audio, story.phonemes, story.words, inv,
+                             synth_embeddings(list(lexicon), seed=2))
+        n = frame_count(story.audio.n_samples, story.audio.fs)
+        assert assets.n_frames == n
+        for part in PART_DIMS:
+            out = extract_part(part, assets, PreprocConfig())
+            assert (out.n_channels, out.n_samples) == (PART_DIMS[part], n), part
 
     def test_concat_parts_align(self, story_assets):
         combined = extract_feature("env+anyphoneme", story_assets)
@@ -98,6 +119,10 @@ class TestManifest:
         (tmp_path / "eeg").mkdir()
         with pytest.raises(InvalidInputError, match="nonexistent"):
             pipeline.load_manifest(bad)
+
+
+# ``arch`` fields a cell derives, each with a value that a run would otherwise use
+DERIVED_ARCH_VALUES = [("frames", 100), ("eeg_channels", 32), ("dtype", "float64")]
 
 
 def experiment_yaml(dataset, out_dir, features=("vad",), max_epochs=2):
@@ -330,6 +355,9 @@ class FullDisk:
     def __exit__(self, *exc):
         self.fh.close()
 
+    def __getattr__(self, name):  # close, seek and tell, as a writer may call them
+        return getattr(self.fh, name)
+
     def write(self, data):
         if len(data) > self.room:
             self.fh.write(data[:self.room])
@@ -388,6 +416,37 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="No space"):
             write_synth_dataset(tmp_path, n_subjects=1, n_stories=1, duration_s=12.0, seed=3)
         assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("manifest.yaml")]
+
+    @pytest.mark.parametrize("writer", ["wav", "alignment", "inventory", "embeddings"])
+    def test_failed_dataset_write_leaves_the_previous_file(self, tmp_path, monkeypatch, writer):
+        """``synth make`` rewrites a dataset in place: a write that fails part-way keeps the old file."""
+        from scipy.io import wavfile
+
+        from eegmatch import acoustic, alignments
+
+        inv = default_inventory()
+        lexicon = default_lexicon(inv)
+        stories = [generate_story(4.0, seed=k, inv=inv, lexicon=lexicon) for k in (1, 2)]
+        inventories = [inv, alignments.PhonemeInventory(inv.symbols[::-1], inv.class_map)]
+        module, name, write = {
+            "wav": (wavfile, "story.wav",
+                    lambda path, k: acoustic.write_wav(path, stories[k].audio)),
+            "alignment": (alignments, "story.phonemes.tsv",
+                          lambda path, k: alignments.write_alignment(path, stories[k].phonemes)),
+            "inventory": (alignments, "inventory.yaml",
+                          lambda path, k: alignments.write_inventory(path, inventories[k])),
+            "embeddings": (alignments, "embeddings.txt",
+                           lambda path, k: alignments.write_embeddings(
+                               path, synth_embeddings(list(lexicon), seed=k))),
+        }[writer]
+        path = tmp_path / name
+        write(path, 0)
+        before = path.read_bytes()
+        monkeypatch.setattr(module, "open", full_disk(100, name), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(path, 1)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_failed_violin_write_leaves_no_file(self, tmp_path, monkeypatch):
         from eegmatch import stats
@@ -581,6 +640,29 @@ class TestCli:
         assert block in err and f"'{key}'" in err, err
         assert not list((out / "cache").rglob("*"))
 
+    @pytest.mark.parametrize("key, value", DERIVED_ARCH_VALUES)
+    def test_evaluate_refuses_a_cell_that_sets_a_derived_arch_field(self, dataset, tmp_path,
+                                                                    capsys, key, value):
+        from eegmatch.checkpoint import save_checkpoint
+        from eegmatch.model import config_for_feature, init_params
+
+        out = tmp_path / "out"
+        model = out / "models" / "vad"
+        (out / "cache").mkdir(parents=True)
+        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
+        cell = {"feature": "vad", "seed": 7, "dtype": "float32", "train": {}, "arch": {key: value},
+                "windowing": {}, "split": {}, "preproc": {}, "inputs": []}
+        (model / "cell.yaml").write_text(yaml.safe_dump({"key": "0", "best_epoch": 1,
+                                                          "cell": cell}))
+        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'cell.yaml'}: arch: '{key}'" in err, err
+        assert not list((out / "cache").rglob("*"))
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("change, named", [({"seeds": 3}, "unknown key(s) 'seeds'"),
                                                ({"feature": "sonogram"}, "sonogram")],
                              ids=["unknown key", "unknown feature"])
@@ -605,6 +687,17 @@ class TestCli:
         assert f"{model / 'cell.yaml'}: " in err and named in err, err
         assert not list((out / "cache").rglob("*"))
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("key, value", DERIVED_ARCH_VALUES)
+    def test_run_refuses_an_experiment_that_sets_a_derived_arch_field(self, dataset, tmp_path,
+                                                                      capsys, key, value):
+        """The window length, the EEG channel count and the dtype are not ``arch`` settings."""
+        exp = experiment_yaml(dataset, tmp_path / "out", max_epochs=1)
+        cfg, out = write_experiment(dataset, tmp_path, arch={**exp["arch"], key: value})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: arch: '{key}'" in err, err
+        assert not out.exists()
 
     def test_unknown_experiment_key_is_refused(self, dataset, tmp_path, capsys):
         """A typo such as ``sed: 3`` is refused by name, before anything is written."""

@@ -11,19 +11,18 @@ from eegmatch.errors import DegenerateChannelError, InvalidInputError, InvalidSp
 from eegmatch.preproc import (
     CHANNEL_BLOCK,
     PreprocConfig,
-    band_filter,
     band_sos,
     channel_mean,
     normalize_recording,
     preprocess_eeg,
-    resample,
-    resampled_length,
+    to_frame_rate,
 )
 from eegmatch.tensors import (
     FORMAT_VERSION,
     MAGIC,
     TimeSeriesFile,
     TimeSeriesTensor,
+    frame_count,
     write_timeseries,
 )
 
@@ -39,6 +38,21 @@ def fitted_amplitude(x, freq, fs):
     design = np.stack([np.sin(2 * np.pi * freq * t), np.cos(2 * np.pi * freq * t)], axis=1)
     coef, *_ = np.linalg.lstsq(design, x, rcond=None)
     return float(np.hypot(*coef))
+
+
+def band_filter(x, cfg):
+    """The chain's filter step: ``cfg``'s band designed at ``x.fs``, run forward and backward."""
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
+    return x.with_data(signal.sosfiltfilt(sos, x.data, axis=1))
+
+
+def resample(x):
+    """``x`` through the chain with its band's upper edge at Nyquist.
+
+    :func:`band_sos` makes that band the 0.5 Hz highpass, so only the
+    resampling FIR acts above 0.5 Hz.
+    """
+    return to_frame_rate(x, PreprocConfig(high_hz=x.fs / 2))
 
 
 def common_average_reference(x):
@@ -111,7 +125,7 @@ class TestDesignBandpass:
 
 
 class TestApplyFilter:
-    """``band_filter`` with the paper's 0.5-32 Hz band, designed at 8 kHz."""
+    """The chain's filter step with the paper's 0.5-32 Hz band, designed at 8 kHz."""
 
     def test_zero_signal(self):
         x = TimeSeriesTensor(np.zeros((2, 8000)), fs=8000.0)
@@ -151,7 +165,7 @@ class TestApplyFilter:
 class TestResample:
     def test_10hz_tone_survives_8000_to_64(self):
         x = TimeSeriesTensor(sine(10.0, 8000.0, 20.0)[None, :], fs=8000.0)
-        out = resample(x, 64.0)
+        out = resample(x)
         assert out.n_samples == round(20.0 * 64)
         spectrum = np.abs(np.fft.rfft(out.data[0]))
         freqs = np.fft.rfftfreq(out.n_samples, 1 / 64.0)
@@ -161,36 +175,14 @@ class TestResample:
 
     def test_40hz_above_new_nyquist_suppressed(self):
         x = TimeSeriesTensor(sine(40.0, 8000.0, 20.0)[None, :], fs=8000.0)
-        out = resample(x, 64.0)
+        out = resample(x)
         rms_in = np.sqrt(np.mean(x.data**2))
         rms_out = np.sqrt(np.mean(out.data[0, 5 * 64 : 15 * 64] ** 2))
         assert rms_out < 0.05 * rms_in
 
-    def test_identity_rate(self):
-        x = TimeSeriesTensor(np.random.default_rng(1).standard_normal((2, 500)), fs=64.0)
-        out = resample(x, 64.0)
-        np.testing.assert_allclose(out.data, x.data, atol=1e-6)
-
     def test_output_length_rounds(self):
         x = TimeSeriesTensor(np.zeros((1, 1001)), fs=100.0)
-        assert resample(x, 64.0).n_samples == round(1001 * 64 / 100)
-
-    def test_roundtrip_never_amplifies(self):
-        rng = np.random.default_rng(6)
-        raw = rng.standard_normal(4 * 512)
-        sos = signal.butter(8, 20.0, btype="low", output="sos", fs=512.0)
-        band_limited = signal.sosfiltfilt(sos, raw)
-        x = TimeSeriesTensor(band_limited[None, :], fs=512.0)
-        down = resample(x, 64.0)
-        back = resample(down, 512.0)
-        energy_in = np.sum(x.data**2)
-        energy_out = np.sum(back.data**2)
-        assert energy_out <= energy_in * 1.01
-
-    def test_bad_rate_rejected(self):
-        x = TimeSeriesTensor(np.ones((1, 10)), fs=64.0)
-        with pytest.raises(InvalidSpecError):
-            resample(x, 0.0)
+        assert resample(x).n_samples == round(1001 * 64 / 100)
 
 
 class TestNormalizeRecording:
@@ -310,7 +302,7 @@ class TestStreamedChain:
             fh.write(MAGIC + struct.pack("<III2Qd", FORMAT_VERSION, 1, 2, channels, n, fs))
             for _ in range(0, channels, CHANNEL_BLOCK):
                 (40.0 * rng.standard_normal((CHANNEL_BLOCK, n))).astype("<f4").tofile(fh)
-        n_out = resampled_length(n, fs, 64.0)
+        n_out = frame_count(n, fs)
         bound = 8 * CHANNEL_BLOCK * n * 8 + 4 * channels * n_out * 8
         start = time.process_time()
         tracemalloc.start()

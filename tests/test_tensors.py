@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegmatch.errors import InvalidInputError
 from eegmatch.tensors import (
     TimeSeriesTensor,
+    frame_count,
     read_tensor,
     read_timeseries,
     write_tensor,
@@ -98,3 +101,15 @@ def test_timeseries_validation():
         TimeSeriesTensor(np.ones((2, 3)), fs=0.0)
     with pytest.raises(InvalidInputError):
         TimeSeriesTensor(np.array([[np.nan, 1.0]]), fs=1.0)
+
+
+# EEG, audio and feature rates met in practice, then any rate at all
+RATES = st.sampled_from([64.0, 100.0, 128.0, 250.0, 256.0, 500.0, 512.0, 1000.0, 1024.0,
+                         2048.0, 8000.0, 8192.0, 11025.0, 16000.0, 22050.0, 44100.0, 48000.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**40), RATES | st.floats(0.5, 1e6))
+def test_frame_count_is_the_rounded_rate_ratio(n_samples, fs):
+    """Dividing first and scaling by 64 after rounds as scaling first does."""
+    assert frame_count(n_samples, fs) == round(n_samples * 64 / fs)

@@ -181,6 +181,32 @@ class TestAssembleDataset:
         with pytest.raises(InvalidInputError):
             assemble_dataset([])
 
+    def test_leaves_the_callers_arrays_as_they_were(self):
+        rng = np.random.default_rng(3)
+        recs = [RecordingData("s1", "r1", rng.standard_normal((4, 7100)),
+                              rng.standard_normal((2, 7040))),
+                RecordingData("s2", "r2", rng.standard_normal((4, 8000)),
+                              rng.standard_normal((2, 8064)))]
+        arrays = [(r.eeg, r.feature) for r in recs]
+        assemble_dataset(recs)
+        for rec, (eeg, feature) in zip(recs, arrays):
+            assert rec.eeg is eeg and rec.feature is feature
+
+
+class TestRecordingData:
+    @pytest.mark.parametrize("eeg_len, feat_len", [(7100, 7040), (7040, 7100), (7040, 7040)])
+    def test_cut_to_the_shorter_stream_when_built(self, eeg_len, feat_len):
+        rng = np.random.default_rng(4)
+        eeg, feature = rng.standard_normal((4, eeg_len)), rng.standard_normal((2, feat_len))
+        rec = RecordingData("s0", "r0", eeg, feature)
+        assert rec.eeg.shape == (4, 7040) and rec.feature.shape == (2, 7040)
+        assert np.shares_memory(rec.eeg, eeg) and np.shares_memory(rec.feature, feature)
+        np.testing.assert_array_equal(rec.eeg, eeg[:, :7040])
+        np.testing.assert_array_equal(rec.feature, feature[:, :7040])
+        sets = assemble_dataset([rec])
+        assert rec.eeg.shape[1] == rec.feature.shape[1] == 7040
+        assert sets["test"].n_triples == window_starts(704, SPEC).size
+
 
 def where_gather(ws, sample_idx):
     """Reference gather: float64 triple stacks, then the order swap by np.where."""
