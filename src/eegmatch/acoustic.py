@@ -140,9 +140,9 @@ def mel_filterbank(n_bands: int, n_fft: int, fs: float, fmin: float, fmax: float
 def stft_frames_64hz(x: np.ndarray, fs: float) -> np.ndarray:
     """Magnitude STFT with frames centered on the 64 Hz grid.
 
-    Frame ``n`` is centered at ``n / 64`` s; a 25 ms Hann window is applied
-    and the FFT zero-padded to the next power of two. Returns
-    (n_fft//2 + 1) x n_frames.
+    Frame ``n`` is centered at ``n / 64`` s, and the audio is zero before its
+    start and past its end; a 25 ms Hann window is applied and the FFT
+    zero-padded to the next power of two. Returns (n_fft//2 + 1) x n_frames.
     """
     n_frames = frame_count(x.size, fs)
     win_len = int(round(STFT_WINDOW_S * fs))
@@ -150,14 +150,14 @@ def stft_frames_64hz(x: np.ndarray, fs: float) -> np.ndarray:
     window = np.hanning(win_len)
     centers = np.round(np.arange(n_frames) * fs / FRAME_RATE).astype(int)
     starts = centers - win_len // 2
-    padded = np.pad(x, (win_len, win_len))
     # frames x bins, returned transposed as the whole-array product was, so
     # that ``bank @ spec`` multiplies the same memory layout
     mags = np.empty((n_frames, n_fft // 2 + 1))
     for lo in range(0, n_frames, STFT_CHUNK_FRAMES):
-        frames = np.stack([padded[s + win_len : s + 2 * win_len]
-                           for s in starts[lo : lo + STFT_CHUNK_FRAMES]])
-        np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1), out=mags[lo : lo + len(frames)])
+        idx = starts[lo : lo + STFT_CHUNK_FRAMES, None] + np.arange(win_len)
+        # read from ``x``, zeros before its start and past its end
+        frames = np.where((idx >= 0) & (idx < x.size), x[np.clip(idx, 0, x.size - 1)], 0.0)
+        np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1), out=mags[lo : lo + len(idx)])
     return mags.T
 
 

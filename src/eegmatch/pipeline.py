@@ -28,7 +28,7 @@ from .checkpoint import save_checkpoint
 from .errors import DegenerateSampleError, EegMatchError, InvalidInputError
 from .features import StoryAssets, canonical_parts, extract_feature, feature_dims
 from .model import ModelParams, config_for_feature, init_params
-from .preproc import PreprocConfig, preprocess_eeg
+from .preproc import CHAIN_VERSION, PreprocConfig, preprocess_eeg
 from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
 from .tensors import (
     TimeSeriesFile,
@@ -193,11 +193,11 @@ class ExperimentSpec:
     def cell(self, feature: str, inputs: list[str]) -> dict:
         """What ``feature``'s cell key hashes and its ``cell.yaml`` records.
 
-        That is the feature, every setting (see :data:`CELL_SETTINGS`) and
-        the hashes of the EEG ``inputs``.
+        That is the feature, the version of the preprocessing chain, every
+        setting (see :data:`CELL_SETTINGS`) and the hashes of the EEG ``inputs``.
         """
-        return {"feature": feature, **{k: getattr(self, k) for k in CELL_SETTINGS},
-                "inputs": inputs}
+        return {"feature": feature, "chain": CHAIN_VERSION,
+                **{k: getattr(self, k) for k in CELL_SETTINGS}, "inputs": inputs}
 
 
 # Every field of an experiment but its grid's features, manifest and output
@@ -270,13 +270,13 @@ def preprocess_recording_cached(
     cache_dir: Path,
     file_hash: Callable[[Path], str],
 ) -> TimeSeriesTensor:
-    """Preprocessed EEG, cached under the config and the input's hash.
+    """Preprocessed EEG, cached under the config, the chain's version and the input's hash.
 
     ``file_hash`` is the run's :meth:`AssetLoader.file_hash`, so that each
     EEG file is read for hashing once.
     """
     digest = file_hash(entry.eeg_path)
-    key = config_hash({"cfg": asdict(cfg), "input": digest})
+    key = config_hash({"cfg": asdict(cfg), "chain": CHAIN_VERSION, "input": digest})
     cache_dir.mkdir(parents=True, exist_ok=True)
     target = cache_dir / f"{entry.recording_id}_{key}.ndmm"
     if target.exists():
@@ -328,9 +328,9 @@ class AssetLoader:
     ) -> TimeSeriesTensor:
         """A story's feature under the ``cfg`` band, read from or written to ``cache_dir``.
 
-        The key covers the band and every input file a feature can read. A
-        ``+`` name that misses is joined from its parts' own entries, so a
-        part shared by several features is extracted once.
+        The key covers the band, the chain's version and every input file a
+        feature can read. A ``+`` name that misses is joined from its parts'
+        own entries, so a part shared by several features is extracted once.
         """
         rec = self._by_story[story_id]
         embeddings = self.manifest.embeddings_path
@@ -338,6 +338,7 @@ class AssetLoader:
             {
                 "feature": name,
                 "band": [cfg.low_hz, cfg.high_hz, cfg.stop_atten_db],
+                "chain": CHAIN_VERSION,
                 "audio": self.file_hash(rec.audio_path),
                 "phonemes": self.file_hash(rec.phonemes_path),
                 "words": self.file_hash(rec.words_path),
@@ -479,7 +480,9 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     is the experiment that holds ``<out>/models/<feature>``, so scoring
     reads and fills that experiment's caches. A model directory that is not
     in the ``models/`` of a directory holding ``artifacts.yaml`` or
-    ``cache/`` belongs to no experiment, and is refused.
+    ``cache/`` belongs to no experiment, and is refused. So is a model
+    trained on features of another version of the preprocessing chain, or
+    of one that recorded no version.
     """
     model_dir = Path(model_dir).resolve()
     path = model_dir / "cell.yaml"
@@ -492,10 +495,16 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     ):
         raise InvalidInputError(f"{model_dir} is not in an experiment's models/ directory")
     cell = stamp["cell"]
-    _check_keys(path, cell, ("feature",), ("inputs", *CELL_SETTINGS))
+    _check_keys(path, cell, ("feature",), ("chain", "inputs", *CELL_SETTINGS))
     with _refused_as(path):
-        return ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out,
+        spec = ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out,
                               **{key: cell[key] for key in CELL_SETTINGS if key in cell})
+    recorded = cell.get("chain")
+    if recorded != CHAIN_VERSION:
+        made_by = "no chain version" if recorded is None else f"chain version {recorded!r}"
+        raise InvalidInputError(f"{path} records {made_by}, but features are now made by "
+                                f"chain version {CHAIN_VERSION}: train the model again")
+    return spec
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:

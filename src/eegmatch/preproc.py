@@ -1,19 +1,26 @@
 """Deterministic conditioning of the EEG and the speech features.
 
 One chain, :func:`to_frame_rate`, brings every stream to the 64 Hz frame
-grid: it band-limits with a zero-phase Chebyshev-II filter designed at the
-stream's rate and resamples with an anti-aliased polyphase FIR. The EEG runs
-it on its common-average-referenced channels and is then normalized per
-recording (:func:`preprocess_eeg`); the envelope and the mel spectrogram run
-it on their raw streams (:mod:`eegmatch.acoustic`). All operations are pure
-functions over immutable inputs.
+grid through one band, 0.5-32 Hz by default. The band is a zero-phase
+Chebyshev-II filter run at the lowest rate of the form 64 Hz x 2^k that
+holds its upper stop edge (:func:`band_rate`, 128 Hz by default): a faster
+stream is first decimated to that rate by a polyphase FIR whose aliases fall
+in the band's own stopband, and every stream is then resampled to 64 Hz by
+an anti-aliased polyphase FIR (Crochiere & Rabiner 1983, *Multirate Digital
+Signal Processing*). A stream at or below the band's rate is filtered at its
+own rate. The EEG runs the chain on its common-average-referenced channels
+and is then normalized per recording (:func:`preprocess_eeg`); the envelope
+and the mel spectrogram run it on their raw streams
+(:mod:`eegmatch.acoustic`). All operations are pure functions over
+immutable inputs.
 
 The chain streams over channels, so its memory does not grow with the
 channel count: the common average sums the channels one at a time; the
-chain references, band-filters and resamples a few channels at a time into
-the 64 Hz output. Its input is a :class:`~eegmatch.tensors.TimeSeriesTensor`
-in memory or a :class:`~eegmatch.tensors.TimeSeriesFile` read a block at a
-time, and the output has the same bits as the whole-array chain.
+chain references, decimates, band-filters and resamples a few channels at a
+time into the 64 Hz output. Its input is a
+:class:`~eegmatch.tensors.TimeSeriesTensor` in memory or a
+:class:`~eegmatch.tensors.TimeSeriesFile` read a block at a time, and the
+output has the same bits as the whole-array chain.
 """
 
 from __future__ import annotations
@@ -37,6 +44,12 @@ GPASS_DB = 0.1
 STOP_LOW_FACTOR = 0.5
 STOP_HIGH_FACTOR = 1.25
 
+# Version of the chain's arithmetic. Cache keys and trained cells record it,
+# so outputs of an older chain miss once and a model refuses features made
+# by a chain it was not trained on. Version 1 band-filtered at the stream's
+# own rate; version 2 decimates a faster stream to :func:`band_rate` first.
+CHAIN_VERSION = 2
+
 # Channels that the chain references, filters and resamples at once. Its
 # peak memory is a few such blocks at the stream's rate, whatever the
 # channel count; blocks of 4 run as fast as the whole array.
@@ -44,8 +57,8 @@ CHANNEL_BLOCK = 4
 
 
 def _check_band(low_hz: float, high_hz: float, stop_atten_db: float) -> None:
-    if not 0.0 < low_hz < high_hz:
-        raise InvalidSpecError(f"need 0 < low < high, got ({low_hz}, {high_hz})")
+    if not 0.0 < low_hz < high_hz < np.inf:
+        raise InvalidSpecError(f"need 0 < low < high < inf, got ({low_hz}, {high_hz})")
     if stop_atten_db <= 0:
         raise InvalidSpecError("stopband attenuation must be positive")
 
@@ -109,19 +122,71 @@ def band_sos(low_hz: float, high_hz: float, stop_atten_db: float, fs: float) -> 
     return signal.cheby2(order, stop_atten_db, wn, btype=btype, output="sos", fs=fs)
 
 
-def _anti_alias_fir(fs: float) -> tuple[int, int, np.ndarray]:
-    """(up, down, lowpass FIR) of the polyphase conversion from ``fs`` to :data:`FRAME_RATE`.
+def band_rate(cfg: PreprocConfig) -> float:
+    """The rate at which the chain band-limits a faster stream.
 
-    The Kaiser-windowed lowpass cuts at min(fs, 64)/2 with an 80 dB design.
+    It is the smallest ``64 Hz x 2^k`` whose Nyquist lies above the band's
+    upper stop edge, ``STOP_HIGH_FACTOR * cfg.high_hz``: 128 Hz for the
+    default 0.5-32 Hz band.
     """
-    ratio = (Fraction(FRAME_RATE) / Fraction(fs)).limit_denominator(1000)
+    rate = FRAME_RATE
+    while rate / 2.0 <= STOP_HIGH_FACTOR * cfg.high_hz:
+        rate *= 2.0
+    return rate
+
+
+# A polyphase conversion: (up, down, lowpass FIR at the rate ``fs * up``).
+_Design = tuple[int, int, np.ndarray]
+
+
+def _kaiser_lowpass(
+    fs: float, fs_out: float, cutoff: float, transition: float, atten_db: float
+) -> _Design:
+    """(up, down, lowpass FIR) of the polyphase conversion from ``fs`` to ``fs_out``.
+
+    The Kaiser-windowed FIR is centred on ``cutoff`` with a transition band
+    ``transition`` wide, passing below it and stopping above it at
+    ``atten_db``; its passband ripple is of the same size.
+    """
+    ratio = (Fraction(fs_out) / Fraction(fs)).limit_denominator(1000)
     up, down = ratio.numerator, ratio.denominator
     fs_up = fs * up
-    cutoff = min(fs, FRAME_RATE) / 2.0
-    transition = 0.25 * cutoff
-    numtaps, beta = signal.kaiserord(80.0, transition / (fs_up / 2.0))
+    numtaps, beta = signal.kaiserord(atten_db, transition / (fs_up / 2.0))
     numtaps |= 1
     return up, down, signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_up)
+
+
+def _stages(fs: float, cfg: PreprocConfig) -> tuple[_Design | None, np.ndarray, _Design | None]:
+    """(decimator, band, resampler) that :func:`to_frame_rate` runs on a stream at ``fs``.
+
+    Above :func:`band_rate` the decimator is the polyphase FIR to that rate,
+    passing up to the band's upper stop edge and stopping from the band
+    rate minus that edge at ``cfg.stop_atten_db``, so whatever aliases lands
+    in the band's stopband; at or below it there is none. The band is
+    :func:`band_sos` at the rate the decimator leaves. The resampler brings
+    that rate to 64 Hz with a Kaiser FIR cutting at min(rate, 64)/2 with an
+    80 dB design, and is None at 64 Hz.
+    """
+    mid = band_rate(cfg)
+    decimator = None
+    if fs > mid:
+        edge = STOP_HIGH_FACTOR * cfg.high_hz
+        decimator = _kaiser_lowpass(fs, mid, mid / 2.0, mid - 2.0 * edge, cfg.stop_atten_db)
+        fs = mid
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, fs)
+    cutoff = min(fs, FRAME_RATE) / 2.0
+    resampler = None if fs == FRAME_RATE else _kaiser_lowpass(
+        fs, FRAME_RATE, cutoff, 0.25 * cutoff, 80.0
+    )
+    return decimator, sos, resampler
+
+
+def _resample(block: np.ndarray, design: _Design | None) -> np.ndarray:
+    """The rows of ``block`` through a polyphase ``design`` of :func:`_stages`; None passes them."""
+    if design is None:
+        return block
+    up, down, fir = design
+    return signal.resample_poly(block, up, down, axis=1, window=fir)
 
 
 def to_frame_rate(
@@ -132,23 +197,22 @@ def to_frame_rate(
     """``x`` band-limited to the ``cfg`` band and brought to the 64 Hz frame grid.
 
     :data:`CHANNEL_BLOCK` channels at a time are referenced to ``reference``
-    if one is given, filtered forward and backward with :func:`band_sos`
-    designed at ``x.fs``, and resampled by the polyphase FIR of
-    :func:`_anti_alias_fir` into the output, cut or zero-padded to
-    :func:`~eegmatch.tensors.frame_count` frames. A stream already at 64 Hz
-    is filtered only. The filter and the FIR are designed once per call.
+    if one is given and run through the :func:`_stages` of ``x.fs``: a
+    stream faster than :func:`band_rate` is decimated to it; the band is run
+    forward and backward; the polyphase FIR resamples to 64 Hz into the
+    output, cut or zero-padded to :func:`~eegmatch.tensors.frame_count`
+    frames. A stream at or below the band rate is filtered at its own rate,
+    and one already at 64 Hz is filtered only. The stages are designed once
+    per call.
     """
-    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
-    design = None if x.fs == FRAME_RATE else _anti_alias_fir(x.fs)
+    decimator, sos, resampler = _stages(x.fs, cfg)
     n_out = frame_count(x.n_samples, x.fs)
     out = np.zeros((x.n_channels, n_out))
     for lo in range(0, x.n_channels, CHANNEL_BLOCK):
         hi = min(lo + CHANNEL_BLOCK, x.n_channels)
         block = x.rows(lo, hi) if reference is None else x.rows(lo, hi) - reference
-        block = signal.sosfiltfilt(sos, block, axis=1)
-        if design is not None:
-            up, down, fir = design
-            block = signal.resample_poly(block, up, down, axis=1, window=fir)
+        block = signal.sosfiltfilt(sos, _resample(block, decimator), axis=1)
+        block = _resample(block, resampler)
         out[lo:hi, : block.shape[1]] = block[:, :n_out]  # cut, or left zero-padded
     return TimeSeriesTensor(out, FRAME_RATE)
 

@@ -1,5 +1,5 @@
 """Shared fixtures and the oracles: finite-difference gradients, the exact Wilcoxon
-test and the whole-array EEG chain."""
+test, the whole-array EEG chain and the single-rate chain it replaced."""
 
 from __future__ import annotations
 
@@ -9,7 +9,14 @@ from scipy import signal
 from scipy.stats import rankdata
 
 from eegmatch.model import ArchitectureConfig, backward_batch, forward_batch, init_params
-from eegmatch.preproc import PreprocConfig, _anti_alias_fir, band_sos, normalize_recording
+from eegmatch.preproc import (
+    PreprocConfig,
+    _kaiser_lowpass,
+    _resample,
+    _stages,
+    band_sos,
+    normalize_recording,
+)
 from eegmatch.stats import WilcoxonResult
 from eegmatch.tensors import FRAME_RATE, TimeSeriesTensor
 
@@ -108,22 +115,43 @@ def wilcoxon_exact(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     )
 
 
+def _cut_to_frames(y: np.ndarray, n_samples: int, fs: float) -> np.ndarray:
+    """``y`` cut or zero-padded to round(T * 64 / fs) frames."""
+    n_out = int(round(n_samples * FRAME_RATE / fs))
+    return np.pad(y[:, :n_out], ((0, 0), (0, max(n_out - y.shape[1], 0))))
+
+
+def single_rate_chain(data: np.ndarray, fs: float, cfg: PreprocConfig = PreprocConfig()):
+    """The chain as it ran before it decimated, over the whole channels x time array.
+
+    ``cfg``'s band is designed at ``fs`` and run forward and backward there;
+    the polyphase FIR to 64 Hz (Kaiser, cutting at min(fs, 64)/2 with a
+    transition a quarter of that wide, 80 dB) follows, and the output is cut
+    or zero-padded to round(T * 64 / fs) frames. This is the fidelity oracle
+    of the multirate chain.
+    """
+    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, fs)
+    filtered = signal.sosfiltfilt(sos, data, axis=1)
+    if fs == FRAME_RATE:
+        return filtered
+    cutoff = min(fs, FRAME_RATE) / 2.0
+    up, down, fir = _kaiser_lowpass(fs, FRAME_RATE, cutoff, 0.25 * cutoff, 80.0)
+    filtered = signal.resample_poly(filtered, up, down, axis=1, window=fir)
+    return _cut_to_frames(filtered, data.shape[1], fs)
+
+
 def preprocess_eeg_whole(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig()):
     """The EEG chain over the whole channels x time array at once, as it ran before streaming.
 
-    Every step holds all channels at the recording's rate: the reference, the
+    Every step holds all channels: the reference, the decimation, the
     zero-phase band filter and the resampling each make a full copy. The
-    resampled output is cut or zero-padded to round(T * 64 / fs) frames.
+    output is cut or zero-padded to round(T * 64 / fs) frames.
     """
+    decimator, sos, resampler = _stages(x.fs, cfg)
     referenced = x.data - x.data.mean(axis=0, keepdims=True)
-    sos = band_sos(cfg.low_hz, cfg.high_hz, cfg.stop_atten_db, x.fs)
-    filtered = signal.sosfiltfilt(sos, referenced, axis=1)
-    if x.fs != FRAME_RATE:
-        up, down, fir = _anti_alias_fir(x.fs)
-        n_out = int(round(x.n_samples * FRAME_RATE / x.fs))
-        filtered = signal.resample_poly(filtered, up, down, axis=1, window=fir)[:, :n_out]
-        filtered = np.pad(filtered, ((0, 0), (0, n_out - filtered.shape[1])))
-    return normalize_recording(TimeSeriesTensor(filtered, FRAME_RATE))
+    filtered = signal.sosfiltfilt(sos, _resample(referenced, decimator), axis=1)
+    out = _cut_to_frames(_resample(filtered, resampler), x.n_samples, x.fs)
+    return normalize_recording(TimeSeriesTensor(out, FRAME_RATE))
 
 
 @pytest.fixture(scope="session")

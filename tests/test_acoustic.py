@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,20 +149,23 @@ def test_chunked_stft_is_bit_identical_to_whole_array(frames):
 
 
 def test_band_limited_features_pinned():
-    """Envelope and mel equal their values from before ``band_limit`` was split off.
+    """Envelope and mel are pinned on ``generate_story(8.0, seed=5)``.
 
-    The samples were produced by ``envelope_powerlaw`` and ``mel_spectrogram``
-    when each took a ``band_limit`` flag and filtered through
-    ``band_filter_stream``, on ``generate_story(8.0, seed=5)``: envelope
-    frames 100-105, and frames 100-102 of every ninth mel band.
+    The samples are envelope frames 100-105, and frames 100-102 of every
+    ninth mel band. The mel samples were produced by ``mel_spectrogram``
+    when it took a ``band_limit`` flag and filtered through
+    ``band_filter_stream``. The envelope samples were taken again from
+    ``envelope_powerlaw`` when the chain began to decimate the 16 kHz
+    envelope to 128 Hz before the band filter; the frames sit 1.6 s from
+    the start, where the two chains' edge transients differ.
     """
     from eegmatch.synth import generate_story
 
     audio = generate_story(8.0, seed=5).audio
     np.testing.assert_allclose(
         envelope_powerlaw(audio).data[0, 100:106],
-        [-0.0003921776477264392, 0.003807956432358996, -0.019947443775606,
-         0.018186004600690288, 0.03104007588247163, 0.02879725335875881],
+        [0.003578138172162318, 0.007792531720955032, -0.015925899921932777,
+         0.02219716526314473, 0.035070493335167166, 0.032791253596791005],
         rtol=1e-12, atol=0,
     )
     np.testing.assert_allclose(
@@ -171,6 +176,46 @@ def test_band_limited_features_pinned():
          [28.33627387323585, 19.662408266133212, -0.6781455950855273]],
         rtol=1e-12, atol=0,
     )
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def story_240s():
+    """240 s of broadband 16 kHz audio, the length of a scored story."""
+    return am_noise(240.0, 3.0, seed=9)
+
+
+def test_memory_of_the_mel_spectrogram(story_240s):
+    """Bound, fixed before measuring: the magnitude STFT (frames x 257 float64,
+    31.6 MB for 240 s) plus 8 MB for one chunk's frames and spectra and the
+    band filter's blocks. The frames are read from the audio itself; a
+    padded copy of the audio (31 MB) put the peak at 65.2 MB."""
+    mel, peak = traced_peak(mel_spectrogram, story_240s)
+    bound = mel.n_samples * (512 // 2 + 1) * 8 + 8e6
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    print(f"mel peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB")
+
+
+def test_memory_of_the_envelope(story_240s):
+    """Bound, fixed before measuring: 3.5 times the audio's float64 bytes. The
+    gammatone loop holds the running sum, one band and ``sosfilt``'s working
+    copy; the chain decimates the envelope to 128 Hz, 128/16000 of it, before
+    the band filter. Filtering at the audio rate, with the padded input and
+    both passes alive, put the peak at 123 MB (4 times the audio)."""
+    _, peak = traced_peak(envelope_powerlaw, story_240s)
+    bound = 3.5 * story_240s.data.nbytes
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    print(f"envelope peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB")
 
 
 class TestVad:

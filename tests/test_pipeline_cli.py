@@ -234,6 +234,26 @@ class TestRunPipeline:
             changed = dataclasses.replace(spec, **{name: value})
             assert pipeline.config_hash(changed.cell("vad", ["eeg-hash"])) != key, name
 
+    def test_chain_version_is_in_every_key(self, dataset, tmp_path, monkeypatch):
+        """A new chain version gives new preprocessing and feature entries and a new cell key."""
+        spec = pipeline.load_experiment(write_experiment(dataset, tmp_path)[0])
+        manifest = pipeline.load_manifest(dataset)
+        entry = manifest.recordings[0]
+        loader = pipeline.AssetLoader(manifest)
+        cache = tmp_path / "cache"
+
+        def keys():
+            pipeline.preprocess_recording_cached(entry, PreprocConfig(), cache / "preproc",
+                                                 loader.file_hash)
+            loader.feature_cached(entry.story_id, "envelope", cache / "features", PreprocConfig())
+            return pipeline.config_hash(spec.cell("vad", ["eeg-hash"]))
+
+        key = keys()
+        monkeypatch.setattr(pipeline, "CHAIN_VERSION", pipeline.CHAIN_VERSION + 1)
+        assert keys() != key
+        for stage in ("preproc", "features"):  # one entry, under its own key, per version
+            assert len(list((cache / stage).glob("*.ndmm"))) == 2, stage
+
     def test_unknown_feature_rejected_at_load(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
         spec = experiment_yaml(dataset, tmp_path / "o", features=("sonogram",))
@@ -603,6 +623,29 @@ class TestCli:
         assert rc == 2
         assert str(copied) in capsys.readouterr().err
         assert sorted(p.name for p in (tmp_path / "copied").iterdir()) == [parent]
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("chain", [None, 1], ids=["none", "older"])
+    def test_evaluate_refuses_a_cell_of_another_chain(self, dataset, tmp_path, capsys, chain):
+        """A model trained on features of another chain version, or of one that
+        recorded none, is refused by its ``cell.yaml`` before anything is written."""
+        cfg, out = write_experiment(dataset, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        stamp_path = out / "models" / "vad" / "cell.yaml"
+        stamp = yaml.safe_load(stamp_path.read_text())
+        assert stamp["cell"]["chain"] == pipeline.CHAIN_VERSION
+        if chain is None:
+            del stamp["cell"]["chain"]
+        else:
+            stamp["cell"]["chain"] = chain
+        stamp_path.write_text(yaml.safe_dump(stamp))
+        cached = cache_files(out)
+        rc = cli.main(["evaluate", "--model", str(out / "models" / "vad"),
+                       "--manifest", str(dataset), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(stamp_path) in err and "chain version" in err, err
+        assert cache_files(out) == cached
         assert not (tmp_path / "eval").exists()
 
     def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):

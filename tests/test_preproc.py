@@ -1,24 +1,29 @@
 import struct
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import preprocess_eeg_whole
+from conftest import preprocess_eeg_whole, single_rate_chain
 from scipy import signal
 
+from eegmatch.acoustic import raw_envelope
 from eegmatch.errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
 from eegmatch.preproc import (
     CHANNEL_BLOCK,
     PreprocConfig,
+    band_rate,
     band_sos,
     channel_mean,
     normalize_recording,
     preprocess_eeg,
     to_frame_rate,
 )
+from eegmatch.synth import ForwardModelConfig, generate_eeg, generate_story
 from eegmatch.tensors import (
     FORMAT_VERSION,
+    FRAME_RATE,
     MAGIC,
     TimeSeriesFile,
     TimeSeriesTensor,
@@ -227,23 +232,26 @@ class TestFullChain:
             band_sos(40.0, 80.0, 80.0, fs=64.0)
 
     @pytest.mark.parametrize("fs,expected", [
-        # the bandpass path
-        (512.0, [[-0.18517915325944911, 1.5773222662056103, -0.455009029099956],
-                 [0.6673465884916993, -2.448300257458378, -1.4944757458516238],
-                 [0.21581364112601498, -1.025813661946352, -1.2210956381167275]]),
+        # the bandpass path, decimated to 128 Hz first
+        (512.0, [[0.06590535350452828, 1.9856583521862252, -0.23235964658507627],
+                 [0.9574198098807996, -2.3515534813828554, -1.3329817434890496],
+                 [0.046042007069627265, -1.325540040459588, -1.542491974961375]]),
         # the highpass path: the upper edge sits at Nyquist
         (64.0, [[-0.3322973911468069, -1.2731626064310895, -0.06981409684054696],
                 [-0.0819718018779177, -0.3598369716191012, -0.2523457123843646],
                 [0.09488553663489839, 0.005564838287468239, -0.8501071701262587]]),
     ])
     def test_pinned_output(self, fs, expected):
-        """The chain's output is the same as when the band had two wrapper types.
+        """The chain's output is pinned, on 20 s of 8-channel white noise.
 
-        The samples were produced by ``preprocess_eeg`` with the default
-        config when the band was designed through ``BandpassSpec`` and
-        ``design_band_filter``, on 20 s of 8-channel white noise: draws of
-        ``default_rng(10)``, first a 512 Hz and then a 64 Hz recording;
-        every third channel, frames 200-202.
+        The input is drawn from ``default_rng(10)``, first a 512 Hz and then a
+        64 Hz recording; the samples are every third channel, frames
+        200-202, of ``preprocess_eeg`` with the default config. The 64 Hz
+        samples were produced when the band was designed through
+        ``BandpassSpec`` and ``design_band_filter``. The 512 Hz samples were
+        taken again when the chain began to decimate to 128 Hz before the
+        band filter: the frames sit 3 s from the start, where the two chains'
+        edge transients differ (see :class:`TestMultirateChain`).
         """
         rng = np.random.default_rng(10)
         x512 = rng.standard_normal((8, 20 * 512))
@@ -292,7 +300,8 @@ class TestStreamedChain:
         output and two copies. Nothing grows with the channel count but the
         output. Reading the file whole and running the whole-array chain on
         it peaked at 881 MB on the same input, 7 times the 126 MB payload;
-        the streamed chain peaked at 67 MB.
+        the streamed chain peaked at 51-67 MB, and at 28 MB once it
+        decimated each block to 128 Hz before the band filter.
         """
         channels, fs, seconds = 64, 8192.0, 60
         n = int(fs * seconds)
@@ -315,3 +324,159 @@ class TestStreamedChain:
         assert peak < bound, f"peak {peak / 1e6:.0f} MB, bound {bound / 1e6:.0f} MB"
         print(f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB, "
               f"{time.process_time() - start:.1f} s CPU")
+
+
+def synthetic_eeg(fs, seconds, seed, channels=6):
+    """Synthetic EEG at ``fs``: the forward model's 64 Hz response to a random
+    envelope at 0 dB SNR, upsampled, with a white sensor floor at ``fs`` of a
+    tenth of its RMS."""
+    rng = np.random.default_rng(seed)
+    drive = TimeSeriesTensor(np.abs(rng.standard_normal((1, int(seconds * FRAME_RATE)))),
+                             FRAME_RATE)
+    eeg = generate_eeg(drive, ForwardModelConfig(rng_seed=seed, n_channels=channels, snr_db=0.0))
+    ratio = Fraction(fs) / Fraction(FRAME_RATE)
+    data = signal.resample_poly(eeg.data, ratio.numerator, ratio.denominator, axis=1)
+    return data + 0.1 * data.std() * rng.standard_normal(data.shape)
+
+
+def faded(data, fs):
+    """``data`` faded in over its first second and out over its last, by raised cosines."""
+    n = int(fs)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(n) / n)
+    out = data.copy()
+    out[..., :n] *= ramp
+    out[..., -n:] *= ramp[::-1]
+    return out
+
+
+def band_content(y, lo_hz, hi_hz):
+    """The ``lo_hz``-``hi_hz`` content of the 64 Hz rows of ``y``: their FFT with every other bin zeroed."""
+    freqs = np.fft.rfftfreq(y.shape[1], 1.0 / FRAME_RATE)
+    spectrum = np.fft.rfft(y, axis=1)
+    spectrum[:, (freqs < lo_hz) | (freqs > hi_hz)] = 0.0
+    return np.fft.irfft(spectrum, n=y.shape[1], axis=1)
+
+
+def relative_rms(new, old):
+    """Per row, the RMS of ``new - old`` over the RMS of ``old``."""
+    return np.sqrt(((new - old) ** 2).mean(axis=1) / (old**2).mean(axis=1))
+
+
+# Frames at least this far from either end are the interior the fidelity bound covers.
+EDGE_FRAMES = int(4 * FRAME_RATE)
+# The passband the bound covers, inside the band's transition bands.
+PASSBAND_HZ = (0.75, 28.0)
+# Relative RMS difference allowed between the chains in the passband interior.
+FIDELITY_BOUND = 0.025
+
+
+def compare_chains(new, old, faded_new, faded_old):
+    """The interior passband difference of the faded input, asserted under the bound.
+
+    The whole-band interior correlation and the differences at the edges and
+    in the transition bands, on the input as it was, are printed, not bounded.
+    """
+    interior = slice(EDGE_FRAMES, -EDGE_FRAMES)
+    passband = relative_rms(band_content(faded_new[:, interior], *PASSBAND_HZ),
+                            band_content(faded_old[:, interior], *PASSBAND_HZ))
+    as_drawn = relative_rms(band_content(new[:, interior], *PASSBAND_HZ),
+                            band_content(old[:, interior], *PASSBAND_HZ))
+    edges = np.r_[0:EDGE_FRAMES, new.shape[1] - EDGE_FRAMES : new.shape[1]]
+    edge = relative_rms(new[:, edges], old[:, edges])
+    transition = relative_rms(band_content(new, 0.25, 0.5), band_content(old, 0.25, 0.5))
+    corr = min(np.corrcoef(a, b)[0, 1] for a, b in zip(new[:, interior], old[:, interior]))
+    print(f"passband interior {passband.max():.4f} (as drawn {as_drawn.max():.4f}), "
+          f"edges {edge.max():.3f}, 0.25-0.5 Hz {transition.max():.3f}, "
+          f"interior correlation {corr:.5f}")
+    assert passband.max() <= FIDELITY_BOUND, passband
+
+
+class TestMultirateChain:
+    """The multirate chain against the single-rate chain it replaced.
+
+    Bound, fixed before measuring: per channel, over frames at least 4 s
+    from either end, the 0.75-28 Hz content of the two outputs differs by at
+    most 2.5 % in RMS. Both chains meet one spec: the band passes 0.5-32 Hz
+    within ``GPASS_DB`` (0.1 dB), run twice (forward and backward), which
+    allows about 2.3 % in amplitude; the decimator's 80 dB design adds a
+    ripple of about 1e-4. The transition bands (0.25-0.5 Hz, 32-40 Hz) and
+    the edges are free under that spec: ``sosfiltfilt`` pads a fixed number
+    of samples, which spans a different time at each rate. The edges and
+    the lower transition band are printed, not bounded; the upper one lies
+    above the 64 Hz output's Nyquist.
+
+    The input is faded in and out over 1 s for the bound. Today's chain,
+    run at 8192 Hz, starts its band filter from a full-band sample, about
+    ten times the RMS of the band, and rings for longer than 4 s: on white
+    noise as drawn its interior differs from its own steady state by about
+    3 %, against 0.5 % for the multirate chain, and their steady states
+    differ by 0.1 %. The difference on the input as drawn is printed.
+    """
+
+    cfg = PreprocConfig()
+
+    @pytest.mark.parametrize("fs", [500.0, 512.0, 8192.0])
+    @pytest.mark.parametrize("kind", ["white", "synthetic"])
+    def test_eeg_passband_within_the_ripple_budget(self, kind, fs):
+        seconds = 30
+        if kind == "white":
+            data = np.random.default_rng(int(fs)).standard_normal((6, int(seconds * fs)))
+        else:
+            data = synthetic_eeg(fs, seconds, seed=int(fs))
+        outputs = []
+        for d in (data, faded(data, fs)):
+            x = TimeSeriesTensor(d, fs)
+            reference = channel_mean(x)
+            outputs += [to_frame_rate(x, self.cfg, reference).data,
+                        single_rate_chain(d - reference, fs, self.cfg)]
+        compare_chains(*outputs)
+
+    def test_envelope_passband_within_the_ripple_budget(self):
+        envelope = raw_envelope(generate_story(30.0, seed=5).audio)
+        outputs = []
+        for d in (envelope.data, faded(envelope.data, envelope.fs)):
+            outputs += [to_frame_rate(envelope.with_data(d), self.cfg).data,
+                        single_rate_chain(d, envelope.fs, self.cfg)]
+        compare_chains(*outputs)
+
+    @pytest.mark.parametrize("fs", [64.0, 100.0])
+    def test_streams_at_or_below_the_band_rate_keep_the_single_rate_chain(self, fs):
+        x = TimeSeriesTensor(np.random.default_rng(3).standard_normal((5, int(21.3 * fs))), fs)
+        reference = channel_mean(x)
+        assert np.array_equal(to_frame_rate(x, self.cfg, reference).data,
+                              single_rate_chain(x.data - reference, fs, self.cfg))
+
+    @pytest.mark.parametrize("fs", [100.0, 500.0, 512.0, 8192.0, 16000.0])
+    def test_output_has_the_frame_count_for_odd_sample_counts(self, fs):
+        for n in (int(7.3 * fs) | 1, int(11 * fs) + 1, int(3.01 * fs) | 1):
+            x = TimeSeriesTensor(np.random.default_rng(n).standard_normal((2, n)), fs)
+            assert to_frame_rate(x, self.cfg).n_samples == frame_count(n, fs), n
+
+    def test_band_rate_is_the_lowest_power_of_two_frame_rate_holding_the_stop_edge(self):
+        assert band_rate(PreprocConfig()) == 128.0  # Nyquist 64 Hz above the 40 Hz stop edge
+        assert band_rate(PreprocConfig(high_hz=20.0)) == 64.0  # 25 Hz below 32 Hz
+        assert band_rate(PreprocConfig(high_hz=51.2)) == 256.0  # 64 Hz is not above 64 Hz
+        with pytest.raises(InvalidSpecError):  # no rate holds an infinite band
+            PreprocConfig(high_hz=np.inf)
+
+    @pytest.mark.parametrize("freq", [45.0, 70.0, 100.0, 1000.0])
+    def test_tones_above_the_band_do_not_alias_into_it(self, freq):
+        """A tone in the band's stopband (45 Hz), the decimator's transition band
+        (70 Hz, which folds to 58 Hz at 128 Hz) or its stopband (100 and 1000 Hz,
+        which would fold to 28 and 24 Hz) leaves no tone at the frequency it folds
+        to at 64 Hz."""
+        fs = 8192.0
+
+        def fold(f, rate):
+            f %= rate
+            return min(f, rate - f)
+
+        x = TimeSeriesTensor(sine(freq, fs, 20.0)[None, :], fs)
+        out = to_frame_rate(x, self.cfg).data[0, 5 * 64 : 15 * 64]
+        amp = fitted_amplitude(out, fold(fold(freq, band_rate(self.cfg)), FRAME_RATE), FRAME_RATE)
+        assert 20 * np.log10(max(amp, 1e-300)) <= -60.0
+
+    def test_passband_tone_survives_decimation(self):
+        x = TimeSeriesTensor(sine(4.0, 8192.0, 20.0)[None, :], 8192.0)
+        out = to_frame_rate(x, self.cfg).data[0]
+        assert abs(fitted_amplitude(out[5 * 64 : 15 * 64], 4.0, 64.0) - 1.0) < 0.05
