@@ -20,6 +20,8 @@ from .tensors import atomic_path
 
 # entries per word vector, as in the pretrained 300-dimensional embeddings
 EMBEDDING_DIM = 300
+# symbols of a phoneme inventory, as in the 40-phoneme set of the alignments
+INVENTORY_SIZE = 40
 
 PHONETIC_CLASSES = (
     "short_vowel",
@@ -103,15 +105,17 @@ def write_alignment(path: str | Path, track: AlignmentTrack) -> None:
 
 @dataclass
 class PhonemeInventory:
-    """Ordered 40-symbol phoneme set with a symbol -> phonetic-class map."""
+    """Ordered ``INVENTORY_SIZE``-symbol phoneme set with a symbol -> phonetic-class map."""
 
     symbols: list[str]
     class_map: dict[str, str]
     _index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.symbols) != 40:
-            raise InvalidSpecError(f"inventory must hold 40 symbols, got {len(self.symbols)}")
+        if len(self.symbols) != INVENTORY_SIZE:
+            raise InvalidSpecError(
+                f"inventory must hold {INVENTORY_SIZE} symbols, got {len(self.symbols)}"
+            )
         if len(set(self.symbols)) != len(self.symbols):
             raise InvalidSpecError("inventory symbols must be unique")
         for sym in self.symbols:

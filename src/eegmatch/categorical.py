@@ -48,7 +48,7 @@ def _frame_span(start_s: float, end_s: float, n_frames: int, fs: float) -> tuple
 def phoneme_onehot(
     track: AlignmentTrack, inv: PhonemeInventory, n_frames: int
 ) -> TimeSeriesTensor:
-    """40-row one-hot phoneme identity, ``n_frames`` long; silence frames are all-zero."""
+    """Phoneme one-hot, a row per inventory symbol, ``n_frames`` long; silence is all-zero."""
     if track.kind != "phoneme":
         raise InvalidSpecError(f"expected a phoneme track, got kind={track.kind!r}")
     out = np.zeros((len(inv.symbols), n_frames))

@@ -1,6 +1,6 @@
 """Named feature extraction and the concatenation grammar.
 
-A feature name is one registered extractor or several joined with ``+``
+A feature name is one part of :data:`PARTS` or several joined with ``+``
 (``env+bpc``); each part keeps its own channels and the model gives each its
 own front, so part dimensions are reported alongside the stacked tensor.
 """
@@ -8,10 +8,16 @@ own front, so part dimensions are reported alongside the stacked tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .acoustic import envelope_powerlaw, mel_spectrogram, vad
-from .alignments import EMBEDDING_DIM, AlignmentTrack, EmbeddingTable, PhonemeInventory
+from .acoustic import MEL_BANDS, envelope_powerlaw, mel_spectrogram, vad
+from .alignments import (
+    EMBEDDING_DIM, INVENTORY_SIZE, AlignmentTrack, EmbeddingTable, PhonemeInventory,
+)
 from .categorical import (
+    ANYPH_ROWS,
+    BPC_ROWS,
+    VC_ROWS,
     concat_features,
     map_anyphoneme,
     map_bpc,
@@ -24,19 +30,6 @@ from .errors import InvalidSpecError
 from .preproc import PreprocConfig
 from .tensors import TimeSeriesTensor, frame_count
 
-PART_DIMS = {
-    "envelope": 1,
-    "mel": 28,
-    "vad": 1,
-    "phoneme": 40,
-    "bpc": 6,
-    "vowel_consonant": 3,
-    "anyphoneme": 2,
-    "bpc_onset": 6,
-    "vowel_consonant_onset": 3,
-    "anyphoneme_onset": 2,
-    "wordemb": EMBEDDING_DIM,
-}
 _ALIASES = {
     "env": "envelope",
     "vc": "vowel_consonant",
@@ -62,13 +55,53 @@ class StoryAssets:
         return frame_count(self.audio.n_samples, self.audio.fs)
 
 
+class Part(NamedTuple):
+    """A feature part: its channel count and its extractor of (assets, band)."""
+
+    channels: int
+    extract: Callable[[StoryAssets, PreprocConfig], TimeSeriesTensor]
+
+
+def _phonemes(assets: StoryAssets) -> TimeSeriesTensor:
+    """The story's phoneme one-hot, from which every phoneme-derived part is made."""
+    return phoneme_onehot(assets.phonemes, assets.inventory, assets.n_frames)
+
+
+def _word_embeddings(assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTensor:
+    if assets.embeddings is None:
+        raise InvalidSpecError("wordemb requested but no embedding table loaded")
+    return word_embedding_sequence(assets.words, assets.embeddings, assets.n_frames)
+
+
+def _onset(base: Part) -> Part:
+    """The onset variant of a phoneme-derived part: its channels, pulses at phoneme starts."""
+    return Part(base.channels, lambda a, cfg: onset_variant(base.extract(a, cfg), a.phonemes))
+
+
+# Each extractor looks its acoustic or categorical function up by name when
+# it runs, so a replacement bound in this module's namespace sees every call.
+# The acoustic parts are band-limited to the experiment's band ``cfg``.
+PARTS = {
+    "envelope": Part(1, lambda a, cfg: envelope_powerlaw(a.audio, cfg)),
+    "mel": Part(MEL_BANDS, lambda a, cfg: mel_spectrogram(a.audio, cfg)),
+    "vad": Part(1, lambda a, cfg: vad(a.audio)),
+    "phoneme": Part(INVENTORY_SIZE, lambda a, cfg: _phonemes(a)),
+    "bpc": Part(len(BPC_ROWS), lambda a, cfg: map_bpc(_phonemes(a), a.inventory)),
+    "vowel_consonant": Part(len(VC_ROWS),
+                            lambda a, cfg: map_vowel_consonant(_phonemes(a), a.inventory)),
+    "anyphoneme": Part(len(ANYPH_ROWS), lambda a, cfg: map_anyphoneme(_phonemes(a))),
+    "wordemb": Part(EMBEDDING_DIM, _word_embeddings),
+}
+PARTS.update({f"{b}_onset": _onset(PARTS[b]) for b in ("bpc", "vowel_consonant", "anyphoneme")})
+
+
 def canonical_parts(name: str) -> list[str]:
     """Split a feature name on '+' and resolve aliases."""
     parts = []
     for raw in name.split("+"):
         part = raw.strip().lower()
         part = _ALIASES.get(part, part)
-        if part not in PART_DIMS:
+        if part not in PARTS:
             raise InvalidSpecError(f"unknown feature {raw!r}")
         parts.append(part)
     if not parts:
@@ -79,41 +112,14 @@ def canonical_parts(name: str) -> list[str]:
 def feature_dims(name: str) -> tuple[list[int], list[bool]]:
     """Per-part channel counts and word-embedding flags for the model config."""
     parts = canonical_parts(name)
-    return [PART_DIMS[p] for p in parts], [p == "wordemb" for p in parts]
+    return [PARTS[p].channels for p in parts], [p == "wordemb" for p in parts]
 
 
 def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTensor:
-    """One feature part; the acoustic parts are band-limited to the ``cfg`` band."""
-    inv = assets.inventory
-    if part == "envelope":
-        return envelope_powerlaw(assets.audio, cfg)
-    if part == "mel":
-        return mel_spectrogram(assets.audio, cfg)
-    if part == "vad":
-        return vad(assets.audio)
-    ph = None
-    if part in ("phoneme", "bpc", "vowel_consonant", "anyphoneme",
-                "bpc_onset", "vowel_consonant_onset", "anyphoneme_onset"):
-        ph = phoneme_onehot(assets.phonemes, inv, assets.n_frames)
-    if part == "phoneme":
-        return ph
-    if part == "bpc":
-        return map_bpc(ph, inv)
-    if part == "vowel_consonant":
-        return map_vowel_consonant(ph, inv)
-    if part == "anyphoneme":
-        return map_anyphoneme(ph)
-    if part == "bpc_onset":
-        return onset_variant(map_bpc(ph, inv), assets.phonemes)
-    if part == "vowel_consonant_onset":
-        return onset_variant(map_vowel_consonant(ph, inv), assets.phonemes)
-    if part == "anyphoneme_onset":
-        return onset_variant(map_anyphoneme(ph), assets.phonemes)
-    if part == "wordemb":
-        if assets.embeddings is None:
-            raise InvalidSpecError("wordemb requested but no embedding table loaded")
-        return word_embedding_sequence(assets.words, assets.embeddings, assets.n_frames)
-    raise InvalidSpecError(f"unknown feature part {part!r}")
+    """One feature part of :data:`PARTS`."""
+    if part not in PARTS:
+        raise InvalidSpecError(f"unknown feature part {part!r}")
+    return PARTS[part].extract(assets, cfg)
 
 
 def extract_feature(

@@ -49,11 +49,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .windows import gather_windows
+from .windows import DecisionWindowSet, gather_windows
 
 COSINE_EPS = 1e-8
 PROB_CLAMP = 1e-7
 POOL = 3  # max-pool window and stride for the word-embedding variant
+# Distinct segments per block that :func:`forward_windows` runs the LSTM and
+# head on. Scores are bit for bit the same at any block size; this bounds memory.
+SCORE_BLOCK_ROWS = 256
 
 VARIANTS = ("conv", "no-conv", "maxpool")
 
@@ -642,34 +645,24 @@ def _blocks(match_key: np.ndarray, mismatch_key: np.ndarray, rows: int):
     return zip(bounds, bounds[1:] + [match_key.size])
 
 
-def forward_windows(
-    params: ModelParams,
-    eeg: Sequence[np.ndarray],
-    feature: Sequence[np.ndarray],
-    rec_index: np.ndarray,
-    start: np.ndarray,
-    offset: int,
-    block_rows: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of both orders of every triple, with fronts run per recording.
+def forward_windows(params: ModelParams, ws: DecisionWindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of both orders of every triple of ``ws``, with fronts run per recording.
 
-    Triple ``j`` pairs recording ``rec_index[j]``'s EEG window at
-    ``start[j]`` with that recording's feature segments at ``start[j]`` (the
-    match) and ``start[j] + offset`` (the mismatch); ``eeg[r]`` and
-    ``feature[r]`` are recording ``r``'s (C, L) and (F, L) arrays. A pooled
-    config pools each sliced window from its first frame. The LSTM and head
-    run on blocks of consecutive triples, by recording and start, holding at
-    most ``block_rows`` distinct segments (see :func:`_blocks`).
+    Triple ``j`` pairs its recording's EEG window at its start frame with
+    that recording's feature segments at the same start (the match) and
+    ``ws.mismatch_offset`` frames later (the mismatch). A pooled config
+    pools each sliced window from its first frame. The LSTM and head run on
+    blocks of consecutive triples, by recording and start, holding at most
+    :data:`SCORE_BLOCK_ROWS` distinct segments (see :func:`_blocks`).
     """
     cfg = params.config
     dt = cfg.np_dtype
     n_t = cfg.frames
-    rec_index = np.asarray(rec_index, dtype=np.int64)
-    start = np.asarray(start, dtype=np.int64)
+    eeg = [r.eeg for r in ws.recordings]
     stride = max(x.shape[1] for x in eeg)
-    order = np.lexsort((start, rec_index))
-    eeg_key = (rec_index * stride + start)[order]
-    mismatch_key = eeg_key + offset
+    order = np.lexsort((ws.start_frame, ws.rec_index))
+    eeg_key = (ws.rec_index * stride + ws.start_frame)[order]
+    mismatch_key = eeg_key + ws.mismatch_offset
     segment_keys = np.union1d(eeg_key, mismatch_key)
 
     tracks = []  # per front: a frame-wise front's track, or a maxpool part's inputs
@@ -678,7 +671,7 @@ def forward_windows(
         if name == "eeg":
             inputs, keys = eeg, np.unique(eeg_key)
         else:
-            inputs, keys = [f[lo : lo + dim] for f in feature], segment_keys
+            inputs, keys = [r.feature[lo : lo + dim] for r in ws.recordings], segment_keys
             lo += dim
         if variant != "maxpool":
             reach = _conv_reach(kernel) if variant == "conv" else (0, 0)
@@ -687,8 +680,8 @@ def forward_windows(
         tracks.append((name, variant, inputs))
 
     t = params.tensors
-    m = np.empty(start.size, dtype=dt)
-    for a, b in _blocks(eeg_key, mismatch_key, block_rows):
+    m = np.empty(ws.n_triples, dtype=dt)
+    for a, b in _blocks(eeg_key, mismatch_key, SCORE_BLOCK_ROWS):
         keys = np.union1d(eeg_key[a:b], mismatch_key[a:b])
         reps = []
         for name, variant, track in tracks:

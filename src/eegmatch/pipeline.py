@@ -35,7 +35,6 @@ from .tensors import (
     TimeSeriesTensor,
     atomic_path,
     frame_count,
-    read_header,
     read_timeseries,
     write_timeseries,
 )
@@ -407,9 +406,9 @@ def build_cell(
     preproc = PreprocConfig(**spec.preproc)
     # refuse a recording too short for the split before any cache is written
     for entry in manifest.recordings:
-        dims, fs = read_header(entry.eeg_path)
+        eeg = TimeSeriesFile.open(entry.eeg_path)
         try:
-            split_recording(frame_count(dims[-1], fs), split, win)
+            split_recording(frame_count(eeg.n_samples, eeg.fs), split, win)
         except InvalidInputError as err:
             raise InvalidInputError(f"{entry.subject_id}/{entry.recording_id}: {err}") from None
     recordings = build_recordings(manifest, feature_name, loader, preproc, spec.out_dir)

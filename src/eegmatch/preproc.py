@@ -203,9 +203,19 @@ def to_frame_rate(
     output, cut or zero-padded to :func:`~eegmatch.tensors.frame_count`
     frames. A stream at or below the band rate is filtered at its own rate,
     and one already at 64 Hz is filtered only. The stages are designed once
-    per call.
+    per call. A stream too short for the band's padding is refused.
     """
     decimator, sos, resampler = _stages(x.fs, cfg)
+    # sosfiltfilt pads each end by its default ``padlen`` samples at the
+    # band's rate and refuses a stream that is not longer than that
+    padlen = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
+    up, down = (1, 1) if decimator is None else decimator[:2]
+    shortest = padlen * down // up + 1
+    if x.n_samples < shortest:
+        raise InvalidInputError(
+            f"stream of {x.n_samples} samples at {x.fs:g} Hz is too short for the "
+            f"{cfg.low_hz:g}-{cfg.high_hz:g} Hz band, which needs at least {shortest} samples"
+        )
     n_out = frame_count(x.n_samples, x.fs)
     out = np.zeros((x.n_channels, n_out))
     for lo in range(0, x.n_channels, CHANNEL_BLOCK):

@@ -58,9 +58,9 @@ class TimeSeriesTensor:
     def duration_s(self) -> float:
         return self.n_samples / self.fs
 
-    def with_data(self, data: np.ndarray, fs: float | None = None) -> "TimeSeriesTensor":
-        """Copy of this tensor with new data (and optionally a new rate)."""
-        return TimeSeriesTensor(data, self.fs if fs is None else fs)
+    def with_data(self, data: np.ndarray) -> "TimeSeriesTensor":
+        """Copy of this tensor with new data at its rate."""
+        return TimeSeriesTensor(data, self.fs)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Channels ``lo`` to ``hi - 1``, a view."""
@@ -123,13 +123,6 @@ def _read_header(fh, path) -> tuple[np.dtype, tuple[int, ...], float]:
     dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
     (fs,) = struct.unpack("<d", fh.read(8))
     return _DTYPE_CODES[code], dims, fs
-
-
-def read_header(path: str | Path) -> tuple[tuple[int, ...], float]:
-    """(dims, fs) of a file written by :func:`write_tensor`, without reading its payload."""
-    with open(path, "rb") as fh:
-        _, dims, fs = _read_header(fh, path)
-    return dims, fs
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, float]:

@@ -36,9 +36,9 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     rng_seed: int
-    # samples per step: a step runs batch_size // 2 triples in the matched
-    # order, whose gradient is the both-order mean by antisymmetry; an
-    # epoch visits each triple once
+    # samples per training step (scoring runs in fixed blocks): a step runs
+    # batch_size // 2 triples in the matched order, whose gradient is the
+    # both-order mean by antisymmetry; an epoch visits each triple once
     batch_size: int = 64
     learning_rate: float = 1e-3
     max_epochs: int = 100
@@ -97,27 +97,16 @@ class AdamState:
             ).astype(params.tensors[key].dtype)
 
 
-def _batched(n: int, size: int):
-    for lo in range(0, n, size):
-        yield np.arange(lo, min(lo + size, n))
-
-
-def _triples_per_pass(batch_size: int) -> int:
-    """Triples in a pass of ``batch_size`` samples, at least one."""
-    return max(1, batch_size // 2)
-
-
-def evaluate_set(
-    params: ModelParams, ws: DecisionWindowSet, batch_size: int = 256
-) -> tuple[float, float, np.ndarray]:
+def evaluate_set(params: ModelParams, ws: DecisionWindowSet) -> tuple[float, float, np.ndarray]:
     """(mean loss, accuracy, per-sample correctness) over both orderings.
 
     The EEG path and the frame-wise speech fronts run once per recording,
     over the frames its triples cover, and each window is sliced from them
     with its edge frames recomputed from its own inputs; the LSTM and head
-    run on blocks of at most ``batch_size`` distinct segments, pooled across
-    recordings (see :func:`forward_windows`). Each probability is bit for
-    bit what :func:`forward_batch` gives its sample among others.
+    run on blocks of at most :data:`~eegmatch.model.SCORE_BLOCK_ROWS`
+    distinct segments, pooled across recordings (see :func:`forward_windows`).
+    Each probability is bit for bit what :func:`forward_batch` gives its
+    sample among others.
     """
     if ws.n_samples == 0:
         raise InvalidInputError("cannot evaluate an empty window set")
@@ -127,10 +116,7 @@ def evaluate_set(
                             ("feature dimension", ws.feature_dim, cfg.feature_dim)):
         if got != want:
             raise InvalidInputError(f"window set's {what} {got} != the model's {want}")
-    p_match, p_swapped = forward_windows(
-        params, [r.eeg for r in ws.recordings], [r.feature for r in ws.recordings],
-        ws.rec_index, ws.start_frame, ws.mismatch_offset, batch_size,
-    )
+    p_match, p_swapped = forward_windows(params, ws)
     losses = np.empty(ws.n_samples)
     losses[0::2] = loss(p_match, 1.0)
     losses[1::2] = loss(p_swapped, 0.0)
@@ -168,12 +154,12 @@ def train(
     best_params = params.copy()
     best_epoch = 0
     stale = 0
-    per_step = _triples_per_pass(cfg.batch_size)
+    per_step = max(1, cfg.batch_size // 2)  # triples
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(train_set.n_triples)
         total = 0.0
-        for batch_no, idx in enumerate(_batched(train_set.n_triples, per_step)):
-            triples = order[idx]
+        for batch_no, lo in enumerate(range(0, train_set.n_triples, per_step)):
+            triples = order[lo : lo + per_step]
             # sample 2i is triple i in the (match, mismatch) order, label 1
             eeg, a, b, _ = train_set.gather_samples(2 * triples, params.config.np_dtype)
             p, trace = forward_batch(params, eeg, a, b)
@@ -188,7 +174,7 @@ def train(
             grads = backward_batch(params, trace, dloss)
             adam.update(params, grads)
         train_loss = total / train_set.n_samples
-        val_loss, val_acc, _ = evaluate_set(params, val_set, cfg.batch_size)
+        val_loss, val_acc, _ = evaluate_set(params, val_set)
         log.append(EpochLog(epoch, float(train_loss), val_loss, val_acc))
         if val_loss < best_val:
             best_val = val_loss

@@ -13,7 +13,7 @@ import yaml
 from eegmatch import cli, pipeline
 from eegmatch.errors import InvalidInputError, InvalidSpecError
 from eegmatch.features import (
-    PART_DIMS,
+    PARTS,
     StoryAssets,
     canonical_parts,
     extract_feature,
@@ -67,6 +67,16 @@ class TestFeatureRegistry:
         assert dims == [300]
         assert flags == [True]
 
+    def test_dims_follow_the_parts_in_order(self):
+        dims, flags = feature_dims("env+bpc")
+        assert dims == [PARTS["envelope"].channels, PARTS["bpc"].channels] == [1, 6]
+        assert flags == [False, False]
+
+    @pytest.mark.parametrize("base", ["bpc", "vowel_consonant", "anyphoneme"])
+    def test_onset_part_has_its_base_channels(self, story_assets, base):
+        onset = extract_part(f"{base}_onset", story_assets, PreprocConfig())
+        assert PARTS[f"{base}_onset"].channels == PARTS[base].channels == onset.n_channels
+
     @pytest.mark.parametrize(
         "name,channels",
         [
@@ -93,9 +103,10 @@ class TestFeatureRegistry:
                              synth_embeddings(list(lexicon), seed=2))
         n = frame_count(story.audio.n_samples, story.audio.fs)
         assert assets.n_frames == n
-        for part in PART_DIMS:
-            out = extract_part(part, assets, PreprocConfig())
-            assert (out.n_channels, out.n_samples) == (PART_DIMS[part], n), part
+        assert len(PARTS) == 11
+        for name, part in PARTS.items():
+            out = extract_part(name, assets, PreprocConfig())
+            assert (out.n_channels, out.n_samples) == (part.channels, n), name
 
     def test_concat_parts_align(self, story_assets):
         combined = extract_feature("env+anyphoneme", story_assets)

@@ -231,6 +231,21 @@ class TestFullChain:
         with pytest.raises(InvalidSpecError):
             band_sos(40.0, 80.0, 80.0, fs=64.0)
 
+    @pytest.mark.parametrize("fs,n,shortest", [
+        (8192.0, 1001, 5185), (8192.0, 5184, 5185), (512.0, 324, 325), (64.0, 30, 31),
+    ])
+    def test_stream_too_short_for_the_band_is_refused_by_name(self, fs, n, shortest):
+        """The band runs forward and backward on its stream padded by 81
+        samples at 128 Hz, 30 at 64 Hz, at each end, and needs a longer
+        stream: 81 x 64 + 1 samples at 8192 Hz. A shorter one is refused
+        with its length, its rate and that shortest length, not by scipy."""
+        rng = np.random.default_rng(12)
+        with pytest.raises(InvalidInputError,
+                           match=rf"^stream of {n} samples at {fs:g} Hz .* {shortest} samples$"):
+            preprocess_eeg(TimeSeriesTensor(rng.standard_normal((2, n)), fs))
+        out = to_frame_rate(TimeSeriesTensor(rng.standard_normal((2, shortest)), fs), PreprocConfig())
+        assert out.n_samples == frame_count(shortest, fs)
+
     @pytest.mark.parametrize("fs,expected", [
         # the bandpass path, decimated to 128 Hz first
         (512.0, [[0.06590535350452828, 1.9856583521862252, -0.23235964658507627],

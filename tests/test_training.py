@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import gather_segments
 
-from eegmatch import training
+from eegmatch import model, training
 from eegmatch.errors import InvalidInputError, TrainingDivergedError
 from eegmatch.model import (
     ArchitectureConfig,
@@ -120,7 +120,7 @@ class TestTrainLoop:
         val_losses = [r.val_loss for r in result.log]
         best_logged = min(val_losses)
         assert result.best_epoch == val_losses.index(best_logged) + 1
-        recomputed, _, _ = evaluate_set(result.params, noise_sets["val"], 32)
+        recomputed, _, _ = evaluate_set(result.params, noise_sets["val"])
         assert recomputed == pytest.approx(best_logged, abs=1e-7)
 
     def test_patience_stops_early(self, noise_sets):
@@ -254,18 +254,21 @@ class TestTriplePass:
 
 
 class TestEvaluation:
-    def test_accuracy_order_invariant(self, noise_sets):
+    def test_accuracy_order_invariant(self, noise_sets, monkeypatch):
         params = init_params(small_arch(), np.random.default_rng(20))
-        _, acc, correct = evaluate_set(params, noise_sets["test"], batch_size=8)
-        _, acc_large_batch, correct2 = evaluate_set(params, noise_sets["test"], batch_size=64)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 8)
+        _, acc, correct = evaluate_set(params, noise_sets["test"])
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 64)
+        _, acc_large_batch, correct2 = evaluate_set(params, noise_sets["test"])
         assert acc == acc_large_batch
         np.testing.assert_array_equal(correct, correct2)
 
-    def test_one_pass_per_triple_matches_per_sample_passes(self, noise_sets):
+    def test_one_pass_per_triple_matches_per_sample_passes(self, noise_sets, monkeypatch):
         params = init_params(small_arch(), np.random.default_rng(23))
         params.tensors["head_w"][:] = 30.0  # spread p away from 0.5
         ws = noise_sets["test"]
-        mean_loss, acc, correct = evaluate_set(params, ws, batch_size=16)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 16)
+        mean_loss, acc, correct = evaluate_set(params, ws)
         eeg, a, b, labels = ws.gather_samples(np.arange(ws.n_samples), np.float64)
         p, _ = forward_batch(params, eeg, a, b)
         np.testing.assert_array_equal(correct, (p >= 0.5) == (labels > 0.5))
@@ -280,14 +283,15 @@ class TestEvaluation:
         (SpeechPart(1, "no-conv"), SpeechPart(4, "conv")),
     ])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_segment_indexed_matches_forward_batch_bit_for_bit(self, parts, dtype):
+    def test_segment_indexed_matches_forward_batch_bit_for_bit(self, parts, dtype, monkeypatch):
         recs = noise_recordings(length=12000, feat_dim=sum(p.dim for p in parts), seed=24)
         ws = assemble_dataset(recs, seed=5)["test"]
         arch = replace(small_arch(dtype=dtype), parts=parts)
         params = init_params(arch, np.random.default_rng(25))
         params.tensors["head_w"][:] = 30.0
         batch = 12
-        mean_loss, _, correct = evaluate_set(params, ws, batch_size=batch)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", batch)
+        mean_loss, _, correct = evaluate_set(params, ws)
         losses = np.empty(ws.n_samples)
         ref = np.empty(ws.n_samples, dtype=bool)
         for lo in range(0, ws.n_triples, batch // 2):
@@ -302,18 +306,18 @@ class TestEvaluation:
         assert 0.0 < correct.mean() < 1.0
 
     @staticmethod
-    def assert_scores_as_forward_batch(params, ws, batch_size):
+    def assert_scores_as_forward_batch(monkeypatch, params, ws, block_rows):
         """Both orders' probabilities, the correctness and the mean loss of
-        ``evaluate_set`` equal to ``forward_batch`` over all triples at once."""
+        ``evaluate_set`` in blocks of ``block_rows`` distinct segments equal
+        to ``forward_batch`` over all triples at once."""
         eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
         p, _ = forward_batch(params, eeg, match, mismatch)
         q, _ = forward_batch(params, eeg, mismatch, match)
-        got_p, got_q = forward_windows(
-            params, [r.eeg for r in ws.recordings], [r.feature for r in ws.recordings],
-            ws.rec_index, ws.start_frame, ws.mismatch_offset, batch_size)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", block_rows)
+        got_p, got_q = forward_windows(params, ws)
         np.testing.assert_array_equal(got_p, p)
         np.testing.assert_array_equal(got_q, q)
-        mean_loss, acc, correct = evaluate_set(params, ws, batch_size)
+        mean_loss, acc, correct = evaluate_set(params, ws)
         losses = np.empty(ws.n_samples)
         ref = np.empty(ws.n_samples, dtype=bool)
         losses[0::2], losses[1::2] = loss(p, 1.0), loss(q, 0.0)
@@ -339,7 +343,7 @@ class TestEvaluation:
 
     @EVERY_FRONT
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_per_recording_fronts_match_forward_batch_bit_for_bit(self, parts, dtype):
+    def test_per_recording_fronts_match_forward_batch_bit_for_bit(self, parts, dtype, monkeypatch):
         """Windows at frame 0, a recording of one triple, mismatched windows
         ending on their recording's last frame, starts at every residue mod 3."""
         ws = self.whole_recordings([2000, 704, 704 + 15 * 32], sum(p.dim for p in parts), 61)
@@ -352,22 +356,22 @@ class TestEvaluation:
         params = init_params(replace(small_arch(dtype=dtype), parts=parts),
                              np.random.default_rng(62))
         params.tensors["head_w"][:] = 30.0
-        for batch_size in (12, 256):
-            self.assert_scores_as_forward_batch(params, ws, batch_size)
+        for block_rows in (12, 256):
+            self.assert_scores_as_forward_batch(monkeypatch, params, ws, block_rows)
 
     @EVERY_FRONT
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_shuffled_train_set_matches_forward_batch_bit_for_bit(self, parts, dtype):
+    def test_shuffled_train_set_matches_forward_batch_bit_for_bit(self, parts, dtype, monkeypatch):
         recs = noise_recordings(feat_dim=sum(p.dim for p in parts), seed=63)
         ws = assemble_dataset(recs, seed=9)["train"]
         assert not (np.diff(ws.rec_index) >= 0).all()
         params = init_params(replace(small_arch(dtype=dtype), parts=parts),
                              np.random.default_rng(64))
         params.tensors["head_w"][:] = 30.0
-        self.assert_scores_as_forward_batch(params, ws, 64)
+        self.assert_scores_as_forward_batch(monkeypatch, params, ws, 64)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_lone_triples_match_forward_batch_bit_for_bit(self, dtype):
+    def test_lone_triples_match_forward_batch_bit_for_bit(self, dtype, monkeypatch):
         """numpy sums a lone triple's head mean pairwise, several in order.
 
         A set of one triple scores alone, as ``forward_batch`` scores it. Of
@@ -379,10 +383,10 @@ class TestEvaluation:
         params.tensors["head_w"][:] = 30.0
         one = self.whole_recordings([704], 3, 66)
         assert one.n_triples == 1
-        self.assert_scores_as_forward_batch(params, one, 256)
+        self.assert_scores_as_forward_batch(monkeypatch, params, one, 256)
         thirteen = self.whole_recordings([704 + 12 * 32], 3, 67)
         assert thirteen.n_triples == 13
-        self.assert_scores_as_forward_batch(params, thirteen, 24)
+        self.assert_scores_as_forward_batch(monkeypatch, params, thirteen, 24)
 
     @pytest.mark.parametrize("field, value", [
         ("frames", 256), ("eeg_channels", 5), ("parts", (SpeechPart(2, "conv"),)),
@@ -431,7 +435,7 @@ class TestEvaluation:
         assert acc == 0.5
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_equal_segments_score_one_of_two(self, dtype):
+    def test_equal_segments_score_one_of_two(self, dtype, monkeypatch):
         """Tie rule: p = 0.5 calls input a the match.
 
         So a triple whose two segments are equal scores its (match,
@@ -444,7 +448,8 @@ class TestEvaluation:
             rec.feature = np.tile(period, (1, n // period.shape[1] + 1))[:, :n]
         params = init_params(small_arch(dtype=dtype), np.random.default_rng(27))
         params.tensors["head_w"][:] = 30.0
-        _, acc, correct = evaluate_set(params, ws, batch_size=12)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 12)
+        _, acc, correct = evaluate_set(params, ws)
         assert correct[0::2].all() and not correct[1::2].any()
         assert acc == 0.5
 
