@@ -9,8 +9,10 @@ partition is scored per subject over both orderings of every triple.
 from __future__ import annotations
 
 import csv
+import logging
+import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,8 @@ from .model import (
 )
 from .tensors import atomic_path
 from .windows import DecisionWindowSet
+
+logger = logging.getLogger(__name__)
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -156,6 +160,7 @@ def train(
     stale = 0
     per_step = max(1, cfg.batch_size // 2)  # triples
     for epoch in range(1, cfg.max_epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(train_set.n_triples)
         total = 0.0
         for batch_no, lo in enumerate(range(0, train_set.n_triples, per_step)):
@@ -176,6 +181,8 @@ def train(
         train_loss = total / train_set.n_samples
         val_loss, val_acc, _ = evaluate_set(params, val_set)
         log.append(EpochLog(epoch, float(train_loss), val_loss, val_acc))
+        logger.info("epoch %d: train loss %.4f, val loss %.4f, val acc %.3f, %.1f s",
+                    *astuple(log[-1]), time.perf_counter() - started)
         if val_loss < best_val:
             best_val = val_loss
             best_params = params.copy()

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import json
 import logging
 import shutil
 from pathlib import Path
@@ -131,6 +132,17 @@ class TestManifest:
         with pytest.raises(InvalidInputError, match="nonexistent"):
             pipeline.load_manifest(bad)
 
+    @pytest.mark.parametrize("paths", ["relative", "absolute"])
+    def test_parses_as_yaml_safe_load_does(self, dataset, tmp_path, monkeypatch, paths):
+        path = dataset
+        if paths == "absolute":
+            path = tmp_path / "manifest.yaml"
+            path.write_text(yaml.safe_dump(absolute_manifest(dataset)))
+        fast = pipeline.load_manifest(path)
+        monkeypatch.setattr(pipeline, "_SafeLoader", yaml.SafeLoader)
+        assert fast == pipeline.load_manifest(path)
+        assert fast.inventory_path == dataset.parent / "inventory.yaml"
+
 
 # ``arch`` fields a cell derives, each with a value that a run would otherwise use
 DERIVED_ARCH_VALUES = [("frames", 100), ("eeg_channels", 32), ("dtype", "float64")]
@@ -181,6 +193,25 @@ def absolute_manifest(dataset) -> dict:
     return raw
 
 
+def tree_bytes(out) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def stat_of(what) -> tuple:
+    """(size, mtime, ctime, inode) of a path, or of a hash record's entry."""
+    if isinstance(what, dict):
+        return what["size"], what["mtime_ns"], what["ctime_ns"], what["inode"]
+    st = what.stat()
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino
+
+
+def recorded_as_settled(entry: dict) -> bool:
+    """Whether the entry's file had last changed 0.1 s (2 s at whole seconds) before its hash."""
+    whole = entry["mtime_ns"] % 10**9 == 0 and entry["ctime_ns"] % 10**9 == 0
+    return max(entry["mtime_ns"], entry["ctime_ns"]) <= entry["hashed_at"] - (
+        2 * 10**9 if whole else 10**8)
+
+
 class TestRunPipeline:
     def test_full_run_emits_artifacts(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -215,6 +246,28 @@ class TestRunPipeline:
         # each input file is read once per run, however many cells key on it
         eeg = [r.eeg_path for r in pipeline.load_manifest(dataset).recordings]
         assert sorted(p for p in hashed if p in eeg) == sorted(eeg)
+
+    def test_warm_rerun_changes_no_byte_and_reads_only_what_may_have_changed(
+            self, dataset, tmp_path, monkeypatch, caplog):
+        """Files the record holds as settled and unchanged are listed without a read."""
+        cfg, out = write_experiment(dataset, tmp_path, features=["vad", "envelope"])
+        pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        before = tree_bytes(out)
+        hashed = count_calls(monkeypatch, "file_sha256")
+        with caplog.at_level(logging.INFO, logger="eegmatch.pipeline"):
+            pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        assert tree_bytes(out) == before
+        record = json.loads((out / pipeline.HASH_RECORD).read_bytes())
+        assert set(record) == set(before) - {"artifacts.yaml", str(pipeline.HASH_RECORD)}
+        may_change = {out / pipeline.HASH_RECORD} | {
+            out / rel for rel, entry in record.items()
+            if not recorded_as_settled(entry) or stat_of(out / rel) != stat_of(entry)}
+        read_again = {path for (path,) in hashed if out in Path(path).parents}
+        assert read_again <= may_change
+        assert not any(p.is_relative_to(out / "cache") for p in read_again)
+        (line,) = [r.getMessage() for r in caplog.records if "files listed" in r.getMessage()]
+        assert f"{len(before) - 1} files listed, {len(read_again)} hashed" in line
+        assert "in cache/" not in line
 
     @pytest.mark.parametrize("text", ["", "key: [unclosed\n", "no-cell"],
                              ids=["empty", "not-yaml", "no-cell"])

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -122,6 +123,20 @@ class TestTrainLoop:
         assert result.best_epoch == val_losses.index(best_logged) + 1
         recomputed, _, _ = evaluate_set(result.params, noise_sets["val"])
         assert recomputed == pytest.approx(best_logged, abs=1e-7)
+
+    def test_each_epoch_logs_its_losses_accuracy_and_seconds(self, noise_sets, caplog):
+        cfg = TrainConfig(rng_seed=7, batch_size=32, max_epochs=2, patience=5)
+        init = init_params(small_arch(), np.random.default_rng(2))
+        with caplog.at_level(logging.INFO, logger="eegmatch.training"):
+            result = train(init, noise_sets["train"], noise_sets["val"], cfg)
+        lines = [r for r in caplog.records if r.name == "eegmatch.training"]
+        assert len(lines) == len(result.log) == 2
+        for line, row in zip(lines, result.log):
+            assert line.args[:4] == (row.epoch, row.train_loss, row.val_loss, row.val_acc)
+            assert line.args[4] >= 0.0
+            assert line.getMessage().startswith(
+                f"epoch {row.epoch}: train loss {row.train_loss:.4f}, "
+                f"val loss {row.val_loss:.4f}, val acc {row.val_acc:.3f}, ")
 
     def test_patience_stops_early(self, noise_sets):
         cfg = TrainConfig(rng_seed=5, batch_size=32, max_epochs=50, patience=2,
