@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal
 from scipy.io import wavfile
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, refused_as
 from .preproc import PreprocConfig, to_frame_rate
 from .tensors import FRAME_RATE, TimeSeriesTensor, atomic_path, frame_count
 
@@ -38,14 +38,15 @@ _MIN_BW = 24.7
 
 def read_wav(path: str | Path) -> TimeSeriesTensor:
     """Mono WAV (16-bit or float PCM) as a 1 x T tensor in [-1, 1]."""
-    fs, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise InvalidInputError(f"{path}: expected mono audio, got shape {data.shape}")
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    else:
-        data = data.astype(np.float64)
-    return TimeSeriesTensor(data[None, :], float(fs))
+    with refused_as(path):
+        fs, data = wavfile.read(path)
+        if data.ndim != 1:
+            raise InvalidInputError(f"expected mono audio, got shape {data.shape}")
+        if data.dtype == np.int16:
+            data = data.astype(np.float64) / 32768.0
+        else:
+            data = data.astype(np.float64)
+        return TimeSeriesTensor(data[None, :], float(fs))
 
 
 def write_wav(path: str | Path, audio: TimeSeriesTensor) -> None:

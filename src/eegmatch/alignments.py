@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import InvalidInputError, InvalidSpecError, UnknownLabelError
+from .errors import InvalidInputError, InvalidSpecError, UnknownLabelError, read_yaml, refused_as
 from .tensors import atomic_path
 
 # entries per word vector, as in the pretrained 300-dimensional embeddings
@@ -74,7 +74,7 @@ class AlignmentTrack:
 def read_alignment(path: str | Path, story_id: str = "") -> AlignmentTrack:
     kind = None
     intervals = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, refused_as(path):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -84,16 +84,12 @@ def read_alignment(path: str | Path, story_id: str = "") -> AlignmentTrack:
                 if key.strip() == "kind":
                     kind = value.strip()
                 continue
-            try:
+            with refused_as(f"line {lineno}"):
                 start, end, label = line.split("\t")
                 intervals.append(Interval(float(start), float(end), label))
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {lineno} is not start<TAB>end<TAB>label: {line!r}"
-                ) from None
-    if kind is None:
-        raise InvalidInputError(f"{path}: missing '#kind=' header")
-    return AlignmentTrack(intervals, kind, story_id=story_id or Path(path).stem)
+        if kind is None:
+            raise InvalidInputError("missing '#kind=' header")
+        return AlignmentTrack(intervals, kind, story_id=story_id or Path(path).stem)
 
 
 def write_alignment(path: str | Path, track: AlignmentTrack) -> None:
@@ -136,9 +132,9 @@ class PhonemeInventory:
 
 
 def read_inventory(path: str | Path) -> PhonemeInventory:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    return PhonemeInventory(symbols=list(raw["symbols"]), class_map=dict(raw["classes"]))
+    raw = read_yaml(path, ("symbols", "classes"))
+    with refused_as(path):
+        return PhonemeInventory(symbols=list(raw["symbols"]), class_map=dict(raw["classes"]))
 
 
 def write_inventory(path: str | Path, inv: PhonemeInventory) -> None:
@@ -173,18 +169,13 @@ class EmbeddingTable:
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
     vectors = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, refused_as(path):
         for line in fh:
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
                 continue
-            word, values = parts[0], parts[1:]
-            if len(values) != EMBEDDING_DIM:
-                raise InvalidInputError(
-                    f"{path}: {word!r} has {len(values)} values, expected {EMBEDDING_DIM}"
-                )
-            vectors[word] = np.array([float(v) for v in values])
-    return EmbeddingTable(vectors)
+            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+        return EmbeddingTable(vectors)
 
 
 def write_embeddings(path: str | Path, table: EmbeddingTable) -> None:

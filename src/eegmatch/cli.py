@@ -57,7 +57,7 @@ def cmd_featurize(args) -> int:
     spec, manifest, loader = _experiment(args.config)
     cfg = PreprocConfig(**spec.preproc)
     for name in spec.features:
-        for story_id in manifest.story_ids:
+        for story_id in sorted(manifest.stories):
             feat = loader.feature_cached(story_id, name, spec.out_dir / pipeline.FEATURE_CACHE, cfg)
             print(f"{story_id}/{name}: {feat.n_channels}x{feat.n_samples}")
     return 0

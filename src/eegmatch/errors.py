@@ -1,4 +1,14 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the refusal of malformed input files by name."""
+
+import struct
+from contextlib import contextmanager
+from pathlib import Path
+
+import yaml
+
+# libyaml's parser where PyYAML was built with it: a cell stamp and the phoneme
+# inventory parse about 6x and 8x faster than with the pure-Python parser.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class EegMatchError(ValueError):
@@ -31,3 +41,46 @@ class TrainingDivergedError(EegMatchError):
 
 class DegenerateSampleError(EegMatchError):
     """A statistical sample is degenerate (e.g. all paired differences zero)."""
+
+
+@contextmanager
+def refused_as(source: str | Path):
+    """Refusals raised inside the block, named by ``source``: a file, a block of one or a recording.
+
+    A wrong type or value, YAML that does not parse or a binary field cut short is refused too.
+    """
+    try:
+        yield
+    except EegMatchError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+    except (TypeError, ValueError, struct.error, yaml.YAMLError) as exc:
+        raise InvalidInputError(f"{source}: {exc}") from None
+
+
+def check_keys(raw, required: tuple[str, ...], optional: tuple[str, ...] | None = None,
+               where: str = "") -> dict:
+    """``raw``, refused unless it is a mapping that holds every ``required`` key.
+
+    With ``optional`` given, it holds no other key. ``where`` names the mapping in its file.
+    """
+    at = f"{where}: " if where else ""
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{at}not a mapping")
+    for key in required:
+        if key not in raw:
+            raise InvalidInputError(f"{at}no {key!r} key")
+    if optional is not None:
+        unknown = [repr(key) for key in raw if key not in required + optional]
+        if unknown:
+            raise InvalidInputError(f"{at}unknown key(s) {', '.join(unknown)}")
+    return raw
+
+
+def read_yaml(path: str | Path, required: tuple[str, ...],
+              optional: tuple[str, ...] | None = None) -> dict:
+    """The mapping in the YAML file ``path`` as :func:`check_keys` passes it, else refused by name.
+
+    A missing file raises ``FileNotFoundError``.
+    """
+    with open(path, "r", encoding="utf-8") as fh, refused_as(path):
+        return check_keys(yaml.load(fh, Loader=_SafeLoader), required, optional)

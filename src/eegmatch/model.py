@@ -43,6 +43,7 @@ antisymmetric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,30 +150,34 @@ def _fronts(config: ArchitectureConfig):
         yield f"sp{i}", part.dim, part.variant, config.speech_conv_filters, config.speech_conv_kernel
 
 
+def param_shapes(config: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every trainable tensor by name, in the order :func:`init_params` makes them."""
+    d, h = config.embed_dim, config.lstm_units
+    shapes = {}
+    for name, dim, variant, filters, kernel in _fronts(config):
+        if variant == "conv":
+            shapes[f"{name}_conv_w"] = (filters, dim, kernel)
+            shapes[f"{name}_conv_b"] = (filters,)
+        shapes[f"{name}_dense_w"] = (d, filters if variant == "conv" else dim)
+        shapes[f"{name}_dense_b"] = (d,)
+    return {**shapes, "lstm_wx": (4 * h, config.lstm_input_dim), "lstm_wh": (4 * h, h),
+            "lstm_b": (4 * h,), "head_w": (1,)}
+
+
 def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
     """He/Glorot-style initialization; LSTM forget bias starts at 1."""
     dt = config.np_dtype
     t: dict[str, np.ndarray] = {}
-
-    def he(shape, fan_in):
-        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dt)
-
-    d, h = config.embed_dim, config.lstm_units
-    for name, dim, variant, filters, kernel in _fronts(config):
-        width = dim
-        if variant == "conv":
-            t[f"{name}_conv_w"] = he((filters, dim, kernel), dim * kernel)
-            t[f"{name}_conv_b"] = np.zeros(filters, dtype=dt)
-            width = filters
-        t[f"{name}_dense_w"] = he((d, width), width)
-        t[f"{name}_dense_b"] = np.zeros(d, dtype=dt)
-    i_dim = config.lstm_input_dim
-    t["lstm_wx"] = (rng.standard_normal((4 * h, i_dim)) / np.sqrt(i_dim)).astype(dt)
-    t["lstm_wh"] = (rng.standard_normal((4 * h, h)) / np.sqrt(h)).astype(dt)
-    b = np.zeros(4 * h, dtype=dt)
-    b[h : 2 * h] = 1.0
-    t["lstm_b"] = b
-    t["head_w"] = np.ones(1, dtype=dt)
+    for name, shape in param_shapes(config).items():
+        fan_in = math.prod(shape[1:])
+        if name in ("lstm_wx", "lstm_wh"):
+            t[name] = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dt)
+        elif name.endswith(("_conv_w", "_dense_w")):
+            t[name] = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dt)
+        else:
+            t[name] = np.zeros(shape, dtype=dt)
+    t["lstm_b"][config.lstm_units : 2 * config.lstm_units] = 1.0
+    t["head_w"][:] = 1.0
     return ModelParams(config, t)
 
 

@@ -17,8 +17,9 @@ import json
 import logging
 import time
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import suppress
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .acoustic import read_wav
 from .alignments import read_alignment, read_embeddings, read_inventory
 from .categorical import concat_features
 from .checkpoint import save_checkpoint
-from .errors import DegenerateSampleError, EegMatchError, InvalidInputError
+from .errors import DegenerateSampleError, InvalidInputError, check_keys, read_yaml, refused_as
 from .features import StoryAssets, canonical_parts, extract_feature, feature_dims
 from .model import ModelParams, config_for_feature, init_params
 from .preproc import CHAIN_VERSION, PreprocConfig, preprocess_eeg
@@ -61,11 +62,8 @@ from .windows import (
 
 logger = logging.getLogger(__name__)
 
-# libyaml's parser where PyYAML was built with it: a cell stamp, which carries
-# its cell's description, parses about 10x faster, and a warm re-run reads one
-# stamp per cell and the dataset manifest. Its emitter writes artifacts.yaml
+# libyaml's emitter where PyYAML was built with it: it writes artifacts.yaml
 # about 8x faster, in the same bytes for every key that a file path can be.
-_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Where an experiment's ``out`` keeps preprocessed EEG and story features;
@@ -92,74 +90,56 @@ class RecordingEntry:
     recording_id: str
     story_id: str
     eeg_path: Path
-    audio_path: Path
-    phonemes_path: Path
-    words_path: Path
+
+
+@dataclass(frozen=True)
+class StoryFiles:
+    """The files of one story, which every recording of it shares."""
+
+    audio: Path
+    phonemes: Path
+    words: Path
 
 
 @dataclass
 class DatasetManifest:
-    root: Path
     inventory_path: Path
     embeddings_path: Path | None
     recordings: list[RecordingEntry]
-
-    @property
-    def story_ids(self) -> list[str]:
-        return sorted({r.story_id for r in self.recordings})
+    stories: dict[str, StoryFiles]
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and validate a dataset manifest; missing files fail fast by name."""
+    """The dataset manifest at ``path``; a malformed entry or a missing file is refused by name.
+
+    Every recording of a story must name the same audio and alignment files.
+    """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.load(fh, Loader=_SafeLoader)
-    if not isinstance(raw, dict) or not isinstance(raw.get("subjects"), dict):
-        raise InvalidInputError(f"{path}: no 'subjects' mapping")
-    if "inventory" not in raw:
-        raise InvalidInputError(f"{path}: no 'inventory' key")
+    raw = read_yaml(path, ("subjects", "inventory"))
     root = path.parent
-    recordings = []
-    for subject_id, entries in sorted(raw["subjects"].items()):
-        if not isinstance(entries, list):
-            raise InvalidInputError(f"{path}: subject {subject_id} is not a list of recordings")
-        for entry in entries:
-            missing = [k for k in ("recording_id", "story_id", "eeg", "audio", "phonemes", "words")
-                       if not isinstance(entry, dict) or k not in entry]
-            if missing:
-                raise InvalidInputError(
-                    f"{path}: a recording of subject {subject_id} has no {missing[0]!r} key"
-                )
-            rec = RecordingEntry(
-                subject_id=subject_id,
-                recording_id=entry["recording_id"],
-                story_id=entry["story_id"],
-                eeg_path=root / entry["eeg"],
-                audio_path=root / entry["audio"],
-                phonemes_path=root / entry["phonemes"],
-                words_path=root / entry["words"],
-            )
-            for attr in ("eeg_path", "audio_path", "phonemes_path", "words_path"):
-                p = getattr(rec, attr)
-                if not p.exists():
-                    raise InvalidInputError(
-                        f"manifest entry {rec.recording_id}: missing {attr[:-5]} file {p}"
-                    )
-            recordings.append(rec)
-    inventory_path = root / raw["inventory"]
-    if not inventory_path.exists():
-        raise InvalidInputError(f"manifest inventory file missing: {inventory_path}")
-    embeddings_path = None
-    if raw.get("embeddings"):
-        embeddings_path = root / raw["embeddings"]
-        if not embeddings_path.exists():
-            raise InvalidInputError(f"manifest embeddings file missing: {embeddings_path}")
-    return DatasetManifest(
-        root=root,
-        inventory_path=inventory_path,
-        embeddings_path=embeddings_path,
-        recordings=recordings,
-    )
+    recordings, stories = [], {}
+    with refused_as(path):
+        subjects = check_keys(raw["subjects"], (), where="subjects")
+        for subject_id, entries in sorted(subjects.items()):
+            for entry in entries:
+                check_keys(entry, ("recording_id", "story_id", "eeg", "audio", "phonemes", "words"),
+                           where=f"a recording of subject {subject_id}")
+                story_id = entry["story_id"]
+                files = StoryFiles(root / entry["audio"], root / entry["phonemes"],
+                                   root / entry["words"])
+                if stories.setdefault(story_id, files) != files:
+                    raise InvalidInputError(f"recording {entry['recording_id']} names other files "
+                                            f"for story {story_id} than an earlier recording")
+                recordings.append(RecordingEntry(subject_id, entry["recording_id"], story_id,
+                                                 root / entry["eeg"]))
+        inventory_path = root / raw["inventory"]
+        embeddings_path = root / raw["embeddings"] if raw.get("embeddings") else None
+        for file in (*(r.eeg_path for r in recordings),
+                     *(p for files in stories.values() for p in astuple(files)),
+                     inventory_path, embeddings_path):
+            if file is not None and not file.exists():
+                raise InvalidInputError(f"missing file {file}")
+    return DatasetManifest(inventory_path, embeddings_path, recordings, stories)
 
 
 def _settable_arch(arch: dict) -> dict:
@@ -202,10 +182,8 @@ class ExperimentSpec:
             "preproc": lambda b: PreprocConfig(**b),
         }
         for block, check in checks.items():
-            try:
+            with refused_as(block):
                 check(getattr(self, block))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"{block}: {exc}") from None
 
     def cell(self, feature: str, inputs: list[str]) -> dict:
         """What ``feature``'s cell key hashes and its ``cell.yaml`` records.
@@ -223,38 +201,12 @@ CELL_SETTINGS = tuple(f.name for f in fields(ExperimentSpec)
                       if f.name not in ("features", "manifest", "out_dir"))
 
 
-def _check_keys(path: Path, raw: dict, required: tuple[str, ...],
-                optional: tuple[str, ...]) -> None:
-    """Refuse ``raw``, read from ``path``, if it lacks a required key or holds an unknown one."""
-    for key in required:
-        if key not in raw:
-            raise InvalidInputError(f"{path}: no {key!r} key")
-    unknown = [repr(key) for key in raw if key not in required + optional]
-    if unknown:
-        raise InvalidInputError(f"{path}: unknown key(s) {', '.join(unknown)}")
-
-
-@contextmanager
-def _refused_as(path: Path):
-    """Refusals raised inside the block, named by ``path``, the file that described them."""
-    try:
-        yield
-    except EegMatchError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-
-
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """The experiment that ``path`` describes; a malformed description is refused by name."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise InvalidInputError(f"{path}: not a mapping")
-    _check_keys(path, raw, ("features", "manifest", "out"), CELL_SETTINGS)
+    raw = read_yaml(path, ("features", "manifest", "out"), CELL_SETTINGS)
     base = path.parent
-    with _refused_as(path):
+    with refused_as(path):
         return ExperimentSpec(
             features=list(raw["features"]),
             manifest=(base / raw["manifest"]).resolve(),
@@ -312,15 +264,18 @@ class AssetLoader:
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        self.inventory = read_inventory(manifest.inventory_path)
-        self.embeddings = (
-            read_embeddings(manifest.embeddings_path) if manifest.embeddings_path else None
-        )
         self._assets: dict[str, StoryAssets] = {}
-        self._by_story = {}
         self._sha256: dict[Path, str] = {}
-        for rec in manifest.recordings:
-            self._by_story.setdefault(rec.story_id, rec)
+
+    @cached_property
+    def inventory(self):
+        """Parsed on first use, as are the embeddings: a run of cached features needs neither."""
+        return read_inventory(self.manifest.inventory_path)
+
+    @cached_property
+    def embeddings(self):
+        path = self.manifest.embeddings_path
+        return read_embeddings(path) if path else None
 
     def file_hash(self, path: Path) -> str:
         """SHA-256 of an input file, read on the first request only."""
@@ -330,11 +285,11 @@ class AssetLoader:
 
     def assets(self, story_id: str) -> StoryAssets:
         if story_id not in self._assets:
-            rec = self._by_story[story_id]
+            files = self.manifest.stories[story_id]
             self._assets[story_id] = StoryAssets(
-                audio=read_wav(rec.audio_path),
-                phonemes=read_alignment(rec.phonemes_path),
-                words=read_alignment(rec.words_path),
+                audio=read_wav(files.audio),
+                phonemes=read_alignment(files.phonemes),
+                words=read_alignment(files.words),
                 inventory=self.inventory,
                 embeddings=self.embeddings,
             )
@@ -349,16 +304,16 @@ class AssetLoader:
         feature can read. A ``+`` name that misses is joined from its parts'
         own entries, so a part shared by several features is extracted once.
         """
-        rec = self._by_story[story_id]
+        files = self.manifest.stories[story_id]
         embeddings = self.manifest.embeddings_path
         key = config_hash(
             {
                 "feature": name,
                 "band": [cfg.low_hz, cfg.high_hz, cfg.stop_atten_db],
                 "chain": CHAIN_VERSION,
-                "audio": self.file_hash(rec.audio_path),
-                "phonemes": self.file_hash(rec.phonemes_path),
-                "words": self.file_hash(rec.words_path),
+                "audio": self.file_hash(files.audio),
+                "phonemes": self.file_hash(files.phonemes),
+                "words": self.file_hash(files.words),
                 "inventory": self.file_hash(self.manifest.inventory_path),
                 "embeddings": self.file_hash(embeddings) if embeddings else None,
             }
@@ -425,10 +380,8 @@ def build_cell(
     # refuse a recording too short for the split before any cache is written
     for entry in manifest.recordings:
         eeg = TimeSeriesFile.open(entry.eeg_path)
-        try:
+        with refused_as(f"{entry.subject_id}/{entry.recording_id}"):
             split_recording(frame_count(eeg.n_samples, eeg.fs), split, win)
-        except InvalidInputError as err:
-            raise InvalidInputError(f"{entry.subject_id}/{entry.recording_id}: {err}") from None
     recordings = build_recordings(manifest, feature_name, loader, preproc, spec.out_dir)
     seed = child_seed(spec.seed, feature_name)
     sets = assemble_dataset(recordings, win, split, seed=seed)
@@ -454,9 +407,10 @@ def run_feature_cell(
     key = config_hash(cell_cfg)
     model_dir = out / "models" / slug
     stamp = model_dir / "cell.yaml"
-    if results_path.exists() and (read_stamp(stamp) or {}).get("key") == key:
-        logger.info("cell %s cached, skipping", feature_name)
-        return results_path
+    with suppress(FileNotFoundError, InvalidInputError):  # a stamp missing or refused: train
+        if results_path.exists() and read_stamp(stamp)["key"] == key:
+            logger.info("cell %s cached, skipping", feature_name)
+            return results_path
 
     sets, params0, tcfg = build_cell(spec, manifest, loader, feature_name)
     logger.info(
@@ -474,19 +428,15 @@ def run_feature_cell(
     return results_path
 
 
-def read_stamp(path: Path) -> dict | None:
-    """The cell stamp at ``path``, or None unless it is a mapping that records its cell.
+def read_stamp(path: Path) -> dict:
+    """The cell stamp at ``path``, refused by name unless it records its key and its cell.
 
-    ``run`` retrains a cell whose stamp reads as None; ``evaluate`` refuses it.
+    ``run`` retrains a cell whose stamp is refused; ``evaluate`` refuses its model.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            stamp = yaml.load(fh, Loader=_SafeLoader)
-    except (FileNotFoundError, yaml.YAMLError):
-        return None
-    if isinstance(stamp, dict) and isinstance(stamp.get("cell"), dict):
-        return stamp
-    return None
+    stamp = read_yaml(path, ("key", "cell"), ("best_epoch",))
+    with refused_as(path):
+        check_keys(stamp["cell"], ("feature",), ("chain", "inputs", *CELL_SETTINGS), where="cell")
+    return stamp
 
 
 def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
@@ -504,16 +454,13 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     model_dir = Path(model_dir).resolve()
     path = model_dir / "cell.yaml"
     stamp = read_stamp(path)
-    if stamp is None:
-        raise InvalidInputError(f"{path} does not record the cell its model was trained as")
     out = model_dir.parents[1]
     if model_dir.parent.name != "models" or not (
         (out / "artifacts.yaml").is_file() or (out / "cache").is_dir()
     ):
         raise InvalidInputError(f"{model_dir} is not in an experiment's models/ directory")
     cell = stamp["cell"]
-    _check_keys(path, cell, ("feature",), ("chain", "inputs", *CELL_SETTINGS))
-    with _refused_as(path):
+    with refused_as(path):
         spec = ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out,
                               **{key: cell[key] for key in CELL_SETTINGS if key in cell})
     recorded = cell.get("chain")

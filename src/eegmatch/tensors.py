@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, refused_as
 
 # Hz: the rate of preprocessed EEG, of every speech feature and so of the model's frames
 FRAME_RATE = 64.0
@@ -112,16 +112,17 @@ def write_tensor(path: str | Path, data: np.ndarray, fs: float) -> None:
 
 
 def _read_header(fh, path) -> tuple[np.dtype, tuple[int, ...], float]:
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise InvalidInputError(f"{path}: bad magic {magic!r}")
-    version, code, rank = struct.unpack("<III", fh.read(12))
-    if version != FORMAT_VERSION:
-        raise InvalidInputError(f"{path}: unsupported format version {version}")
-    if code not in _DTYPE_CODES:
-        raise InvalidInputError(f"{path}: unknown dtype code {code}")
-    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-    (fs,) = struct.unpack("<d", fh.read(8))
+    with refused_as(path):
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise InvalidInputError(f"bad magic {magic!r}")
+        version, code, rank = struct.unpack("<III", fh.read(12))
+        if version != FORMAT_VERSION:
+            raise InvalidInputError(f"unsupported format version {version}")
+        if code not in _DTYPE_CODES:
+            raise InvalidInputError(f"unknown dtype code {code}")
+        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        (fs,) = struct.unpack("<d", fh.read(8))
     return _DTYPE_CODES[code], dims, fs
 
 
@@ -142,9 +143,8 @@ def write_timeseries(path: str | Path, x: TimeSeriesTensor) -> None:
 
 def read_timeseries(path: str | Path) -> TimeSeriesTensor:
     data, fs = read_tensor(path)
-    if data.ndim != 2:
-        raise InvalidInputError(f"{path}: expected rank 2, got {data.ndim}")
-    return TimeSeriesTensor(data, fs)
+    with refused_as(path):
+        return TimeSeriesTensor(data, fs)
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,8 @@ class TimeSeriesFile:
         with open(path, "rb") as fh:
             dtype, dims, fs = _read_header(fh, path)
             offset = fh.tell()
-        try:
+        with refused_as(path):
             _check_timeseries(dims, fs)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
         return cls(Path(path), dtype, dims[0], dims[1], fs, offset)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError, refused_as
 from .model import (
     ModelParams,
     backward_batch,
@@ -241,11 +241,11 @@ def write_subject_results(path: str | Path, results: list[SubjectResult]) -> Non
 
 def read_subject_results(path: str | Path) -> list[SubjectResult]:
     results = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, refused_as(path):
         reader = csv.DictReader(fh)
         missing = {"subject", "accuracy", "n_windows"} - set(reader.fieldnames or ())
         if missing:
-            raise InvalidInputError(f"{path} is not a results CSV: no {sorted(missing)} column")
+            raise InvalidInputError(f"not a results CSV: no {sorted(missing)} column")
         for row in reader:
             results.append(
                 SubjectResult(

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError, SampleRateMismatchError
+from .errors import InvalidInputError, InvalidSpecError, SampleRateMismatchError, refused_as
 from .tensors import FRAME_RATE, TimeSeriesTensor
 
 PARTITIONS = ("train", "val", "test")
@@ -228,10 +228,8 @@ def assemble_dataset(
         p: ([], []) for p in PARTITIONS
     }
     for r_i, rec in enumerate(recordings):
-        try:
+        with refused_as(f"{rec.subject_id}/{rec.recording_id}"):
             train_ranges, val_range, test_range = split_recording(rec.eeg.shape[1], split, win)
-        except InvalidInputError as err:
-            raise InvalidInputError(f"{rec.subject_id}/{rec.recording_id}: {err}") from None
         ranges = {"train": train_ranges, "val": [val_range], "test": [test_range]}
         for part, rngs in ranges.items():
             for lo, hi in rngs:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,14 @@ class TestWavRoundtrip:
         back = read_wav(tmp_path / "a.wav")
         assert back.fs == FS
         np.testing.assert_allclose(back.data, x.data, atol=1e-6)
+
+    @pytest.mark.parametrize("cut", [10, 30, 50], ids=["riff", "fmt", "data"])
+    def test_file_cut_short_is_refused_by_name(self, tmp_path, cut):
+        path = tmp_path / "a.wav"
+        write_wav(path, am_noise(0.5, 4.0, seed=8))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: "):
+            read_wav(path)
 
     def test_int16_read(self, tmp_path):
         from scipy.io import wavfile

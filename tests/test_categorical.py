@@ -230,6 +230,15 @@ class TestWordEmbeddings:
         assert len(back) == 3
         np.testing.assert_allclose(back.lookup("kat"), table.lookup("kat"), atol=1e-5)
 
+    def test_non_numeric_value_is_refused_by_name(self, tmp_path, table):
+        path = tmp_path / "emb.txt"
+        write_embeddings(path, table)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " nan?"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="emb.txt: .*nan"):
+            read_embeddings(path)
+
 
 class TestConcat:
     def test_stacks_in_order(self):

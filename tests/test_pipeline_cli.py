@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import yaml
 
-from eegmatch import cli, pipeline
+from eegmatch import cli, errors, pipeline
+from eegmatch.alignments import read_inventory
+from eegmatch.checkpoint import load_checkpoint, save_checkpoint
 from eegmatch.errors import InvalidInputError, InvalidSpecError
 from eegmatch.features import (
     PARTS,
@@ -21,9 +23,10 @@ from eegmatch.features import (
     extract_part,
     feature_dims,
 )
+from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
 from eegmatch.preproc import PreprocConfig
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
-from eegmatch.tensors import frame_count, read_timeseries
+from eegmatch.tensors import frame_count, read_timeseries, write_tensor
 from eegmatch.training import read_subject_results
 
 
@@ -120,8 +123,11 @@ class TestManifest:
     def test_loads_and_validates(self, dataset):
         manifest = pipeline.load_manifest(dataset)
         assert len(manifest.recordings) == 2
-        assert manifest.story_ids == ["story00"]
         assert {r.subject_id for r in manifest.recordings} == {"sub00", "sub01"}
+        root = dataset.parent  # both recordings' story files, named once
+        assert manifest.stories == {"story00": pipeline.StoryFiles(
+            root / "audio" / "story00.wav", root / "alignments" / "story00.phonemes.tsv",
+            root / "alignments" / "story00.words.tsv")}
 
     def test_missing_file_fails_fast_with_name(self, dataset, tmp_path):
         raw = yaml.safe_load(dataset.read_text())
@@ -132,16 +138,35 @@ class TestManifest:
         with pytest.raises(InvalidInputError, match="nonexistent"):
             pipeline.load_manifest(bad)
 
-    @pytest.mark.parametrize("paths", ["relative", "absolute"])
-    def test_parses_as_yaml_safe_load_does(self, dataset, tmp_path, monkeypatch, paths):
+    @pytest.mark.parametrize("what", ["relative manifest", "absolute manifest", "inventory",
+                                      "experiment", "checkpoint"])
+    def test_parses_as_yaml_safe_load_does(self, dataset, tmp_path, monkeypatch, what):
+        """The one YAML reader gives with libyaml what the pure-Python loader gives."""
+        def read(path):
+            if what == "checkpoint":
+                params = load_checkpoint(path.parent)
+                return params.config, {k: v.tobytes() for k, v in params.tensors.items()}
+            return {"inventory": read_inventory, "experiment": pipeline.load_experiment}.get(
+                what, pipeline.load_manifest)(path)
+
         path = dataset
-        if paths == "absolute":
+        if what == "absolute manifest":
             path = tmp_path / "manifest.yaml"
             path.write_text(yaml.safe_dump(absolute_manifest(dataset)))
-        fast = pipeline.load_manifest(path)
-        monkeypatch.setattr(pipeline, "_SafeLoader", yaml.SafeLoader)
-        assert fast == pipeline.load_manifest(path)
-        assert fast.inventory_path == dataset.parent / "inventory.yaml"
+        elif what == "inventory":  # its symbols are IPA: unicode through both loaders
+            path = dataset.parent / "inventory.yaml"
+            assert "ɑ" in path.read_text(encoding="utf-8")
+        elif what == "experiment":
+            path = write_experiment(dataset, tmp_path)[0]
+        elif what == "checkpoint":
+            arch = config_for_feature([28, 1], [False, False], dtype="float32", frames=320,
+                                      eeg_channels=64)
+            path = save_checkpoint(tmp_path / "model", init_params(arch, np.random.default_rng(0)))
+        fast = read(path)
+        monkeypatch.setattr(errors, "_SafeLoader", yaml.SafeLoader)
+        assert fast == read(path)
+        if what.endswith("manifest"):
+            assert fast.inventory_path == dataset.parent / "inventory.yaml"
 
 
 # ``arch`` fields a cell derives, each with a value that a run would otherwise use
@@ -254,6 +279,8 @@ class TestRunPipeline:
         pipeline.run_pipeline(pipeline.load_experiment(cfg))
         before = tree_bytes(out)
         hashed = count_calls(monkeypatch, "file_sha256")
+        for reader in ("read_inventory", "read_embeddings"):  # every feature is cached
+            monkeypatch.setattr(pipeline, reader, lambda path: pytest.fail(f"{path} parsed"))
         with caplog.at_level(logging.INFO, logger="eegmatch.pipeline"):
             pipeline.run_pipeline(pipeline.load_experiment(cfg))
         assert tree_bytes(out) == before
@@ -386,16 +413,16 @@ class TestFeatureCache:
         loader = pipeline.AssetLoader(two_stories)
         cache = tmp_path / "cache"
         got = {(story, name): loader.feature_cached(story, name, cache, PreprocConfig())
-               for name in ("envelope", "env+bpc") for story in two_stories.story_ids}
+               for name in ("envelope", "env+bpc") for story in sorted(two_stories.stories)}
         assert len(calls) == 2
-        for story in two_stories.story_ids:
+        for story in sorted(two_stories.stories):
             fresh = extract_feature("env+bpc", loader.assets(story))
             np.testing.assert_array_equal(got[story, "env+bpc"].data, fresh.data)
             assert len(list(cache.glob(f"{story}_env+bpc_*.ndmm"))) == 1
 
     def test_key_covers_the_embedding_table(self, two_stories, tmp_path):
         cache = tmp_path / "cache"
-        story = two_stories.story_ids[0]
+        story = min(two_stories.stories)
         old = pipeline.AssetLoader(two_stories).feature_cached(story, "wordemb", cache,
                                                                PreprocConfig())
         path = two_stories.embeddings_path
@@ -413,7 +440,7 @@ class TestFeatureCache:
     def test_key_and_acoustic_features_follow_the_band(self, two_stories, tmp_path):
         """``preproc: {low_hz: 1.0}`` filters the envelope as it filters the EEG."""
         cache = tmp_path / "cache"
-        story = two_stories.story_ids[0]
+        story = min(two_stories.stories)
         loader = pipeline.AssetLoader(two_stories)
         narrow = PreprocConfig(low_hz=1.0)
         got = {(name, cfg): loader.feature_cached(story, name, cache, cfg)
@@ -467,7 +494,7 @@ class TestAtomicWrites:
         from eegmatch import tensors
 
         cache = tmp_path / "cache"
-        story = two_stories.story_ids[0]
+        story = min(two_stories.stories)
         header = 4 + 12 + 2 * 8 + 8  # magic, version/dtype/rank, dims, rate of a rank-2 tensor
         monkeypatch.setattr(tensors, "open", full_disk(header), raising=False)
         with pytest.raises(OSError, match="No space"):
@@ -546,21 +573,49 @@ class TestAtomicWrites:
 
 
 class TestCheckpointRoundtrip:
-    def test_save_load(self, tmp_path):
-        from eegmatch.checkpoint import load_checkpoint, save_checkpoint
-        from eegmatch.model import ArchitectureConfig, SpeechPart, init_params
+    CONFIG = ArchitectureConfig(
+        eeg_channels=6, frames=320, eeg_conv_filters=4, eeg_conv_kernel=8,
+        embed_dim=4, lstm_units=4, parts=(SpeechPart(1, "no-conv"),),
+        dtype="float32",
+    )
 
-        cfg = ArchitectureConfig(
-            eeg_channels=6, frames=320, eeg_conv_filters=4, eeg_conv_kernel=8,
-            embed_dim=4, lstm_units=4, parts=(SpeechPart(1, "no-conv"),),
-            dtype="float32",
-        )
-        params = init_params(cfg, np.random.default_rng(1))
+    def test_save_load(self, tmp_path):
+        params = init_params(self.CONFIG, np.random.default_rng(1))
         save_checkpoint(tmp_path / "ck", params)
         back = load_checkpoint(tmp_path / "ck")
-        assert back.config == cfg
+        assert back.config == self.CONFIG
         for key in params.tensors:
             np.testing.assert_array_equal(back.tensors[key], params.tensors[key])
+
+    @pytest.mark.parametrize("case, named", [
+        ("no head_w", "tensors: no 'head_w' key"),
+        ("head_w of another shape", "'head_w' has shape (2,)"),
+        ("extra tensor", "tensors: unknown key(s) 'head_b'"),
+        ("no architecture", "no 'architecture' key"),
+        ("architecture without lstm_units", "architecture: no 'lstm_units' key"),
+        ("unknown key", "unknown key(s) 'optimizer'"),
+        ("not YAML", "checkpoint.yaml: "),
+    ])
+    def test_checkpoint_unlike_its_architecture_is_refused(self, tmp_path, case, named):
+        """A model is refused by its manifest's path unless its tensors are its architecture's."""
+        path = save_checkpoint(tmp_path / "ck", init_params(self.CONFIG, np.random.default_rng(1)))
+        manifest = yaml.safe_load(path.read_text())
+        if case == "no head_w":
+            del manifest["tensors"]["head_w"]
+        elif case == "head_w of another shape":
+            write_tensor(tmp_path / "ck" / "head_w.ndmm", np.ones(2, dtype=np.float32), fs=0.0)
+        elif case == "extra tensor":
+            manifest["tensors"]["head_b"] = "head_w.ndmm"
+        elif case == "no architecture":
+            del manifest["architecture"]
+        elif case == "architecture without lstm_units":
+            del manifest["architecture"]["lstm_units"]
+        elif case == "unknown key":
+            manifest["optimizer"] = "adam"
+        path.write_text("tensors: {head_w: [" if case == "not YAML" else yaml.safe_dump(manifest))
+        with pytest.raises(InvalidInputError) as refusal:
+            load_checkpoint(tmp_path / "ck")
+        assert str(refusal.value).startswith(f"{path}: ") and named in str(refusal.value)
 
 
 class TestCli:
@@ -818,12 +873,37 @@ class TestCli:
         "manifest without subjects", "experiment without features", "train key typo",
         "removed adam key", "preproc edges out of order", "alignment row with two fields",
         "windowing sets the frame rate", "preproc sets the frame rate",
+        "experiment not YAML", "manifest not YAML", "inventory not a mapping",
+        "inventory without symbols", "recordings of a story name other files",
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
         raw = absolute_manifest(dataset)
         manifest, cfg, out = tmp_path / "manifest.yaml", tmp_path / "exp.yaml", tmp_path / "out"
         exp = experiment_yaml(manifest, out, max_epochs=1)
-        if case == "manifest without subjects":
+        text = {}  # files written as they are, not as YAML
+        if case == "experiment not YAML":
+            text[cfg] = "features: [vad\n"
+            named = [str(cfg)]
+        elif case == "manifest not YAML":
+            text[manifest] = "subjects: {sub00: [\n"
+            named = [str(manifest.resolve())]
+        elif case.startswith("inventory"):
+            inv = yaml.safe_load(Path(raw["inventory"]).read_text(encoding="utf-8"))
+            raw["inventory"] = str(tmp_path / "inventory.yaml")
+            if case == "inventory not a mapping":
+                text[tmp_path / "inventory.yaml"] = yaml.safe_dump(inv["symbols"])
+                named = [raw["inventory"], "not a mapping"]
+            else:
+                text[tmp_path / "inventory.yaml"] = yaml.safe_dump({"classes": inv["classes"]})
+                named = [raw["inventory"], "'symbols'"]
+        elif case == "recordings of a story name other files":
+            # sub01 heard story00, but its entry names other audio: refused, not
+            # featurized from sub00's files
+            other = tmp_path / "other.wav"
+            shutil.copyfile(raw["subjects"]["sub01"][0]["audio"], other)
+            raw["subjects"]["sub01"][0]["audio"] = str(other)
+            named = [str(manifest.resolve()), "story00", "sub01_story00"]
+        elif case == "manifest without subjects":
             del raw["subjects"]
             named = [str(manifest.resolve()), "'subjects'"]
         elif case == "experiment without features":
@@ -850,10 +930,12 @@ class TestCli:
             named = [str(bad), "line 3"]
         manifest.write_text(yaml.safe_dump(raw))
         cfg.write_text(yaml.safe_dump(exp))
+        for path, content in text.items():
+            path.write_text(content, encoding="utf-8")
         assert cli.main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
-        if case.startswith(("train", "removed", "preproc", "windowing")):
+        if case.startswith(("train", "removed", "preproc", "windowing", "experiment")):
             assert not out.exists()
 
     def test_recording_too_short_for_the_split_is_named(self, tmp_path, capsys):

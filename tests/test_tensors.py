@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from eegmatch.errors import InvalidInputError
 from eegmatch.tensors import (
+    TimeSeriesFile,
     TimeSeriesTensor,
     frame_count,
     read_tensor,
@@ -84,6 +86,17 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(InvalidInputError, match="truncated"):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("cut", [6, 18, 30, 38], ids=["version", "rank", "dims", "rate"])
+def test_header_cut_short_is_refused_by_name(tmp_path, cut):
+    """The header of a rank-2 tensor is 40 bytes; a file that ends inside it names itself."""
+    path = tmp_path / "x.ndmm"
+    write_tensor(path, np.ones((2, 10)), fs=1.0)
+    path.write_bytes(path.read_bytes()[:cut])
+    for read in (read_tensor, TimeSeriesFile.open):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: "):
+            read(path)
 
 
 def test_timeseries_roundtrip(tmp_path):

@@ -522,3 +522,11 @@ class TestCsvIO:
         assert back[0].test_accuracy == pytest.approx(0.8125)
         assert back[1].n_windows == 32
         assert back[1].feature_name == "mel"
+
+    @pytest.mark.parametrize("row", ["s0,high,32,mel", "s0,0.8,32.5,mel", "s0"],
+                             ids=["accuracy", "n_windows", "short row"])
+    def test_malformed_subject_result_is_refused_by_name(self, tmp_path, row):
+        path = tmp_path / "res.csv"
+        path.write_text(f"subject,accuracy,n_windows,feature\n{row}\n")
+        with pytest.raises(InvalidInputError, match="res.csv: "):
+            read_subject_results(path)
