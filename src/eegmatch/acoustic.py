@@ -8,6 +8,8 @@ experiment's band (0.5-32 Hz by default); the binary VAD is not filtered.
 
 from __future__ import annotations
 
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from scipy import signal
 from scipy.io import wavfile
 
 from .errors import InvalidInputError, refused_as
-from .preproc import PreprocConfig, to_frame_rate
+from .preproc import PreprocConfig, _kaiser_lowpass, to_frame_rate
 from .tensors import FRAME_RATE, TimeSeriesTensor, atomic_path, frame_count
 
 ENVELOPE_BANDS = 28
@@ -35,10 +37,47 @@ PREEMPHASIS = 0.97
 _EAR_Q = 9.26449
 _MIN_BW = 24.7
 
+# The multirate envelope bank (:func:`envelope_powerlaw`). A band's extent is
+# its center plus this many gammatone bandwidths (:func:`band_extent`); each
+# halving of the audio passes up to HALVING_PASS times its output rate, 0.8 of
+# its Nyquist. No band runs below MIN_BANK_RATE: at 16 kHz one more halving
+# would move only the 50 Hz band, whose filtering at 1 kHz already costs a
+# sixteenth of a band at the audio rate, and at 500 Hz it moved the envelope
+# of a 90 s story a further 0.05 % from the single-rate bank.
+BAND_EXTENT_WIDTHS = 4.0
+HALVING_PASS = 0.4
+MIN_BANK_RATE = 1000.0
+
+
+def _check_data_chunk(path: str | Path) -> None:
+    """Refuse a RIFF WAV whose data chunk declares more bytes than the file holds.
+
+    The chunks are walked from the header; the ones before the data chunk,
+    such as ``LIST``, are skipped by their declared sizes. A file that is not
+    RIFF or RIFX, or a chunk header cut short, is left to the WAV reader.
+    """
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        order = {b"RIFF": "<", b"RIFX": ">"}.get(fh.read(4))
+        pos = 12
+        while order and pos + 8 <= size:
+            fh.seek(pos)
+            chunk, length = struct.unpack(order + "4sI", fh.read(8))
+            if chunk == b"data":
+                if pos + 8 + length > size:
+                    raise InvalidInputError(f"data chunk declares {length} bytes, but "
+                                            f"{size - pos - 8} are present")
+                return
+            pos += 8 + length + (length & 1)
+
 
 def read_wav(path: str | Path) -> TimeSeriesTensor:
-    """Mono WAV (16-bit or float PCM) as a 1 x T tensor in [-1, 1]."""
+    """Mono WAV (16-bit or float PCM) as a 1 x T tensor in [-1, 1].
+
+    A file cut inside its data chunk is refused, not read short.
+    """
     with refused_as(path):
+        _check_data_chunk(path)
         fs, data = wavfile.read(path)
         if data.ndim != 1:
             raise InvalidInputError(f"expected mono audio, got shape {data.shape}")
@@ -71,10 +110,19 @@ def erb_space(low_hz: float, high_hz: float, n: int) -> np.ndarray:
     return _EAR_Q * _MIN_BW * (np.exp(np.linspace(lo, hi, n)) - 1.0)
 
 
-def gammatone_powerlaw_mean(
+def envelope_centers(fs: float) -> np.ndarray:
+    """Center frequencies of the envelope's gammatone bank for audio at ``fs``.
+
+    :data:`ENVELOPE_BANDS` of them, ERB-spaced from 50 Hz to 5000 Hz, or to
+    0.9 times Nyquist if that is lower.
+    """
+    return erb_space(MEL_FMIN, min(MEL_FMAX, fs / 2.0 * 0.9), ENVELOPE_BANDS)
+
+
+def gammatone_powerlaw_sum(
     x: np.ndarray, fs: float, center_hz: np.ndarray, exponent: float
 ) -> np.ndarray:
-    """Mean over an IIR gammatone bank of ``|band| ** exponent``.
+    """Sum over an IIR gammatone bank at ``fs`` of ``|band| ** exponent``.
 
     Filters run as second-order sections; the direct ba form is numerically
     unusable at low center frequencies relative to fs. Bands are compressed
@@ -88,21 +136,48 @@ def gammatone_powerlaw_mean(
         np.abs(band, out=band)
         band **= exponent
         total += band
-    total /= center_hz.size
     return total
 
 
-def raw_envelope(audio: TimeSeriesTensor) -> TimeSeriesTensor:
-    """Nonnegative power-law subband envelope at the audio rate.
+def band_extent(center_hz: np.ndarray) -> np.ndarray:
+    """Upper edge of each gammatone band: ``fc + 4 b``, with ``b = 1.019 ERB(fc)``.
 
-    A 28-band gammatone filterbank spaced 50-5000 Hz on the ERB scale feeds
-    per-band magnitudes raised to the power 0.6; the bands are averaged.
+    There a 4th-order gammatone, ``(1 + ((f - fc) / b) ** 2) ** -2`` in
+    magnitude, is 49 dB below its peak, and it falls further above.
     """
-    x = _check_mono(audio, min_fs=8000.0)
-    cfs = erb_space(MEL_FMIN, min(MEL_FMAX, audio.fs / 2.0 * 0.9), ENVELOPE_BANDS)
-    return TimeSeriesTensor(
-        gammatone_powerlaw_mean(x, audio.fs, cfs, ENVELOPE_EXPONENT)[None, :], audio.fs
-    )
+    return center_hz + BAND_EXTENT_WIDTHS * 1.019 * (_MIN_BW + center_hz / _EAR_Q)
+
+
+def bank_rates(center_hz: np.ndarray, fs: float) -> np.ndarray:
+    """The rate of the form ``fs / 2^k`` at which the envelope runs each band.
+
+    A band moves down from ``fs`` one halving at a time while its
+    :func:`band_extent` stays below the passband edge of the halving stage,
+    :data:`HALVING_PASS` times the halved rate, and that rate is at least
+    :data:`MIN_BANK_RATE`. Above that edge the band is 49 dB down, so what
+    the stage's transition band bends or folds there reaches the band's
+    output at most at that level.
+    """
+    extent = band_extent(center_hz)
+    rates = np.full(center_hz.size, float(fs))
+    while True:
+        lower = rates / 2.0
+        fits = (extent < HALVING_PASS * lower) & (lower >= MIN_BANK_RATE)
+        if not fits.any():
+            return rates
+        rates[fits] = lower[fits]
+
+
+def _halve(x: np.ndarray, fs: float) -> np.ndarray:
+    """``x`` at ``fs`` decimated to ``fs / 2`` by a polyphase FIR.
+
+    The FIR passes up to :data:`HALVING_PASS` times the halved rate and
+    stops at 80 dB from the halved rate minus that edge, so whatever folds
+    lands above the passband edge.
+    """
+    edge = HALVING_PASS * fs / 2.0
+    up, down, fir = _kaiser_lowpass(fs, fs / 2.0, fs / 4.0, fs / 2.0 - 2.0 * edge, 80.0)
+    return signal.resample_poly(x, up, down, window=fir)
 
 
 def envelope_powerlaw(
@@ -110,11 +185,31 @@ def envelope_powerlaw(
 ) -> TimeSeriesTensor:
     """Auditory-subband amplitude envelope with power-law compression, at 64 Hz.
 
-    The :func:`raw_envelope` of ``audio`` through the EEG's chain,
-    :func:`~eegmatch.preproc.to_frame_rate`: band-limited to the ``cfg``
-    band (0.5-32 Hz by default) at the audio rate and resampled to 64 Hz.
+    A 28-band gammatone filterbank spaced 50-5000 Hz on the ERB scale feeds
+    per-band magnitudes raised to the power 0.6; the bands are averaged and
+    brought through the EEG's chain, :func:`~eegmatch.preproc.to_frame_rate`,
+    band-limited to the ``cfg`` band (0.5-32 Hz by default) at 64 Hz.
+
+    Each band runs at its :func:`bank_rates` rate: the audio is halved step
+    by step (:func:`_halve`), the bands of one rate are compressed and summed
+    there, and each rate's sum goes through the chain. The chain is linear,
+    so the 64 Hz outputs of the rates add up to the envelope.
     """
-    return to_frame_rate(raw_envelope(audio), cfg)
+    x = _check_mono(audio, min_fs=8000.0)
+    fs = audio.fs
+    cfs = envelope_centers(fs)
+    rates = bank_rates(cfs, fs)
+    total = np.zeros(frame_count(x.size, fs))
+    for rate in sorted(set(rates), reverse=True):
+        while fs > rate:
+            x, fs = _halve(x, fs), fs / 2.0
+        part = gammatone_powerlaw_sum(x, fs, cfs[rates == rate], ENVELOPE_EXPONENT)[None, :]
+        frames = to_frame_rate(TimeSeriesTensor(part, fs), cfg).data[0]
+        del part  # not alive while the next rate halves the audio
+        n = min(total.size, frames.size)  # a halved length may round to one frame more
+        total[:n] += frames[:n]
+    total /= cfs.size
+    return TimeSeriesTensor(total[None, :], FRAME_RATE)
 
 
 def _hz_to_mel(f):

@@ -56,10 +56,16 @@ class StoryAssets:
 
 
 class Part(NamedTuple):
-    """A feature part: its channel count and its extractor of (assets, band)."""
+    """A feature part: its channel count, its extractor of (assets, band) and its version.
+
+    The version counts the part's definitions: feature cache keys and trained
+    cells record it, so a changed definition misses the cache once and a
+    model refuses features of a definition it was not trained on.
+    """
 
     channels: int
     extract: Callable[[StoryAssets, PreprocConfig], TimeSeriesTensor]
+    version: int = 1
 
 
 def _phonemes(assets: StoryAssets) -> TimeSeriesTensor:
@@ -75,14 +81,16 @@ def _word_embeddings(assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTenso
 
 def _onset(base: Part) -> Part:
     """The onset variant of a phoneme-derived part: its channels, pulses at phoneme starts."""
-    return Part(base.channels, lambda a, cfg: onset_variant(base.extract(a, cfg), a.phonemes))
+    return Part(base.channels, lambda a, cfg: onset_variant(base.extract(a, cfg), a.phonemes),
+                base.version)
 
 
 # Each extractor looks its acoustic or categorical function up by name when
 # it runs, so a replacement bound in this module's namespace sees every call.
-# The acoustic parts are band-limited to the experiment's band ``cfg``.
+# The acoustic parts are band-limited to the experiment's band ``cfg``. The
+# envelope's version 2 runs each gammatone band at a rate below the audio's.
 PARTS = {
-    "envelope": Part(1, lambda a, cfg: envelope_powerlaw(a.audio, cfg)),
+    "envelope": Part(1, lambda a, cfg: envelope_powerlaw(a.audio, cfg), version=2),
     "mel": Part(MEL_BANDS, lambda a, cfg: mel_spectrogram(a.audio, cfg)),
     "vad": Part(1, lambda a, cfg: vad(a.audio)),
     "phoneme": Part(INVENTORY_SIZE, lambda a, cfg: _phonemes(a)),
@@ -113,6 +121,11 @@ def feature_dims(name: str) -> tuple[list[int], list[bool]]:
     """Per-part channel counts and word-embedding flags for the model config."""
     parts = canonical_parts(name)
     return [PARTS[p].channels for p in parts], [p == "wordemb" for p in parts]
+
+
+def feature_versions(name: str) -> list[int]:
+    """The version of each part of a feature, in the order of its name."""
+    return [PARTS[p].version for p in canonical_parts(name)]
 
 
 def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTensor:

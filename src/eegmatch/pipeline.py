@@ -31,7 +31,9 @@ from .alignments import read_alignment, read_embeddings, read_inventory
 from .categorical import concat_features
 from .checkpoint import save_checkpoint
 from .errors import DegenerateSampleError, InvalidInputError, check_keys, read_yaml, refused_as
-from .features import StoryAssets, canonical_parts, extract_feature, feature_dims
+from .features import (
+    StoryAssets, canonical_parts, extract_feature, feature_dims, feature_versions,
+)
 from .model import ModelParams, config_for_feature, init_params
 from .preproc import CHAIN_VERSION, PreprocConfig, preprocess_eeg
 from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
@@ -70,8 +72,8 @@ _SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # every command that reads or fills them names them here.
 PREPROC_CACHE = Path("cache", "preproc")
 FEATURE_CACHE = Path("cache", "features")
-# The SHA-256 that write_artifact_manifest last read of each file under ``out``,
-# with the file's stat at that moment.
+# The SHA-256 that a run last read of each file under ``out`` and of each input
+# file, with the file's stat at that moment (:class:`HashRecord`).
 HASH_RECORD = Path("cache", "artifact_hashes.json")
 
 # A recorded hash stands for a file only if the file's last change came this
@@ -185,13 +187,15 @@ class ExperimentSpec:
             with refused_as(block):
                 check(getattr(self, block))
 
-    def cell(self, feature: str, inputs: list[str]) -> dict:
+    def cell(self, feature: str, inputs: dict) -> dict:
         """What ``feature``'s cell key hashes and its ``cell.yaml`` records.
 
-        That is the feature, the version of the preprocessing chain, every
-        setting (see :data:`CELL_SETTINGS`) and the hashes of the EEG ``inputs``.
+        That is the feature, the versions of the preprocessing chain and of
+        the feature's parts, every setting (see :data:`CELL_SETTINGS`) and the
+        ``inputs``: the hashes of the EEG files and each story's feature
+        cache key (:meth:`AssetLoader.feature_key`).
         """
-        return {"feature": feature, "chain": CHAIN_VERSION,
+        return {"feature": feature, "chain": CHAIN_VERSION, "version": feature_versions(feature),
                 **{k: getattr(self, k) for k in CELL_SETTINGS}, "inputs": inputs}
 
 
@@ -259,11 +263,13 @@ class AssetLoader:
     """Loads story assets once per run (stories are shared across subjects).
 
     It also hashes each input file at most once, so every cache key of a run
-    reads a file's bytes once.
+    reads a file's bytes once; with a ``record``, a file that the record
+    holds unchanged is not read at all.
     """
 
-    def __init__(self, manifest: DatasetManifest):
+    def __init__(self, manifest: DatasetManifest, record: HashRecord | None = None):
         self.manifest = manifest
+        self._record = record
         self._assets: dict[str, StoryAssets] = {}
         self._sha256: dict[Path, str] = {}
 
@@ -278,9 +284,10 @@ class AssetLoader:
         return read_embeddings(path) if path else None
 
     def file_hash(self, path: Path) -> str:
-        """SHA-256 of an input file, read on the first request only."""
+        """SHA-256 of an input file, on the first request only, recorded under its absolute path."""
         if path not in self._sha256:
-            self._sha256[path] = file_sha256(path)
+            self._sha256[path] = (file_sha256(path) if self._record is None
+                                  else self._record.sha256(str(path.resolve()), path))
         return self._sha256[path]
 
     def assets(self, story_id: str) -> StoryAssets:
@@ -295,22 +302,20 @@ class AssetLoader:
             )
         return self._assets[story_id]
 
-    def feature_cached(
-        self, story_id: str, name: str, cache_dir: Path, cfg: PreprocConfig
-    ) -> TimeSeriesTensor:
-        """A story's feature under the ``cfg`` band, read from or written to ``cache_dir``.
+    def feature_key(self, story_id: str, name: str, cfg: PreprocConfig) -> str:
+        """The cache key of a story's feature under the ``cfg`` band.
 
-        The key covers the band, the chain's version and every input file a
-        feature can read. A ``+`` name that misses is joined from its parts'
-        own entries, so a part shared by several features is extracted once.
+        It covers the band, the versions of the chain and of the feature's
+        parts, and every input file a feature can read.
         """
         files = self.manifest.stories[story_id]
         embeddings = self.manifest.embeddings_path
-        key = config_hash(
+        return config_hash(
             {
                 "feature": name,
                 "band": [cfg.low_hz, cfg.high_hz, cfg.stop_atten_db],
                 "chain": CHAIN_VERSION,
+                "version": feature_versions(name),
                 "audio": self.file_hash(files.audio),
                 "phonemes": self.file_hash(files.phonemes),
                 "words": self.file_hash(files.words),
@@ -318,6 +323,17 @@ class AssetLoader:
                 "embeddings": self.file_hash(embeddings) if embeddings else None,
             }
         )
+
+    def feature_cached(
+        self, story_id: str, name: str, cache_dir: Path, cfg: PreprocConfig
+    ) -> TimeSeriesTensor:
+        """A story's feature under the ``cfg`` band, read from or written to ``cache_dir``.
+
+        The entry is named by its :meth:`feature_key`. A ``+`` name that
+        misses is joined from its parts' own entries, so a part shared by
+        several features is extracted once.
+        """
+        key = self.feature_key(story_id, name, cfg)
         cache_dir.mkdir(parents=True, exist_ok=True)
         target = cache_dir / f"{story_id}_{feature_slug(name)}_{key}.ndmm"
         if target.exists():
@@ -402,8 +418,12 @@ def run_feature_cell(
     slug = feature_slug(feature_name)
     out = spec.out_dir
     results_path = out / "results" / f"{slug}.csv"
-    cell_cfg = spec.cell(feature_name,
-                         sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings))
+    preproc = PreprocConfig(**spec.preproc)
+    cell_cfg = spec.cell(feature_name, {
+        "eeg": sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings),
+        "features": {story: loader.feature_key(story, feature_name, preproc)
+                     for story in sorted(manifest.stories)},
+    })
     key = config_hash(cell_cfg)
     model_dir = out / "models" / slug
     stamp = model_dir / "cell.yaml"
@@ -435,7 +455,8 @@ def read_stamp(path: Path) -> dict:
     """
     stamp = read_yaml(path, ("key", "cell"), ("best_epoch",))
     with refused_as(path):
-        check_keys(stamp["cell"], ("feature",), ("chain", "inputs", *CELL_SETTINGS), where="cell")
+        check_keys(stamp["cell"], ("feature",), ("chain", "version", "inputs", *CELL_SETTINGS),
+                   where="cell")
     return stamp
 
 
@@ -448,8 +469,8 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     reads and fills that experiment's caches. A model directory that is not
     in the ``models/`` of a directory holding ``artifacts.yaml`` or
     ``cache/`` belongs to no experiment, and is refused. So is a model
-    trained on features of another version of the preprocessing chain, or
-    of one that recorded no version.
+    trained on features of another version of the preprocessing chain or of
+    the feature's parts, or of a cell that recorded no such version.
     """
     model_dir = Path(model_dir).resolve()
     path = model_dir / "cell.yaml"
@@ -463,11 +484,13 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
     with refused_as(path):
         spec = ExperimentSpec(features=[cell["feature"]], manifest=manifest, out_dir=out,
                               **{key: cell[key] for key in CELL_SETTINGS if key in cell})
-    recorded = cell.get("chain")
-    if recorded != CHAIN_VERSION:
-        made_by = "no chain version" if recorded is None else f"chain version {recorded!r}"
-        raise InvalidInputError(f"{path} records {made_by}, but features are now made by "
-                                f"chain version {CHAIN_VERSION}: train the model again")
+    for key, what, now in (("chain", "chain version", CHAIN_VERSION),
+                           ("version", "feature version", feature_versions(cell["feature"]))):
+        recorded = cell.get(key)
+        if recorded != now:
+            made_by = f"no {what}" if recorded is None else f"{what} {recorded!r}"
+            raise InvalidInputError(f"{path} records {made_by}, but features are now made by "
+                                    f"{what} {now!r}: train the model again")
     return spec
 
 
@@ -542,47 +565,72 @@ def _read_hash_record(path: Path) -> tuple[bytes, dict]:
     return b"", {}
 
 
-def write_artifact_manifest(out_dir: Path) -> Path:
-    """List the SHA-256 of every file under ``out_dir`` in its ``artifacts.yaml``.
+class HashRecord:
+    """The SHA-256 of files, each recorded with the file's stat when it was read.
 
-    A file is read again unless the hash record (:data:`HASH_RECORD`) holds
-    its size, mtime, ctime and inode as they are now and the file had settled
-    when that hash was taken (see :data:`SETTLE_NS`). A hash is recorded only
-    if the file's stat did not move while it was read, and an entry whose hash
-    a new read confirms is kept as it was, so a run that changes no file's
-    content leaves the record's bytes as they were. The record is hashed last.
+    A recorded hash stands for a file while its size, mtime, ctime and inode
+    are as recorded and the file had settled when the hash was taken (see
+    :data:`SETTLE_NS`); otherwise the file is read again. A hash is recorded
+    only if the file's stat did not move while it was read, and an entry
+    whose hash a new read confirms is kept as it was. Files are named by the
+    caller: the artifacts by their path under ``out``, the inputs by their
+    absolute path.
     """
-    record_path = out_dir / HASH_RECORD
-    old_text, old = _read_hash_record(record_path)
-    record, listed = {}, {}
-    reused, hashed_bytes, hashed_in = 0, 0, Counter()
-    for path in sorted(out_dir.rglob("*")):
-        if not path.is_file() or path == record_path or path.name == "artifacts.yaml":
-            continue
-        rel = str(path.relative_to(out_dir))
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._text, self._old = _read_hash_record(path)
+        self._entries: dict[str, dict] = {}
+        self.read: list[tuple[str, int]] = []  # (name, size) of each file read
+
+    def sha256(self, name: str, path: Path) -> str:
         hashed_at = time.time_ns()
         seen = _stat_fields(path)
-        entry = old.get(rel)
+        entry = self._old.get(name)
         if entry and all(entry[k] == seen[k] for k in _STAT_FIELDS) and _settled(entry):
-            record[rel], listed[rel] = entry, entry["sha256"]
-            reused += 1
-            continue
-        listed[rel] = file_sha256(path)
-        hashed_bytes += seen["size"]
-        hashed_in[str(Path(rel).parent)] += 1
-        if entry and entry["sha256"] == listed[rel]:
-            record[rel] = entry
+            self._entries[name] = entry
+            return entry["sha256"]
+        digest = file_sha256(path)
+        self.read.append((name, seen["size"]))
+        if entry and entry["sha256"] == digest:
+            self._entries[name] = entry
         elif _stat_fields(path) == seen:
-            record[rel] = {**seen, "hashed_at": hashed_at, "sha256": listed[rel]}
-    text = json.dumps(record, sort_keys=True, indent=1).encode("utf-8")
-    if text != old_text:
-        record_path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_path(record_path) as tmp:
-            tmp.write_bytes(text)
+            self._entries[name] = {**seen, "hashed_at": hashed_at, "sha256": digest}
+        return digest
+
+    def save(self) -> bytes:
+        """The entries of the files named since the record was read, written unless unchanged."""
+        text = json.dumps(self._entries, sort_keys=True, indent=1).encode("utf-8")
+        if text != self._text:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with atomic_path(self.path) as tmp:
+                tmp.write_bytes(text)
+        return text
+
+
+def write_artifact_manifest(out_dir: Path, record: HashRecord | None = None) -> Path:
+    """List the SHA-256 of every file under ``out_dir`` in its ``artifacts.yaml``.
+
+    Each file is hashed through ``record``, the run's :class:`HashRecord` at
+    :data:`HASH_RECORD`, read anew if none is given; so a run that changes
+    no file's content leaves the record's bytes as they were. The record is
+    saved and hashed last.
+    """
+    record = record or HashRecord(out_dir / HASH_RECORD)
+    read_before = len(record.read)
+    listed = {}
+    for path in sorted(out_dir.rglob("*")):
+        if path.is_file() and path != record.path and path.name != "artifacts.yaml":
+            rel = str(path.relative_to(out_dir))
+            listed[rel] = record.sha256(rel, path)
+    read = record.read[read_before:]
+    text = record.save()
     listed[str(HASH_RECORD)] = hashlib.sha256(text).hexdigest()
+    hashed_in = Counter(str(Path(rel).parent) for rel, _ in read)
     logger.info("artifacts.yaml: %d files listed, %d hashed (%.1f MB%s), %d from the hash record",
-                len(listed), sum(hashed_in.values()), hashed_bytes / 1e6,
-                "".join(f", {n} in {d}" for d, n in sorted(hashed_in.items())), reused)
+                len(listed), len(read), sum(size for _, size in read) / 1e6,
+                "".join(f", {n} in {d}" for d, n in sorted(hashed_in.items())),
+                len(listed) - 1 - len(read))
     target = out_dir / "artifacts.yaml"
     with atomic_path(target) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         yaml.dump(listed, fh, Dumper=_SafeDumper, sort_keys=True)
@@ -593,10 +641,11 @@ def run_pipeline(spec: ExperimentSpec) -> Path:
     """Execute the full grid; returns the artifact manifest path."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(spec.manifest)
-    loader = AssetLoader(manifest)
+    record = HashRecord(spec.out_dir / HASH_RECORD)
+    loader = AssetLoader(manifest, record)
     results = {}
     for feature_name in spec.features:
         csv_path = run_feature_cell(spec, manifest, loader, feature_name)
         results[feature_name] = read_subject_results(csv_path)
     run_stats(spec, results)
-    return write_artifact_manifest(spec.out_dir)
+    return write_artifact_manifest(spec.out_dir, record)

@@ -50,6 +50,12 @@ STOP_HIGH_FACTOR = 1.25
 # own rate; version 2 decimates a faster stream to :func:`band_rate` first.
 CHAIN_VERSION = 2
 
+# Taps of the longest polyphase FIR a rate conversion may design (8 MB of
+# float64). 44.1 kHz to 128 Hz, whose exact ratio is 32/11025, needs about
+# 147,000; a rate known only as an inexact float, such as 1000/3 Hz, would
+# need billions.
+MAX_FIR_TAPS = 1 << 20
+
 # Channels that the chain references, filters and resamples at once. Its
 # peak memory is a few such blocks at the stream's rate, whatever the
 # channel count; blocks of 4 run as fast as the whole array.
@@ -144,14 +150,22 @@ def _kaiser_lowpass(
 ) -> _Design:
     """(up, down, lowpass FIR) of the polyphase conversion from ``fs`` to ``fs_out``.
 
-    The Kaiser-windowed FIR is centred on ``cutoff`` with a transition band
-    ``transition`` wide, passing below it and stopping above it at
-    ``atten_db``; its passband ripple is of the same size.
+    ``up / down`` is the exact ratio of the two rates, so the output runs at
+    ``fs_out`` itself. The Kaiser-windowed FIR is centred on ``cutoff`` with
+    a transition band ``transition`` wide, passing below it and stopping
+    above it at ``atten_db``; its passband ripple is of the same size. A
+    ratio whose FIR would need more than :data:`MAX_FIR_TAPS` taps at
+    ``fs * up`` is refused.
     """
-    ratio = (Fraction(fs_out) / Fraction(fs)).limit_denominator(1000)
+    ratio = Fraction(fs_out) / Fraction(fs)
     up, down = ratio.numerator, ratio.denominator
     fs_up = fs * up
     numtaps, beta = signal.kaiserord(atten_db, transition / (fs_up / 2.0))
+    if numtaps > MAX_FIR_TAPS:
+        raise InvalidInputError(
+            f"no polyphase FIR converts {fs:g} Hz to {fs_out:g} Hz: their exact ratio "
+            f"{up}/{down} needs {numtaps} taps, more than {MAX_FIR_TAPS}"
+        )
     numtaps |= 1
     return up, down, signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_up)
 

@@ -1,13 +1,19 @@
 """Shared fixtures and the oracles: finite-difference gradients, the exact Wilcoxon
-test, the whole-array EEG chain and the single-rate chain it replaced."""
+test, the whole-array EEG chain, the single-rate chain it replaced, and the
+envelope with every gammatone band at the audio rate."""
 
 from __future__ import annotations
+
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal
 from scipy.stats import rankdata
 
+from eegmatch import pipeline
+from eegmatch.acoustic import ENVELOPE_EXPONENT, envelope_centers, gammatone_powerlaw_sum
 from eegmatch.model import ArchitectureConfig, backward_batch, forward_batch, init_params
 from eegmatch.preproc import (
     PreprocConfig,
@@ -152,6 +158,50 @@ def preprocess_eeg_whole(x: TimeSeriesTensor, cfg: PreprocConfig = PreprocConfig
     filtered = signal.sosfiltfilt(sos, _resample(referenced, decimator), axis=1)
     out = _cut_to_frames(_resample(filtered, resampler), x.n_samples, x.fs)
     return normalize_recording(TimeSeriesTensor(out, FRAME_RATE))
+
+
+def raw_envelope(audio: TimeSeriesTensor) -> TimeSeriesTensor:
+    """The power-law subband envelope at the audio rate, every band run at that rate.
+
+    The mean over the 28 gammatone bands of ``|band| ** 0.6``, as the
+    envelope was computed before its bank ran each band at a lower rate;
+    through :func:`~eegmatch.preproc.to_frame_rate` it is the fidelity
+    oracle of :func:`~eegmatch.acoustic.envelope_powerlaw`.
+    """
+    cfs = envelope_centers(audio.fs)
+    total = gammatone_powerlaw_sum(audio.data[0], audio.fs, cfs, ENVELOPE_EXPONENT)
+    total /= cfs.size
+    return TimeSeriesTensor(total[None, :], audio.fs)
+
+
+# Frames at least this far from either end are the interior a fidelity bound covers.
+EDGE_FRAMES = int(4 * FRAME_RATE)
+# The passband a fidelity bound covers, inside the band's transition bands.
+PASSBAND_HZ = (0.75, 28.0)
+# Relative RMS difference allowed in the passband interior: between the
+# multirate chain and the single-rate one, and between the multirate envelope
+# bank and the single-rate one.
+FIDELITY_BOUND = 0.025
+
+
+def band_content(y, lo_hz, hi_hz):
+    """The ``lo_hz``-``hi_hz`` content of the 64 Hz rows of ``y``: their FFT with every other bin zeroed."""
+    freqs = np.fft.rfftfreq(y.shape[1], 1.0 / FRAME_RATE)
+    spectrum = np.fft.rfft(y, axis=1)
+    spectrum[:, (freqs < lo_hz) | (freqs > hi_hz)] = 0.0
+    return np.fft.irfft(spectrum, n=y.shape[1], axis=1)
+
+
+def relative_rms(new, old):
+    """Per row, the RMS of ``new - old`` over the RMS of ``old``."""
+    return np.sqrt(((new - old) ** 2).mean(axis=1) / (old**2).mean(axis=1))
+
+
+def settle(root: Path) -> None:
+    """Wait until every file under ``root`` has settled, as a hash record judges it."""
+    stats = [p.stat() for p in root.rglob("*") if p.is_file()]
+    coarse = any(s.st_mtime_ns % 10**9 == 0 and s.st_ctime_ns % 10**9 == 0 for s in stats)
+    time.sleep((pipeline.COARSE_SETTLE_NS if coarse else pipeline.SETTLE_NS) / 1e9 + 0.05)
 
 
 @pytest.fixture(scope="session")

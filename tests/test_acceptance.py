@@ -19,9 +19,10 @@ from conftest import (
     generic_params,
     max_relative_error,
     numeric_gradients,
+    raw_envelope,
     wilcoxon_exact,
 )
-from eegmatch.acoustic import raw_envelope, vad_frames
+from eegmatch.acoustic import vad_frames
 from eegmatch.features import StoryAssets, extract_feature, feature_dims
 from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
 from eegmatch.preproc import PreprocConfig, band_sos, preprocess_eeg, to_frame_rate

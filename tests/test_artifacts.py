@@ -4,13 +4,13 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
+from conftest import settle
 from hypothesis import strategies as st
 
 from eegmatch import pipeline
@@ -29,13 +29,6 @@ def write_files(out: Path) -> None:
             write_timeseries(out / rel, TimeSeriesTensor(data, 64.0))
         else:
             (out / rel).write_text(f"file {k}\n" * 20, encoding="utf-8")
-
-
-def settle(out: Path) -> None:
-    """Wait until every file under ``out`` has settled, as the record judges it."""
-    stats = [p.stat() for p in out.rglob("*") if p.is_file()]
-    coarse = any(s.st_mtime_ns % 10**9 == 0 and s.st_ctime_ns % 10**9 == 0 for s in stats)
-    time.sleep((pipeline.COARSE_SETTLE_NS if coarse else pipeline.SETTLE_NS) / 1e9 + 0.05)
 
 
 def from_scratch(out: Path) -> dict[str, str]:

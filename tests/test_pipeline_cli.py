@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import settle
+
 from eegmatch import cli, errors, pipeline
 from eegmatch.alignments import read_inventory
 from eegmatch.checkpoint import load_checkpoint, save_checkpoint
@@ -22,6 +24,7 @@ from eegmatch.features import (
     extract_feature,
     extract_part,
     feature_dims,
+    feature_versions,
 )
 from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
 from eegmatch.preproc import PreprocConfig
@@ -256,21 +259,26 @@ class TestRunPipeline:
         assert {r.subject_id for r in rows} == {"sub00", "sub01"}
 
     def test_rerun_is_cached_and_hashes_stable(self, dataset, tmp_path, monkeypatch):
+        """Each input file is read once in a run, however many cells key on it,
+        and not at all in a later run while the hash record holds it settled
+        and unchanged."""
         cfg = tmp_path / "exp.yaml"
         out = tmp_path / "out"
         cfg.write_text(yaml.safe_dump(experiment_yaml(dataset, out, features=("vad", "envelope"),
                                                       max_epochs=1)))
         spec = pipeline.load_experiment(cfg)
+        manifest = pipeline.load_manifest(dataset)
+        inputs = {manifest.inventory_path, manifest.embeddings_path,
+                  *(r.eeg_path for r in manifest.recordings),
+                  *(p for files in manifest.stories.values() for p in dataclasses.astuple(files))}
+        settle(dataset.parent)
+        hashed = count_calls(monkeypatch, "file_sha256")
         first = yaml.safe_load(pipeline.run_pipeline(spec).read_text())
-        hashed = []
-        file_sha256 = pipeline.file_sha256
-        monkeypatch.setattr(pipeline, "file_sha256",
-                            lambda path: hashed.append(path) or file_sha256(path))
+        assert sorted(p for (p,) in hashed if p in inputs) == sorted(inputs)
+        hashed.clear()
         second = yaml.safe_load(pipeline.run_pipeline(pipeline.load_experiment(cfg)).read_text())
         assert first == second
-        # each input file is read once per run, however many cells key on it
-        eeg = [r.eeg_path for r in pipeline.load_manifest(dataset).recordings]
-        assert sorted(p for p in hashed if p in eeg) == sorted(eeg)
+        assert not [p for (p,) in hashed if p in inputs]
 
     def test_warm_rerun_changes_no_byte_and_reads_only_what_may_have_changed(
             self, dataset, tmp_path, monkeypatch, caplog):
@@ -285,10 +293,11 @@ class TestRunPipeline:
             pipeline.run_pipeline(pipeline.load_experiment(cfg))
         assert tree_bytes(out) == before
         record = json.loads((out / pipeline.HASH_RECORD).read_bytes())
-        assert set(record) == set(before) - {"artifacts.yaml", str(pipeline.HASH_RECORD)}
+        artifacts = {name for name in record if not Path(name).is_absolute()}
+        assert artifacts == set(before) - {"artifacts.yaml", str(pipeline.HASH_RECORD)}
         may_change = {out / pipeline.HASH_RECORD} | {
-            out / rel for rel, entry in record.items()
-            if not recorded_as_settled(entry) or stat_of(out / rel) != stat_of(entry)}
+            out / rel for rel in artifacts
+            if not recorded_as_settled(record[rel]) or stat_of(out / rel) != stat_of(record[rel])}
         read_again = {path for (path,) in hashed if out in Path(path).parents}
         assert read_again <= may_change
         assert not any(p.is_relative_to(out / "cache") for p in read_again)
@@ -310,6 +319,31 @@ class TestRunPipeline:
         pipeline.run_pipeline(pipeline.load_experiment(cfg))
         assert len(trained) == 1
         assert yaml.safe_load(stamp.read_text())["cell"]["feature"] == "vad"
+
+    def test_relabelled_phonemes_retrain_the_cell(self, dataset, tmp_path, monkeypatch):
+        """The cell key covers each story's feature key, so new phoneme labels
+        give ``env+bpc`` a new cell: it trains again on the new features."""
+        raw = absolute_manifest(dataset)
+        phonemes = tmp_path / "story00.phonemes.tsv"
+        shutil.copyfile(raw["subjects"]["sub00"][0]["phonemes"], phonemes)
+        for entries in raw["subjects"].values():
+            entries[0]["phonemes"] = str(phonemes)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(raw))
+        cfg, out = write_experiment(manifest, tmp_path, features=["env+bpc"])
+        pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        stamp = yaml.safe_load((out / "models" / "env+bpc" / "cell.yaml").read_text())
+        rows = [row.split("\t") for row in phonemes.read_text().splitlines()]
+        phonemes.write_text("".join(
+            "\t".join(row if len(row) < 3 else [*row[:2], "p" if row[2] == "ɑ" else "ɑ"]) + "\n"
+            for row in rows))
+        trained = count_calls(monkeypatch, "train")
+        pipeline.run_pipeline(pipeline.load_experiment(cfg))
+        assert len(trained) == 1
+        old = stamp["cell"]["inputs"]
+        new = yaml.safe_load((out / "models" / "env+bpc" / "cell.yaml").read_text())["cell"]["inputs"]
+        assert new["eeg"] == old["eeg"] and sorted(new["features"]) == ["story00"]
+        assert new["features"] != old["features"]
 
     def test_every_setting_changes_the_cell_key(self, dataset, tmp_path):
         """A new seed or dtype, or one changed key of any block, gives a cell a new key."""
@@ -344,6 +378,30 @@ class TestRunPipeline:
         assert keys() != key
         for stage in ("preproc", "features"):  # one entry, under its own key, per version
             assert len(list((cache / stage).glob("*.ndmm"))) == 2, stage
+
+    def test_feature_version_is_in_its_keys(self, dataset, tmp_path, monkeypatch):
+        """A new envelope version gives the envelope and env+bpc, and no other
+        feature, new cache entries and new cell keys."""
+        from eegmatch import features
+
+        assert feature_versions("env+bpc") == [2, 1] and feature_versions("mel") == [1]
+        spec = pipeline.load_experiment(write_experiment(dataset, tmp_path)[0])
+        loader = pipeline.AssetLoader(pipeline.load_manifest(dataset))
+        names = ("envelope", "env+bpc", "bpc", "mel")
+
+        def keys():
+            return {name: (loader.feature_key("story00", name, PreprocConfig()),
+                           pipeline.config_hash(spec.cell(name, ["eeg-hash"])))
+                    for name in names}
+
+        before = keys()
+        monkeypatch.setitem(features.PARTS, "envelope",
+                            features.PARTS["envelope"]._replace(version=3))
+        after = keys()
+        assert {name for name in names if after[name][0] != before[name][0]} == {
+            "envelope", "env+bpc"}
+        assert {name for name in names if after[name][1] != before[name][1]} == {
+            "envelope", "env+bpc"}
 
     def test_unknown_feature_rejected_at_load(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -767,6 +825,31 @@ class TestCli:
         assert cache_files(out) == cached
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("version", [None, [2]], ids=["none", "other"])
+    def test_evaluate_refuses_a_cell_of_another_feature_version(self, dataset, tmp_path, capsys,
+                                                                version):
+        """A model trained on another definition of its feature, or in a cell
+        that recorded none, is refused by its ``cell.yaml`` before anything is
+        written."""
+        cfg, out = write_experiment(dataset, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        stamp_path = out / "models" / "vad" / "cell.yaml"
+        stamp = yaml.safe_load(stamp_path.read_text())
+        assert stamp["cell"]["version"] == feature_versions("vad") == [1]
+        if version is None:
+            del stamp["cell"]["version"]
+        else:
+            stamp["cell"]["version"] = version
+        stamp_path.write_text(yaml.safe_dump(stamp))
+        cached = cache_files(out)
+        rc = cli.main(["evaluate", "--model", str(out / "models" / "vad"),
+                       "--manifest", str(dataset), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(stamp_path) in err and "feature version" in err, err
+        assert cache_files(out) == cached
+        assert not (tmp_path / "eval").exists()
+
     def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):
         from eegmatch.checkpoint import save_checkpoint
         from eegmatch.model import config_for_feature, init_params
@@ -875,6 +958,7 @@ class TestCli:
         "windowing sets the frame rate", "preproc sets the frame rate",
         "experiment not YAML", "manifest not YAML", "inventory not a mapping",
         "inventory without symbols", "recordings of a story name other files",
+        "audio cut inside its data chunk",
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
         raw = absolute_manifest(dataset)
@@ -903,6 +987,12 @@ class TestCli:
             shutil.copyfile(raw["subjects"]["sub01"][0]["audio"], other)
             raw["subjects"]["sub01"][0]["audio"] = str(other)
             named = [str(manifest.resolve()), "story00", "sub01_story00"]
+        elif case == "audio cut inside its data chunk":
+            cut = tmp_path / "cut.wav"
+            cut.write_bytes(Path(raw["subjects"]["sub00"][0]["audio"]).read_bytes()[:4000])
+            for entries in raw["subjects"].values():
+                entries[0]["audio"] = str(cut)
+            named = [str(cut), "data chunk"]
         elif case == "manifest without subjects":
             del raw["subjects"]
             named = [str(manifest.resolve()), "'subjects'"]

@@ -5,10 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import preprocess_eeg_whole, single_rate_chain
+from conftest import (
+    EDGE_FRAMES,
+    FIDELITY_BOUND,
+    PASSBAND_HZ,
+    band_content,
+    preprocess_eeg_whole,
+    raw_envelope,
+    relative_rms,
+    single_rate_chain,
+)
 from scipy import signal
 
-from eegmatch.acoustic import raw_envelope
 from eegmatch.errors import DegenerateChannelError, InvalidInputError, InvalidSpecError
 from eegmatch.preproc import (
     CHANNEL_BLOCK,
@@ -189,6 +197,23 @@ class TestResample:
         x = TimeSeriesTensor(np.zeros((1, 1001)), fs=100.0)
         assert resample(x).n_samples == round(1001 * 64 / 100)
 
+    def test_click_near_the_end_of_a_44100_hz_stream_lands_on_its_frame(self):
+        """44.1 kHz goes to 128 Hz at the exact ratio 32/11025, so a click 1 s
+        before the end of 240 s peaks on its own 64 Hz frame. The ratio
+        rounded to 2/689 ran the band at 128.01 Hz, and the click landed
+        more than a frame late."""
+        fs, frame = 44100.0, 15296  # 239 s, on a whole sample: 15296 x 44100 / 64
+        x = np.zeros((1, int(240 * fs)))
+        x[0, frame * 44100 // 64] = 1.0
+        out = to_frame_rate(TimeSeriesTensor(x, fs), PreprocConfig()).data[0]
+        assert np.abs(out).argmax() == frame
+
+    def test_rate_without_a_practical_exact_ratio_is_refused(self):
+        """1000/3 Hz as a float is 128 Hz's ratio only over a 52-bit denominator."""
+        x = TimeSeriesTensor(np.zeros((1, 4000)), 1000.0 / 3.0)
+        with pytest.raises(InvalidInputError, match="^no polyphase FIR converts 333.333 Hz to 128 Hz"):
+            to_frame_rate(x, PreprocConfig())
+
 
 class TestNormalizeRecording:
     def test_three_point_channel(self):
@@ -362,27 +387,6 @@ def faded(data, fs):
     out[..., :n] *= ramp
     out[..., -n:] *= ramp[::-1]
     return out
-
-
-def band_content(y, lo_hz, hi_hz):
-    """The ``lo_hz``-``hi_hz`` content of the 64 Hz rows of ``y``: their FFT with every other bin zeroed."""
-    freqs = np.fft.rfftfreq(y.shape[1], 1.0 / FRAME_RATE)
-    spectrum = np.fft.rfft(y, axis=1)
-    spectrum[:, (freqs < lo_hz) | (freqs > hi_hz)] = 0.0
-    return np.fft.irfft(spectrum, n=y.shape[1], axis=1)
-
-
-def relative_rms(new, old):
-    """Per row, the RMS of ``new - old`` over the RMS of ``old``."""
-    return np.sqrt(((new - old) ** 2).mean(axis=1) / (old**2).mean(axis=1))
-
-
-# Frames at least this far from either end are the interior the fidelity bound covers.
-EDGE_FRAMES = int(4 * FRAME_RATE)
-# The passband the bound covers, inside the band's transition bands.
-PASSBAND_HZ = (0.75, 28.0)
-# Relative RMS difference allowed between the chains in the passband interior.
-FIDELITY_BOUND = 0.025
 
 
 def compare_chains(new, old, faded_new, faded_old):
