@@ -53,9 +53,9 @@ class AlignmentTrack:
             raise InvalidSpecError(f"kind must be phoneme|word, got {self.kind!r}")
         prev_end = -np.inf
         for iv in self.intervals:
-            if not iv.start_s < iv.end_s:
+            if not -np.inf < iv.start_s < iv.end_s < np.inf:
                 raise InvalidInputError(
-                    f"interval {iv.label!r}: start {iv.start_s} !< end {iv.end_s}"
+                    f"interval {iv.label!r}: start {iv.start_s} !< end {iv.end_s}, or not finite"
                 )
             if iv.start_s < prev_end:
                 raise InvalidInputError(

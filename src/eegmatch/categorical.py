@@ -101,7 +101,7 @@ def onset_variant(feature: TimeSeriesTensor, track: AlignmentTrack) -> TimeSerie
     n = feature.n_samples
     for iv in track.intervals:
         t = int(np.ceil(iv.start_s * feature.fs - 1e-9))
-        if t >= n or t / feature.fs >= iv.end_s:
+        if not 0 <= t < n or t / feature.fs >= iv.end_s:
             continue
         row = int(np.argmax(feature.data[:-1, t]))
         if feature.data[row, t] > 0:

@@ -9,9 +9,9 @@ from pathlib import Path
 
 from . import pipeline
 from .checkpoint import load_checkpoint
-from .errors import EegMatchError
+from .errors import EegMatchError, InvalidInputError
 from .preproc import PreprocConfig
-from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
+from .stats import compare, violin
 from .synth import write_synth_dataset
 from .training import evaluate_per_subject, read_subject_results, write_subject_results
 
@@ -22,7 +22,12 @@ def _experiment(path: Path):
     """The experiment in ``path``, its dataset manifest and an asset loader over it."""
     spec = pipeline.load_experiment(path)
     manifest = pipeline.load_manifest(spec.manifest)
-    return spec, manifest, pipeline.AssetLoader(manifest)
+    return spec, manifest, spec.loader(manifest)
+
+
+def _accuracies(path: Path) -> dict[str, float]:
+    """Each subject's test accuracy in the results CSV at ``path``."""
+    return {r.subject_id: r.test_accuracy for r in read_subject_results(path)}
 
 
 def cmd_synth_make(args) -> int:
@@ -74,7 +79,7 @@ def cmd_evaluate(args) -> int:
     spec = pipeline.trained_cell(args.model, args.manifest)
     feature = spec.features[0]
     manifest = pipeline.load_manifest(args.manifest)
-    sets, _, _ = pipeline.build_cell(spec, manifest, pipeline.AssetLoader(manifest), feature)
+    sets, _, _ = pipeline.build_cell(spec, manifest, spec.loader(manifest), feature)
     results = evaluate_per_subject(load_checkpoint(args.model), sets["test"], feature_name=feature)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{pipeline.feature_slug(feature)}.csv"
@@ -85,21 +90,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats_compare(args) -> int:
-    a, b = ({r.subject_id: r.test_accuracy for r in read_subject_results(path)}
-            for path in (args.a, args.b))
-    pair = PairedSample.from_maps(a, b)
-    res = wilcoxon_signed_rank(pair.a, pair.b)
+    res = compare(_accuracies(args.a), _accuracies(args.b))
     print(f"z={res.z:.4f} p={res.p:.6g} n_effective={res.n_effective}")
     return 0
 
 
 def cmd_stats_violin(args) -> int:
-    summaries = []
-    for path in sorted(args.indir.glob("*.csv")):
-        rows = read_subject_results(path)
-        summaries.append(summarize(path.stem, [r.subject_id for r in rows],
-                                   [r.test_accuracy for r in rows]))
-    print(emit_figure_data(args.out, summaries))
+    """``run``'s figure of the results CSVs in ``--in``; refused if none holds 2 subjects."""
+    path = violin(args.out, {p.stem: _accuracies(p) for p in sorted(args.indir.glob("*.csv"))})
+    if path is None:
+        raise InvalidInputError(f"{args.indir}: no results CSV scored on 2 or more subjects")
+    print(path)
     return 0
 
 

@@ -36,7 +36,7 @@ from .features import (
 )
 from .model import ModelParams, config_for_feature, init_params
 from .preproc import CHAIN_VERSION, PreprocConfig, preprocess_eeg
-from .stats import PairedSample, emit_figure_data, summarize, wilcoxon_signed_rank
+from .stats import compare, violin
 from .tensors import (
     TimeSeriesFile,
     TimeSeriesTensor,
@@ -170,8 +170,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.features:
             raise InvalidInputError("experiment needs at least one feature")
-        for name in self.features:
-            feature_dims(name)  # raises for unregistered names
+        named = {}  # two features of one slug or one list of parts would share a cell
+        for i, name in enumerate(self.features):  # an unregistered name raises here
+            for key in (feature_slug(name), tuple(canonical_parts(name))):
+                if named.setdefault(key, i) != i:
+                    raise InvalidInputError(
+                        f"features {self.features[named[key]]!r} and {name!r} name one cell")
         self.seed, self.dtype = int(self.seed), str(self.dtype)
         # build each block's config as build_cell will, so that a typo or a
         # bad value is refused before anything is computed or written
@@ -197,6 +201,10 @@ class ExperimentSpec:
         """
         return {"feature": feature, "chain": CHAIN_VERSION, "version": feature_versions(feature),
                 **{k: getattr(self, k) for k in CELL_SETTINGS}, "inputs": inputs}
+
+    def loader(self, manifest: DatasetManifest) -> AssetLoader:
+        """An asset loader over ``manifest`` that reads this experiment's hash record."""
+        return AssetLoader(manifest, HashRecord(self.out_dir / HASH_RECORD))
 
 
 # Every field of an experiment but its grid's features, manifest and output
@@ -237,6 +245,16 @@ def feature_slug(name: str) -> str:
     return name.replace("/", "_")
 
 
+def _read_or_make(target: Path, make: Callable[[], TimeSeriesTensor]) -> TimeSeriesTensor:
+    """The cache entry ``target``, or ``make()``'s tensor, written there."""
+    if target.exists():
+        return read_timeseries(target)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    out = make()
+    write_timeseries(target, out)
+    return out
+
+
 def preprocess_recording_cached(
     entry: RecordingEntry,
     cfg: PreprocConfig,
@@ -245,33 +263,26 @@ def preprocess_recording_cached(
 ) -> TimeSeriesTensor:
     """Preprocessed EEG, cached under the config, the chain's version and the input's hash.
 
-    ``file_hash`` is the run's :meth:`AssetLoader.file_hash`, so that each
-    EEG file is read for hashing once.
+    ``file_hash`` is the command's :meth:`AssetLoader.file_hash`.
     """
     digest = file_hash(entry.eeg_path)
     key = config_hash({"cfg": asdict(cfg), "chain": CHAIN_VERSION, "input": digest})
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    target = cache_dir / f"{entry.recording_id}_{key}.ndmm"
-    if target.exists():
-        return read_timeseries(target)
-    out = preprocess_eeg(TimeSeriesFile.open(entry.eeg_path), cfg)
-    write_timeseries(target, out)
-    return out
+    return _read_or_make(cache_dir / f"{entry.recording_id}_{key}.ndmm",
+                         lambda: preprocess_eeg(TimeSeriesFile.open(entry.eeg_path), cfg))
 
 
 class AssetLoader:
-    """Loads story assets once per run (stories are shared across subjects).
+    """Loads story assets once per command (stories are shared across subjects).
 
-    It also hashes each input file at most once, so every cache key of a run
-    reads a file's bytes once; with a ``record``, a file that the record
-    holds unchanged is not read at all.
+    It takes each input file's digest from ``record``, the experiment's
+    :class:`HashRecord`, or an in-memory one: a file is read for hashing at
+    most once per command, and not at all while the record holds it unchanged.
     """
 
     def __init__(self, manifest: DatasetManifest, record: HashRecord | None = None):
         self.manifest = manifest
-        self._record = record
+        self.record = record or HashRecord()
         self._assets: dict[str, StoryAssets] = {}
-        self._sha256: dict[Path, str] = {}
 
     @cached_property
     def inventory(self):
@@ -284,11 +295,8 @@ class AssetLoader:
         return read_embeddings(path) if path else None
 
     def file_hash(self, path: Path) -> str:
-        """SHA-256 of an input file, on the first request only, recorded under its absolute path."""
-        if path not in self._sha256:
-            self._sha256[path] = (file_sha256(path) if self._record is None
-                                  else self._record.sha256(str(path.resolve()), path))
-        return self._sha256[path]
+        """SHA-256 of an input file, recorded under its absolute path."""
+        return self.record.sha256(path)
 
     def assets(self, story_id: str) -> StoryAssets:
         if story_id not in self._assets:
@@ -333,18 +341,10 @@ class AssetLoader:
         misses is joined from its parts' own entries, so a part shared by
         several features is extracted once.
         """
-        key = self.feature_key(story_id, name, cfg)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        target = cache_dir / f"{story_id}_{feature_slug(name)}_{key}.ndmm"
-        if target.exists():
-            return read_timeseries(target)
-        parts = canonical_parts(name)
-        if len(parts) == 1:
-            out = extract_feature(name, self.assets(story_id), cfg)
-        else:
-            out = concat_features([self.feature_cached(story_id, p, cache_dir, cfg) for p in parts])
-        write_timeseries(target, out)
-        return out
+        key, parts = self.feature_key(story_id, name, cfg), canonical_parts(name)
+        return _read_or_make(cache_dir / f"{story_id}_{feature_slug(name)}_{key}.ndmm", lambda: (
+            extract_feature(name, self.assets(story_id), cfg) if len(parts) == 1 else
+            concat_features([self.feature_cached(story_id, p, cache_dir, cfg) for p in parts])))
 
 
 def build_recordings(
@@ -495,27 +495,16 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
-    """Summaries, the violin figure and pairwise Wilcoxon comparisons.
+    """The violin figure (:func:`stats.violin`) and pairwise Wilcoxon comparisons.
 
-    A feature scored on fewer than 2 subjects has no violin; with no violin
-    to draw there is no figure. The comparisons of such a feature are notes.
+    A feature scored on fewer than 2 subjects has no violin, and its
+    comparisons are notes.
     """
     out = spec.out_dir
-    summaries = []
-    for name in spec.features:
-        rows = results[name]
-        if len(rows) < 2:
-            logger.warning("%s scored on %d subject(s): no violin", name, len(rows))
-            continue
-        summaries.append(
-            summarize(
-                feature_slug(name),
-                [r.subject_id for r in rows],
-                np.array([r.test_accuracy for r in rows]),
-            )
-        )
-    if summaries:
-        emit_figure_data(out / "figures" / "violin.svg", summaries)
+    by_subject = {name: {r.subject_id: r.test_accuracy for r in results[name]}
+                  for name in spec.features}
+    violin(out / "figures" / "violin.svg",
+           {feature_slug(name): by_subject[name] for name in spec.features})
     comp_path = out / "stats"
     comp_path.mkdir(parents=True, exist_ok=True)
     with (atomic_path(comp_path / "comparisons.csv") as tmp,
@@ -524,11 +513,8 @@ def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:
         writer.writerow(["feature_a", "feature_b", "z", "p", "n_effective", "note"])
         for i, name_a in enumerate(spec.features):
             for name_b in spec.features[i + 1 :]:
-                map_a = {r.subject_id: r.test_accuracy for r in results[name_a]}
-                map_b = {r.subject_id: r.test_accuracy for r in results[name_b]}
                 try:
-                    pair = PairedSample.from_maps(map_a, map_b)
-                    res = wilcoxon_signed_rank(pair.a, pair.b)
+                    res = compare(by_subject[name_a], by_subject[name_b])
                     writer.writerow(
                         [name_a, name_b, f"{res.z:.4f}", f"{res.p:.6g}", res.n_effective, ""]
                     )
@@ -572,18 +558,28 @@ class HashRecord:
     are as recorded and the file had settled when the hash was taken (see
     :data:`SETTLE_NS`); otherwise the file is read again. A hash is recorded
     only if the file's stat did not move while it was read, and an entry
-    whose hash a new read confirms is kept as it was. Files are named by the
-    caller: the artifacts by their path under ``out``, the inputs by their
-    absolute path.
+    whose hash a new read confirms is kept as it was. The artifacts are
+    named by their path under ``out``, the inputs by their absolute path.
+    Each digest is returned again from memory, without a stat, to a later
+    request for the same file in the same command. Without a ``path`` the
+    record starts empty and is not saved.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path | None = None):
         self.path = path
-        self._text, self._old = _read_hash_record(path)
+        self._text, self._old = _read_hash_record(path) if path else (b"", {})
         self._entries: dict[str, dict] = {}
+        self._given: dict[str | Path, str] = {}  # by name, or by path for an input
         self.read: list[tuple[str, int]] = []  # (name, size) of each file read
 
-    def sha256(self, name: str, path: Path) -> str:
+    def sha256(self, path: Path, name: str | None = None) -> str:
+        """The digest of ``path``, recorded under ``name`` or, for an input, its absolute path."""
+        key = name or path
+        if key not in self._given:
+            self._given[key] = self._hash(path, name or str(path.resolve()))
+        return self._given[key]
+
+    def _hash(self, path: Path, name: str) -> str:
         hashed_at = time.time_ns()
         seen = _stat_fields(path)
         entry = self._old.get(name)
@@ -622,7 +618,7 @@ def write_artifact_manifest(out_dir: Path, record: HashRecord | None = None) -> 
     for path in sorted(out_dir.rglob("*")):
         if path.is_file() and path != record.path and path.name != "artifacts.yaml":
             rel = str(path.relative_to(out_dir))
-            listed[rel] = record.sha256(rel, path)
+            listed[rel] = record.sha256(path, rel)
     read = record.read[read_before:]
     text = record.save()
     listed[str(HASH_RECORD)] = hashlib.sha256(text).hexdigest()
@@ -641,11 +637,10 @@ def run_pipeline(spec: ExperimentSpec) -> Path:
     """Execute the full grid; returns the artifact manifest path."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(spec.manifest)
-    record = HashRecord(spec.out_dir / HASH_RECORD)
-    loader = AssetLoader(manifest, record)
+    loader = spec.loader(manifest)
     results = {}
     for feature_name in spec.features:
         csv_path = run_feature_cell(spec, manifest, loader, feature_name)
         results[feature_name] = read_subject_results(csv_path)
     run_stats(spec, results)
-    return write_artifact_manifest(spec.out_dir, record)
+    return write_artifact_manifest(spec.out_dir, loader.record)

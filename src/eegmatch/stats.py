@@ -1,13 +1,15 @@
 """Paired nonparametric comparison and the violin figure.
 
-The Wilcoxon signed-rank statistic uses the classical zero-discard rule,
-average ranks for ties, tie-corrected variance, a continuity correction and
-a two-sided normal p. The tests check it against exact enumeration over all
-sign assignments at small n.
+:func:`violin` and :func:`compare` are the statistics of ``run`` and of
+the ``stats`` commands alike. The Wilcoxon signed-rank statistic uses the
+classical zero-discard rule, average ranks for ties, tie-corrected
+variance, a continuity correction and a two-sided normal p. The tests
+check it against exact enumeration over all sign assignments at small n.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -18,6 +20,8 @@ from scipy.stats import rankdata
 
 from .errors import DegenerateSampleError, InvalidInputError
 from .tensors import atomic_path
+
+logger = logging.getLogger(__name__)
 
 # points of the density grid of a summary, and the violin figure's size in px
 KDE_GRID_POINTS = 512
@@ -32,34 +36,8 @@ class WilcoxonResult:
     w_plus: float
 
 
-@dataclass
-class PairedSample:
-    """Per-subject accuracy pairs aligned by subject id."""
-
-    subjects: list[str]
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if not (len(self.subjects) == self.a.size == self.b.size):
-            raise InvalidInputError("subjects and both accuracy arrays must align")
-        if self.a.size < 5:
-            raise InvalidInputError(f"need >= 5 paired subjects, got {self.a.size}")
-        if np.isnan(self.a).any() or np.isnan(self.b).any():
-            raise InvalidInputError("missing accuracies in paired sample")
-
-    @classmethod
-    def from_maps(cls, cond_a: dict[str, float], cond_b: dict[str, float]) -> "PairedSample":
-        missing = set(cond_a) ^ set(cond_b)
-        if missing:
-            raise InvalidInputError(f"subjects missing from one condition: {sorted(missing)}")
-        subjects = sorted(cond_a)
-        return cls(subjects, [cond_a[s] for s in subjects], [cond_b[s] for s in subjects])
-
-
-def _signed_ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
+    """Normal-approximation Wilcoxon signed-rank test on pairs (a_i, b_i)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -68,12 +46,7 @@ def _signed_ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     d = d[d != 0.0]
     if d.size == 0:
         raise DegenerateSampleError("all paired differences are zero")
-    return rankdata(np.abs(d)), d
-
-
-def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
-    """Normal-approximation Wilcoxon signed-rank test on pairs (a_i, b_i)."""
-    ranks, d = _signed_ranks(a, b)
+    ranks = rankdata(np.abs(d))
     n = d.size
     w_plus = float(ranks[d > 0].sum())
     mu = n * (n + 1) / 4.0
@@ -199,3 +172,31 @@ def emit_figure_data(path: str | Path, summaries: list[ConditionSummary]) -> Pat
     with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(violin_svg(summaries))
     return path
+
+
+def violin(path: str | Path, conditions: dict[str, dict[str, float]]) -> Path | None:
+    """The violin figure of each condition's accuracy by subject, written to ``path``.
+
+    A condition scored on fewer than 2 subjects gets a warning and no violin;
+    with no violin to draw, no figure is written and None is returned.
+    """
+    summaries = []
+    for name, by_subject in conditions.items():
+        if len(by_subject) < 2:
+            logger.warning("%s scored on %d subject(s): no violin", name, len(by_subject))
+            continue
+        summaries.append(summarize(name, list(by_subject), list(by_subject.values())))
+    return emit_figure_data(path, summaries) if summaries else None
+
+
+def compare(a: dict[str, float], b: dict[str, float]) -> WilcoxonResult:
+    """Wilcoxon signed-rank test of two conditions' accuracies on the same 5 or more subjects."""
+    missing = set(a) ^ set(b)
+    if missing:
+        raise InvalidInputError(f"subjects missing from one condition: {sorted(missing)}")
+    if len(a) < 5:
+        raise InvalidInputError(f"need >= 5 paired subjects, got {len(a)}")
+    x, y = (np.array([c[s] for s in sorted(a)], dtype=np.float64) for c in (a, b))
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise InvalidInputError("missing accuracies in paired sample")
+    return wilcoxon_signed_rank(x, y)

@@ -255,4 +255,6 @@ def read_subject_results(path: str | Path) -> list[SubjectResult]:
                     feature_name=row.get("feature", ""),
                 )
             )
+        if len({r.subject_id for r in results}) != len(results):
+            raise InvalidInputError("a subject is listed twice")
     return results

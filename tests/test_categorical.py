@@ -90,6 +90,17 @@ class TestAlignmentIO:
         with pytest.raises(InvalidInputError):
             track_of([(0.0, 0.5, "a"), (0.4, 0.8, "b")])
 
+    @pytest.mark.parametrize("row", ["0.0\tinf\tp", "-inf\t0.5\tp", "nan\t0.5\tp",
+                                     "0.0\tnan\tp"])
+    def test_non_finite_time_refused_by_file(self, tmp_path, row):
+        """A time that is not a finite number is refused with the file's name, not left
+        for the features to overflow on."""
+        path = tmp_path / "c.tsv"
+        path.write_text(f"#kind=phoneme\n{row}\n")
+        with pytest.raises(InvalidInputError, match="not finite") as refusal:
+            read_alignment(path)
+        assert str(refusal.value).startswith(f"{path}: ")
+
 
 class TestPhonemeOnehot:
     def test_single_interval(self):
@@ -184,6 +195,15 @@ class TestOnsets:
         base = map_anyphoneme(ph)
         onset = onset_variant(base, track)
         np.testing.assert_array_equal(onset.data[1], base.data[1])
+
+    def test_onset_before_the_first_frame_is_dropped(self):
+        """A phone that starts before 0 s has no onset in the story: no pulse, at frame 0
+        or wrapped to the story's end."""
+        fric = next(s for s in INV.symbols if INV.class_map[s] == "fricative")
+        vowel = next(s for s in INV.symbols if INV.class_map[s] == "long_vowel")
+        track = track_of([(-0.5, 0.3, fric), (0.3, 10.0, vowel)])
+        onset = onset_variant(map_bpc(phoneme_onehot(track, INV, 640), INV), track)
+        assert np.flatnonzero(onset.data[:-1].sum(axis=0)).tolist() == [int(np.ceil(0.3 * 64))]
 
     @settings(max_examples=30, deadline=None)
     @given(random_tracks())

@@ -280,6 +280,25 @@ class TestRunPipeline:
         assert first == second
         assert not [p for (p,) in hashed if p in inputs]
 
+    def test_a_file_asked_for_twice_is_read_once(self, dataset, monkeypatch):
+        """A command's loader reads each input once however many keys hash it, and answers
+        a repeated request from memory, without another stat."""
+        manifest = pipeline.load_manifest(dataset)
+        loader = pipeline.AssetLoader(manifest)
+        eeg = manifest.recordings[0].eeg_path
+        digest = pipeline.file_sha256(eeg)
+        hashed = count_calls(monkeypatch, "file_sha256")
+        stats = count_calls(monkeypatch, "_stat_fields")
+        assert loader.file_hash(eeg) == digest
+        for name in ("vad", "mel"):  # each key hashes the story's files and the inventory
+            loader.feature_key("story00", name, PreprocConfig())
+        seen = len(stats)
+        assert loader.file_hash(eeg) == digest
+        assert len(stats) == seen
+        files = dataclasses.astuple(manifest.stories["story00"])
+        assert sorted(hashed) == sorted([(eeg,), *((p,) for p in files),
+                                         (manifest.inventory_path,), (manifest.embeddings_path,)])
+
     def test_warm_rerun_changes_no_byte_and_reads_only_what_may_have_changed(
             self, dataset, tmp_path, monkeypatch, caplog):
         """Files the record holds as settled and unchanged are listed without a read."""
@@ -402,6 +421,20 @@ class TestRunPipeline:
             "envelope", "env+bpc"}
         assert {name for name in names if after[name][1] != before[name][1]} == {
             "envelope", "env+bpc"}
+
+    @pytest.mark.parametrize("features", [["vowel/consonant", "vowel_consonant"],
+                                          ["env", "envelope"], ["VAD", "vad"],
+                                          ["env+bpc", "envelope+BPC"], ["mel", "mel"]],
+                             ids=["one slug", "alias", "case", "alias in a join", "repeated"])
+    def test_feature_names_that_share_a_cell_are_refused(self, dataset, tmp_path, capsys,
+                                                         features):
+        """Two names with one slug would share ``models/`` and the results CSV; two
+        names of one feature would extract and train it twice."""
+        cfg, out = write_experiment(dataset, tmp_path, features=["mel", *features])
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: features {features[0]!r} and {features[1]!r} name one cell" in err, err
+        assert not out.exists()
 
     def test_unknown_feature_rejected_at_load(self, dataset, tmp_path):
         cfg = tmp_path / "exp.yaml"
@@ -712,11 +745,16 @@ class TestCli:
         assert rc == 2
         assert "error[" in capsys.readouterr().err
 
-    def test_stats_compare_needs_results_csvs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("b_rows", [
+        "subject,accuracy\n" + "".join(f"s{i},0.{60 + i}\n" for i in range(6)),
+        "subject,accuracy,n_windows,feature\n" + "".join(f"s{min(i, 4)},0.{60 + i},10,y\n"
+                                                         for i in range(6)),
+    ], ids=["no n_windows", "a subject twice"])
+    def test_stats_compare_needs_results_csvs(self, tmp_path, capsys, b_rows):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("subject,accuracy,n_windows,feature\n"
                      + "".join(f"s{i},0.{70 + i},10,x\n" for i in range(6)))
-        b.write_text("subject,accuracy\n" + "".join(f"s{i},0.{60 + i}\n" for i in range(6)))
+        b.write_text(b_rows)
         rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(b)])
         assert rc == 2
         assert str(b) in capsys.readouterr().err
@@ -734,6 +772,48 @@ class TestCli:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert all(f">{name}</text>" in text for name in ("vad", "envelope"))
+
+    def test_stats_violin_draws_what_run_draws(self, dataset, tmp_path, capsys, caplog):
+        """A results CSV of one subject gets a warning and no violin, as in ``run``,
+        and the figure has ``run``'s bytes; with no violin to draw it is refused."""
+        from eegmatch.training import SubjectResult, write_subject_results
+
+        d = tmp_path / "res"
+        d.mkdir()
+        accuracy = {"envelope": [0.71], "vad": [0.62, 0.75, 0.58, 0.8]}
+        for name, accs in accuracy.items():
+            write_subject_results(d / f"{name}.csv", [SubjectResult(f"s{i}", a, 10, name)
+                                                      for i, a in enumerate(accs)])
+        svg = tmp_path / "violin.svg"
+        assert cli.main(["stats", "violin", "--in", str(d), "--out", str(svg)]) == 0
+        assert "envelope scored on 1 subject(s): no violin" in caplog.text
+        spec = pipeline.ExperimentSpec(features=list(accuracy), manifest=dataset,
+                                       out_dir=tmp_path / "out")
+        pipeline.run_stats(spec, {name: read_subject_results(d / f"{name}.csv")
+                                  for name in accuracy})
+        assert svg.read_bytes() == (tmp_path / "out" / "figures" / "violin.svg").read_bytes()
+        (d / "vad.csv").unlink()
+        capsys.readouterr()
+        assert cli.main(["stats", "violin", "--in", str(d), "--out", str(tmp_path / "v2.svg")]) == 2
+        assert str(d) in capsys.readouterr().err
+        assert not (tmp_path / "v2.svg").exists()
+
+    def test_stage_commands_hash_no_input_after_a_settled_run(self, dataset, tmp_path,
+                                                              monkeypatch):
+        """``preprocess``, ``featurize``, ``train`` and ``evaluate`` over the training
+        manifest take every digest from the hash record of ``run`` and leave it as it was."""
+        cfg, out = write_experiment(dataset, tmp_path)
+        settle(dataset.parent)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        record = (out / pipeline.HASH_RECORD).read_bytes()
+        hashed = count_calls(monkeypatch, "file_sha256")
+        for argv in (["preprocess", "--config", str(cfg)], ["featurize", "--config", str(cfg)],
+                     ["train", "--config", str(cfg), "--feature", "vad"],
+                     ["evaluate", "--model", str(out / "models" / "vad"),
+                      "--manifest", str(dataset), "--out", str(tmp_path / "eval")]):
+            assert cli.main(argv) == 0
+            assert hashed == [], argv[0]
+        assert (out / pipeline.HASH_RECORD).read_bytes() == record
 
     def test_featurize_and_build_dataset(self, dataset, tmp_path, monkeypatch):
         cfg, out = write_experiment(dataset, tmp_path, features=["vad", "envelope"])
@@ -958,7 +1038,7 @@ class TestCli:
         "windowing sets the frame rate", "preproc sets the frame rate",
         "experiment not YAML", "manifest not YAML", "inventory not a mapping",
         "inventory without symbols", "recordings of a story name other files",
-        "audio cut inside its data chunk",
+        "audio cut inside its data chunk", "alignment time not finite",
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
         raw = absolute_manifest(dataset)
@@ -1012,12 +1092,14 @@ class TestCli:
             named = [str(cfg), block, f"'{key}'"]
         else:
             rows = Path(raw["subjects"]["sub00"][0]["phonemes"]).read_text().splitlines()
-            rows[2] = "\t".join(rows[2].split("\t")[:2])
+            start, end, label = rows[2].split("\t")
+            rows[2] = (f"{start}\tinf\t{label}" if case == "alignment time not finite"
+                       else f"{start}\t{end}")
             bad = tmp_path / "bad.phonemes.tsv"
             bad.write_text("\n".join(rows) + "\n")
             for entries in raw["subjects"].values():
                 entries[0]["phonemes"] = str(bad)
-            named = [str(bad), "line 3"]
+            named = [str(bad), "not finite" if case == "alignment time not finite" else "line 3"]
         manifest.write_text(yaml.safe_dump(raw))
         cfg.write_text(yaml.safe_dump(exp))
         for path, content in text.items():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from conftest import wilcoxon_exact
 from eegmatch.errors import DegenerateSampleError, InvalidInputError
 from eegmatch.stats import (
-    PairedSample,
+    compare,
     emit_figure_data,
     summarize,
+    violin,
     violin_svg,
     wilcoxon_signed_rank,
 )
@@ -88,25 +89,31 @@ class TestWilcoxon:
         assert plain.w_plus == affine.w_plus
 
 
-class TestPairedSample:
+class TestCompare:
     def test_alignment_by_subject(self):
-        pair = PairedSample.from_maps(
-            {"s1": 0.8, "s0": 0.7, "s2": 0.9, "s3": 0.6, "s4": 0.5},
-            {"s0": 0.6, "s1": 0.7, "s2": 0.8, "s3": 0.5, "s4": 0.4},
-        )
-        assert pair.subjects == ["s0", "s1", "s2", "s3", "s4"]
-        np.testing.assert_allclose(pair.a - pair.b, 0.1)
+        """Accuracies are paired by subject, whatever order each condition lists them in."""
+        a = {"s1": 0.8, "s0": 0.7, "s2": 0.95, "s3": 0.6, "s4": 0.5}
+        b = {"s4": 0.4, "s0": 0.6, "s1": 0.75, "s2": 0.8, "s3": 0.58}
+        subjects = sorted(a)
+        assert compare(a, b) == wilcoxon_signed_rank(np.array([a[s] for s in subjects]),
+                                                     np.array([b[s] for s in subjects]))
+        assert compare(b, a).w_plus == 0.0
 
     def test_missing_subject_rejected(self):
         with pytest.raises(InvalidInputError, match="s4"):
-            PairedSample.from_maps(
+            compare(
                 {"s0": 1, "s1": 1, "s2": 1, "s3": 1, "s4": 1},
                 {"s0": 1, "s1": 1, "s2": 1, "s3": 1},
             )
 
     def test_too_few_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PairedSample(["a", "b"], [0.5, 0.6], [0.4, 0.7])
+        with pytest.raises(InvalidInputError, match="got 2"):
+            compare({"a": 0.5, "b": 0.6}, {"a": 0.4, "b": 0.7})
+
+    def test_missing_accuracy_rejected(self):
+        with pytest.raises(InvalidInputError, match="missing accuracies"):
+            compare({f"s{i}": 0.7 for i in range(5)},
+                    {f"s{i}": float("nan") if i == 3 else 0.6 for i in range(5)})
 
 
 class TestSummarize:
@@ -169,3 +176,25 @@ class TestFigureData:
             ys = [float(pt.split(",")[1]) for pt in poly.get("points").split()]
             assert min(ys) == pytest.approx(y_of(accs.max()), abs=1.0)
             assert max(ys) == pytest.approx(y_of(accs.min()), abs=1.0)
+
+
+class TestViolin:
+    def test_draws_each_condition_from_its_accuracies(self, tmp_path):
+        rng = np.random.default_rng(5)
+        conditions = {name: {f"s{i}": float(rng.uniform(0.6, 0.9)) for i in range(6)}
+                      for name in ("vad", "mel")}
+        path = violin(tmp_path / "figures" / "violin.svg", conditions)
+        assert path.read_text() == violin_svg(
+            [summarize(name, list(acc), list(acc.values())) for name, acc in conditions.items()])
+
+    def test_a_condition_on_one_subject_gets_a_warning_and_no_violin(self, tmp_path, caplog):
+        conditions = {"vad": {"s0": 0.7}, "mel": {"s0": 0.8, "s1": 0.9, "s2": 0.6}}
+        path = violin(tmp_path / "violin.svg", conditions)
+        assert "vad scored on 1 subject(s): no violin" in caplog.text
+        assert path.read_text() == violin_svg([summarize("mel", ["s0", "s1", "s2"],
+                                                         [0.8, 0.9, 0.6])])
+
+    def test_no_violin_writes_no_figure(self, tmp_path, caplog):
+        assert violin(tmp_path / "violin.svg", {"vad": {"s0": 0.7}, "mel": {}}) is None
+        assert "mel scored on 0 subject(s)" in caplog.text
+        assert not list(tmp_path.iterdir())
