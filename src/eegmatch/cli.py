@@ -10,7 +10,6 @@ from pathlib import Path
 from . import pipeline
 from .checkpoint import load_checkpoint
 from .errors import EegMatchError, InvalidInputError
-from .preproc import PreprocConfig
 from .stats import compare, violin
 from .synth import write_synth_dataset
 from .training import evaluate_per_subject, read_subject_results, write_subject_results
@@ -48,10 +47,9 @@ def cmd_synth_make(args) -> int:
 def cmd_preprocess(args) -> int:
     """Fill the experiment's preprocessing cache, as ``run`` would."""
     spec, manifest, loader = _experiment(args.config)
-    cfg = PreprocConfig(**spec.preproc)
     for entry in manifest.recordings:
         out = pipeline.preprocess_recording_cached(
-            entry, cfg, spec.out_dir / pipeline.PREPROC_CACHE, loader.file_hash
+            entry, spec.preproc_config, spec.out_dir / pipeline.PREPROC_CACHE, loader.file_hash
         )
         print(f"{entry.recording_id}: {out.n_channels}x{out.n_samples} @ {out.fs} Hz")
     return 0
@@ -60,10 +58,10 @@ def cmd_preprocess(args) -> int:
 def cmd_featurize(args) -> int:
     """Fill the experiment's feature cache, as ``run`` would."""
     spec, manifest, loader = _experiment(args.config)
-    cfg = PreprocConfig(**spec.preproc)
     for name in spec.features:
         for story_id in sorted(manifest.stories):
-            feat = loader.feature_cached(story_id, name, spec.out_dir / pipeline.FEATURE_CACHE, cfg)
+            feat = loader.feature_cached(story_id, name, spec.out_dir / pipeline.FEATURE_CACHE,
+                                         spec.preproc_config)
             print(f"{story_id}/{name}: {feat.n_channels}x{feat.n_samples}")
     return 0
 
@@ -75,12 +73,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    """Score ``--manifest``'s test partitions with the cell the model was trained as."""
-    spec = pipeline.trained_cell(args.model, args.manifest)
+    """Score ``--manifest``'s triples (:func:`pipeline.scoring_set`) with the model's cell."""
+    spec, trained_eeg = pipeline.trained_cell(args.model, args.manifest)
     feature = spec.features[0]
-    manifest = pipeline.load_manifest(args.manifest)
-    sets, _, _ = pipeline.build_cell(spec, manifest, spec.loader(manifest), feature)
-    results = evaluate_per_subject(load_checkpoint(args.model), sets["test"], feature_name=feature)
+    params = load_checkpoint(args.model)
+    results = evaluate_per_subject(params, pipeline.scoring_set(spec, trained_eeg),
+                                   feature_name=feature)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{pipeline.feature_slug(feature)}.csv"
     write_subject_results(path, results)

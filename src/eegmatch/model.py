@@ -100,6 +100,9 @@ class ArchitectureConfig:
         ):
             if getattr(self, name) < 1:
                 raise InvalidSpecError(f"{name} must be >= 1")
+        if self.lstm_units != self.embed_dim:
+            raise InvalidSpecError(f"lstm_units {self.lstm_units} != embed_dim {self.embed_dim}: "
+                                   "the head compares the EEG embedding with the LSTM state")
         if not self.parts:
             raise InvalidSpecError("at least one speech part is required")
         if self.dtype not in ("float64", "float32"):

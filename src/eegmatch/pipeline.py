@@ -60,6 +60,7 @@ from .windows import (
     WindowingSpec,
     assemble_dataset,
     split_recording,
+    window_set,
 )
 
 logger = logging.getLogger(__name__)
@@ -177,19 +178,19 @@ class ExperimentSpec:
                     raise InvalidInputError(
                         f"features {self.features[named[key]]!r} and {name!r} name one cell")
         self.seed, self.dtype = int(self.seed), str(self.dtype)
-        # build each block's config as build_cell will, so that a typo or a
-        # bad value is refused before anything is computed or written
-        checks = {
-            "train": lambda b: TrainConfig(rng_seed=0, **b),
-            "arch": lambda b: config_for_feature([1], [False], dtype=self.dtype,
-                                                 **_settable_arch(b)),
-            "windowing": lambda b: WindowingSpec(**b),
-            "split": lambda b: SplitSpec(**b),
-            "preproc": lambda b: PreprocConfig(**b),
-        }
-        for block, check in checks.items():
-            with refused_as(block):
-                check(getattr(self, block))
+        # build each block once, so that a typo or a bad value is refused before
+        # anything is written; what is built is not a field, so no cell key moves
+        with refused_as("windowing"):
+            self.windowing_spec = WindowingSpec(**self.windowing)
+        with refused_as("split"):
+            self.split_spec = SplitSpec(**self.split)
+        with refused_as("preproc"):
+            self.preproc_config = PreprocConfig(**self.preproc)
+        with refused_as("train"):
+            TrainConfig(rng_seed=0, **self.train)
+        with refused_as("arch"):
+            config_for_feature([1], [False], dtype=self.dtype, **_settable_arch(self.arch),
+                               frames=self.windowing_spec.window_frames)
 
     def cell(self, feature: str, inputs: dict) -> dict:
         """What ``feature``'s cell key hashes and its ``cell.yaml`` records.
@@ -371,6 +372,43 @@ def build_recordings(
     return recordings
 
 
+def _check_lengths(manifest: DatasetManifest,
+                   ranges: Callable[[RecordingEntry, int], object]) -> None:
+    """Refuse by name, before any cache is written, a recording whose frames ``ranges`` refuses."""
+    for entry in manifest.recordings:
+        eeg = TimeSeriesFile.open(entry.eeg_path)
+        with refused_as(f"{entry.subject_id}/{entry.recording_id}"):
+            ranges(entry, frame_count(eeg.n_samples, eeg.fs))
+
+
+def scoring_set(spec: ExperimentSpec, trained_eeg: list[str]) -> DecisionWindowSet:
+    """The triples that ``evaluate`` scores over ``spec.manifest`` with the cell ``spec``.
+
+    A recording whose EEG hash is in ``trained_eeg`` is scored on its test
+    partition only: more would score triples the cell was trained or stopped
+    on. Any other recording is scored on all its triples, or refused if none.
+    """
+    manifest = load_manifest(spec.manifest)
+    loader, win = spec.loader(manifest), spec.windowing_spec
+
+    def ranges(entry: RecordingEntry, length: int) -> list[tuple[int, int]]:
+        if loader.file_hash(entry.eeg_path) in trained_eeg:
+            return [split_recording(length, spec.split_spec, win)[2]]
+        if length < win.span_frames:
+            raise InvalidInputError(f"recording of {length} frames holds no triple: "
+                                    f"a triple spans {win.span_frames} frames")
+        return [(0, length)]
+
+    _check_lengths(manifest, ranges)
+    recordings = build_recordings(manifest, spec.features[0], loader, spec.preproc_config,
+                                  spec.out_dir)
+    scored = []
+    for entry, rec in zip(manifest.recordings, recordings):
+        with refused_as(f"{entry.subject_id}/{entry.recording_id}"):
+            scored.append(ranges(entry, rec.eeg.shape[1]))
+    return window_set(recordings, scored, win)
+
+
 def child_seed(seed: int, name: str) -> int:
     return int(
         np.frombuffer(
@@ -388,17 +426,13 @@ def build_cell(
 ) -> tuple[dict[str, DecisionWindowSet], ModelParams, TrainConfig]:
     """Window sets, initial parameters and training config of one feature cell.
 
-    Every command that trains or scores a cell builds it here, so one spec
-    gives the same data, architecture and seeds wherever it is used.
+    ``run`` and ``train`` build a cell here, so one spec gives the same data,
+    architecture and seeds wherever it is trained.
     """
-    win, split = WindowingSpec(**spec.windowing), SplitSpec(**spec.split)
-    preproc = PreprocConfig(**spec.preproc)
-    # refuse a recording too short for the split before any cache is written
-    for entry in manifest.recordings:
-        eeg = TimeSeriesFile.open(entry.eeg_path)
-        with refused_as(f"{entry.subject_id}/{entry.recording_id}"):
-            split_recording(frame_count(eeg.n_samples, eeg.fs), split, win)
-    recordings = build_recordings(manifest, feature_name, loader, preproc, spec.out_dir)
+    win, split = spec.windowing_spec, spec.split_spec
+    _check_lengths(manifest, lambda _, length: split_recording(length, split, win))
+    recordings = build_recordings(manifest, feature_name, loader, spec.preproc_config,
+                                  spec.out_dir)
     seed = child_seed(spec.seed, feature_name)
     sets = assemble_dataset(recordings, win, split, seed=seed)
     dims, flags = feature_dims(feature_name)
@@ -418,10 +452,9 @@ def run_feature_cell(
     slug = feature_slug(feature_name)
     out = spec.out_dir
     results_path = out / "results" / f"{slug}.csv"
-    preproc = PreprocConfig(**spec.preproc)
     cell_cfg = spec.cell(feature_name, {
         "eeg": sorted(loader.file_hash(r.eeg_path) for r in manifest.recordings),
-        "features": {story: loader.feature_key(story, feature_name, preproc)
+        "features": {story: loader.feature_key(story, feature_name, spec.preproc_config)
                      for story in sorted(manifest.stories)},
     })
     key = config_hash(cell_cfg)
@@ -433,10 +466,8 @@ def run_feature_cell(
             return results_path
 
     sets, params0, tcfg = build_cell(spec, manifest, loader, feature_name)
-    logger.info(
-        "training %s: %d train / %d val / %d test samples",
-        feature_name, sets["train"].n_samples, sets["val"].n_samples, sets["test"].n_samples,
-    )
+    logger.info("training %s: %d train / %d val / %d test samples", feature_name,
+                *(s.n_samples for s in sets.values()))
     result = train(params0, sets["train"], sets["val"], tcfg)
     save_checkpoint(model_dir, result.params)
     write_training_log(model_dir / "train_log.csv", result.log)
@@ -460,17 +491,17 @@ def read_stamp(path: Path) -> dict:
     return stamp
 
 
-def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
-    """The one-feature experiment that ``model_dir``'s ``cell.yaml`` records, over ``manifest``.
+def trained_cell(model_dir: Path, manifest: Path) -> tuple[ExperimentSpec, list[str]]:
+    """The one-feature experiment that ``model_dir``'s ``cell.yaml`` records, over
+    ``manifest``, and the hashes of the EEG files that the cell was trained on.
 
-    Building its cell with :func:`build_cell` gives the windowing, split,
-    preprocessing and seed that the model was trained with. Its ``out_dir``
-    is the experiment that holds ``<out>/models/<feature>``, so scoring
-    reads and fills that experiment's caches. A model directory that is not
-    in the ``models/`` of a directory holding ``artifacts.yaml`` or
-    ``cache/`` belongs to no experiment, and is refused. So is a model
+    Its ``out_dir`` is the experiment that holds ``<out>/models/<feature>``,
+    so scoring reads and fills that experiment's caches. A model directory
+    that is not in the ``models/`` of a directory holding ``artifacts.yaml``
+    or ``cache/`` belongs to no experiment, and is refused. So is a model
     trained on features of another version of the preprocessing chain or of
-    the feature's parts, or of a cell that recorded no such version.
+    the feature's parts, or in a cell that recorded no such version or no
+    training EEG.
     """
     model_dir = Path(model_dir).resolve()
     path = model_dir / "cell.yaml"
@@ -491,7 +522,11 @@ def trained_cell(model_dir: Path, manifest: Path) -> ExperimentSpec:
             made_by = f"no {what}" if recorded is None else f"{what} {recorded!r}"
             raise InvalidInputError(f"{path} records {made_by}, but features are now made by "
                                     f"{what} {now!r}: train the model again")
-    return spec
+    inputs = cell.get("inputs")
+    if not isinstance(inputs, dict) or not isinstance(inputs.get("eeg"), list):
+        raise InvalidInputError(f"{path} records no training EEG (inputs: eeg), so it cannot "
+                                "tell a new listener from a trained one: train the model again")
+    return spec, inputs["eeg"]
 
 
 def run_stats(spec: ExperimentSpec, results: dict[str, list]) -> None:

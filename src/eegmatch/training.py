@@ -165,9 +165,8 @@ def train(
         total = 0.0
         for batch_no, lo in enumerate(range(0, train_set.n_triples, per_step)):
             triples = order[lo : lo + per_step]
-            # sample 2i is triple i in the (match, mismatch) order, label 1
-            eeg, a, b, _ = train_set.gather_samples(2 * triples, params.config.np_dtype)
-            p, trace = forward_batch(params, eeg, a, b)
+            eeg, match, mismatch = train_set.gather_triples(triples, params.config.np_dtype)
+            p, trace = forward_batch(params, eeg, match, mismatch)
             batch_losses = loss(p, 1.0)
             batch_loss = float(np.mean(batch_losses))
             if not np.isfinite(batch_loss):
@@ -200,27 +199,15 @@ def evaluate_per_subject(
 ) -> list[SubjectResult]:
     """Per-subject accuracy over both orderings of every test triple."""
     _, _, correct = evaluate_set(params, test_set)
-    subjects = sorted({r.subject_id for r in test_set.recordings})
-    code = {s: k for k, s in enumerate(subjects)}
-    subject_of_rec = np.array([code[r.subject_id] for r in test_set.recordings], dtype=np.int64)
+    subjects, code = np.unique([r.subject_id for r in test_set.recordings], return_inverse=True)
     # samples 2i and 2i + 1 are the two orders of triple i
-    of_sample = np.repeat(subject_of_rec[test_set.rec_index], 2)
+    of_sample = np.repeat(code[test_set.rec_index], 2)
     n_windows = np.bincount(of_sample, minlength=len(subjects))
     n_correct = np.bincount(of_sample, weights=correct, minlength=len(subjects))
-    results = []
-    for k, subject in enumerate(subjects):
-        if not n_windows[k]:
-            warnings.warn(f"subject {subject} has zero test windows; excluded")
-            continue
-        results.append(
-            SubjectResult(
-                subject_id=subject,
-                test_accuracy=float(n_correct[k] / n_windows[k]),
-                n_windows=int(n_windows[k]),
-                feature_name=feature_name,
-            )
-        )
-    return results
+    for subject in subjects[n_windows == 0]:
+        warnings.warn(f"subject {subject} has zero test windows; excluded")
+    return [SubjectResult(str(subject), float(c / n), int(n), feature_name)
+            for subject, c, n in zip(subjects, n_correct, n_windows) if n]
 
 
 def write_training_log(path: str | Path, log: list[EpochLog]) -> None:

@@ -10,7 +10,7 @@ triple straddles a boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -31,8 +31,9 @@ class WindowingSpec:
     def __post_init__(self) -> None:
         if not (0.0 <= self.overlap_frac < 1.0):
             raise InvalidSpecError(f"overlap_frac must be in [0, 1), got {self.overlap_frac}")
-        if self.window_s <= 0 or self.gap_s <= 0:
-            raise InvalidSpecError("window_s and gap_s must be positive")
+        if self.window_frames < 1 or self.gap_frames < 1:
+            raise InvalidSpecError(f"window_s and gap_s must each round to at least one frame at "
+                                   f"{self.fs:g} Hz, got {self.window_s} and {self.gap_s}")
 
     @property
     def window_frames(self) -> int:
@@ -122,18 +123,13 @@ class DecisionWindowSet:
     ``i``; the mismatch segment starts ``window + gap`` frames later. Each
     triple yields two order-balanced samples: sample ``2i`` presents
     (match, mismatch) with label 1, sample ``2i + 1`` the swap with label 0.
+    :func:`window_set` builds every such set.
     """
 
     spec: WindowingSpec
     recordings: list[RecordingData]
-    rec_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    start_frame: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __post_init__(self) -> None:
-        self.rec_index = np.asarray(self.rec_index, dtype=np.int64)
-        self.start_frame = np.asarray(self.start_frame, dtype=np.int64)
-        if self.rec_index.shape != self.start_frame.shape:
-            raise InvalidInputError("rec_index and start_frame must have equal length")
+    rec_index: np.ndarray    # (N,) int64: the recording of each triple
+    start_frame: np.ndarray  # (N,) int64
 
     @property
     def n_triples(self) -> int:
@@ -156,22 +152,16 @@ class DecisionWindowSet:
         """Frames from a triple's matched segment to its mismatched one."""
         return self.spec.window_frames + self.spec.gap_frames
 
-    def _eeg_windows(self, rec_idx: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
-        eeg = [r.eeg for r in self.recordings]
-        return gather_windows(eeg, rec_idx, starts, self.spec.window_frames, dtype)
-
-    def _feature_windows(self, rec_idx: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
-        feature = [r.feature for r in self.recordings]
-        return gather_windows(feature, rec_idx, starts, self.spec.window_frames, dtype)
-
-    def gather_triples(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize float64 (eeg, match, mismatch) stacks for triple indices."""
+    def gather_triples(self, idx: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Materialize (eeg, match, mismatch) stacks of triple indices in ``dtype``."""
         idx = np.asarray(idx, dtype=np.int64)
         rec, start = self.rec_index[idx], self.start_frame[idx]
+        eeg, feature = [r.eeg for r in self.recordings], [r.feature for r in self.recordings]
+        width = self.spec.window_frames
         return (
-            self._eeg_windows(rec, start, np.float64),
-            self._feature_windows(rec, start, np.float64),
-            self._feature_windows(rec, start + self.mismatch_offset, np.float64),
+            gather_windows(eeg, rec, start, width, dtype),
+            gather_windows(feature, rec, start, width, dtype),
+            gather_windows(feature, rec, start + self.mismatch_offset, width, dtype),
         )
 
     def gather_samples(
@@ -179,14 +169,24 @@ class DecisionWindowSet:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Materialize (eeg, speech_a, speech_b, labels) for sample indices."""
         sample_idx = np.asarray(sample_idx, dtype=np.int64)
-        triples = sample_idx // 2
-        swapped = (sample_idx % 2).astype(bool)
-        rec, start = self.rec_index[triples], self.start_frame[triples]
-        other = start + self.mismatch_offset
-        a = self._feature_windows(rec, np.where(swapped, other, start), dtype)
-        b = self._feature_windows(rec, np.where(swapped, start, other), dtype)
-        labels = (~swapped).astype(np.float64)
-        return self._eeg_windows(rec, start, dtype), a, b, labels
+        eeg, match, mismatch = self.gather_triples(sample_idx // 2, dtype)
+        swapped = (sample_idx % 2 == 1)[:, None, None]
+        labels = 1.0 - sample_idx % 2
+        return eeg, np.where(swapped, mismatch, match), np.where(swapped, match, mismatch), labels
+
+
+def window_set(
+    recordings: list[RecordingData], ranges: list[list[tuple[int, int]]], spec: WindowingSpec
+) -> DecisionWindowSet:
+    """Every triple inside each recording's frame ``ranges``, in recording order.
+
+    ``ranges[r]`` lists the (start, end) frame ranges of ``recordings[r]``;
+    windowing runs inside each range, so no triple straddles its edge.
+    """
+    starts = [window_starts(hi - lo, spec) + lo for rngs in ranges for lo, hi in rngs]
+    owner = np.array([r for r, rngs in enumerate(ranges) for _ in rngs], dtype=np.int64)
+    return DecisionWindowSet(spec, recordings, np.repeat(owner, [s.size for s in starts]),
+                             np.concatenate([np.empty(0, dtype=np.int64), *starts]))
 
 
 def make_windows(
@@ -202,13 +202,7 @@ def make_windows(
             f"windowing expects {spec.fs} Hz streams, got eeg={eeg.fs}, feat={feat.fs}"
         )
     rec = RecordingData(subject_id, recording_id, eeg.data, feat.data)
-    starts = window_starts(rec.eeg.shape[1], spec)
-    return DecisionWindowSet(
-        spec=spec,
-        recordings=[rec],
-        rec_index=np.zeros(starts.size, dtype=np.int64),
-        start_frame=starts,
-    )
+    return window_set([rec], [[(0, rec.eeg.shape[1])]], spec)
 
 
 def assemble_dataset(
@@ -217,35 +211,17 @@ def assemble_dataset(
     split: SplitSpec = SplitSpec(),
     seed: int = 0,
 ) -> dict[str, DecisionWindowSet]:
-    """Pool per-partition triples across subjects; train order is shuffled.
-
-    Windowing runs independently inside every partition range so no triple
-    (including its mismatch segment) crosses a partition boundary.
-    """
+    """Each partition's triples (:func:`window_set`) pooled across subjects; train's shuffled."""
     if not recordings:
         raise InvalidInputError("no recordings to assemble")
-    per_partition: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {
-        p: ([], []) for p in PARTITIONS
-    }
-    for r_i, rec in enumerate(recordings):
+    splits = []
+    for rec in recordings:
         with refused_as(f"{rec.subject_id}/{rec.recording_id}"):
-            train_ranges, val_range, test_range = split_recording(rec.eeg.shape[1], split, win)
-        ranges = {"train": train_ranges, "val": [val_range], "test": [test_range]}
-        for part, rngs in ranges.items():
-            for lo, hi in rngs:
-                starts = window_starts(hi - lo, win) + lo
-                per_partition[part][0].append(np.full(starts.size, r_i, dtype=np.int64))
-                per_partition[part][1].append(starts)
-    out = {}
-    rng = np.random.default_rng(seed)
-    for part in PARTITIONS:
-        rec_idx = np.concatenate(per_partition[part][0]) if per_partition[part][0] else np.empty(0, dtype=np.int64)
-        starts = np.concatenate(per_partition[part][1]) if per_partition[part][1] else np.empty(0, dtype=np.int64)
-        if part == "train" and rec_idx.size:
-            order = rng.permutation(rec_idx.size)
-            rec_idx, starts = rec_idx[order], starts[order]
-        out[part] = DecisionWindowSet(
-            spec=win, recordings=recordings, rec_index=rec_idx, start_frame=starts
-        )
-    return out
-
+            pieces, val, test = split_recording(rec.eeg.shape[1], split, win)
+        splits.append((pieces, [val], [test]))
+    sets = {part: window_set(recordings, [ranges[k] for ranges in splits], win)
+            for k, part in enumerate(PARTITIONS)}
+    train = sets["train"]
+    order = np.random.default_rng(seed).permutation(train.n_triples)
+    train.rec_index, train.start_frame = train.rec_index[order], train.start_frame[order]
+    return sets

@@ -303,7 +303,7 @@ class TestWindowingArithmetic:
         eeg = TimeSeriesTensor(rng.standard_normal((2, 1500)), 64.0)
         feat = TimeSeriesTensor(rng.standard_normal((1, 1500)), 64.0)
         ws = make_windows(eeg, feat, spec)
-        _, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
+        _, match, mismatch = ws.gather_triples(np.arange(ws.n_triples), np.float64)
         for i, s in enumerate(ws.start_frame):
             np.testing.assert_array_equal(match[i], feat.data[:, s : s + 320])
             np.testing.assert_array_equal(mismatch[i], feat.data[:, s + 384 : s + 704])

@@ -540,6 +540,11 @@ class TestFloat32:
 
 
 class TestConfigValidation:
+    def test_lstm_width_must_equal_the_embedding_width(self):
+        """The head takes the cosine of the EEG embedding and the LSTM state."""
+        with pytest.raises(InvalidSpecError, match="lstm_units 8 != embed_dim 16"):
+            ArchitectureConfig(lstm_units=8)
+
     def test_variant_dimension_consistency(self):
         with pytest.raises(InvalidSpecError):
             SpeechPart(1, "conv")

@@ -368,7 +368,7 @@ class TestRunPipeline:
         """A new seed or dtype, or one changed key of any block, gives a cell a new key."""
         spec = pipeline.load_experiment(write_experiment(dataset, tmp_path)[0])
         changes = {"seed": 8, "dtype": "float64", "train": {"patience": 4},
-                   "arch": {"embed_dim": 4}, "windowing": {"overlap_frac": 0.8},
+                   "arch": {"embed_dim": 4, "lstm_units": 4}, "windowing": {"overlap_frac": 0.8},
                    "split": {"train_frac": 0.7, "val_frac": 0.2}, "preproc": {"low_hz": 1.0}}
         assert set(changes) == set(pipeline.CELL_SETTINGS)
         key = pipeline.config_hash(spec.cell("vad", ["eeg-hash"]))
@@ -868,6 +868,70 @@ class TestCli:
         assert list((tmp_path / "eval").iterdir()) == [tmp_path / "eval" / "vad.csv"]
         assert (tmp_path / "eval" / "vad.csv").read_bytes() == results
 
+    def test_evaluate_scores_every_triple_of_a_new_listener(self, dataset, tmp_path):
+        """A listener the cell was not trained on is scored on every triple of
+        the recording; a listener it was trained on, on the test partition only."""
+        cfg, out = write_experiment(dataset, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        trained = {r.subject_id: r.n_windows
+                   for r in read_subject_results(out / "results" / "vad.csv")}
+        # the fixture's dataset with a third subject: sub00 and sub01 are the training EEG
+        more = write_synth_dataset(tmp_path / "more", n_subjects=3, n_stories=1, duration_s=120.0,
+                                   snr_db=10.0, coupling="envelope", seed=5)
+        for rec in ("sub00_story00", "sub01_story00"):
+            eeg = Path("eeg", f"{rec}.ndmm")
+            assert (more.parent / eeg).read_bytes() == (dataset.parent / eeg).read_bytes()
+        rc = cli.main(["evaluate", "--model", str(out / "models" / "vad"), "--manifest", str(more),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        scored = {r.subject_id: r.n_windows
+                  for r in read_subject_results(tmp_path / "eval" / "vad.csv")}
+        # 120 s is 7,680 frames: (7680 - 704) // 32 + 1 = 219 triples, two orders each
+        assert scored == {**trained, "sub02": 438}
+        assert set(trained) == {"sub00", "sub01"} and max(trained.values()) < 438
+
+    def test_evaluate_scores_a_new_recording_too_short_for_the_split(self, dataset, tmp_path,
+                                                                   capsys):
+        """20 s is 1,280 frames: the default test range holds 128, fewer than a triple's 704,
+        but the whole recording holds 19 triples. 10 s holds none and is refused by name."""
+        cfg, out = write_experiment(dataset, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        evaluate = ["evaluate", "--model", str(out / "models" / "vad"),
+                    "--out", str(tmp_path / "eval")]
+        # a new listener, though named sub00 as a training listener: EEG is told apart by its hash
+        short = write_synth_dataset(tmp_path / "short", n_subjects=1, n_stories=1, duration_s=20.0,
+                                    seed=6)
+        assert cli.main([*evaluate, "--manifest", str(short)]) == 0
+        rows = read_subject_results(tmp_path / "eval" / "vad.csv")
+        assert [(r.subject_id, r.n_windows) for r in rows] == [("sub00", 38)]
+        cached = cache_files(out)
+        tiny = write_synth_dataset(tmp_path / "tiny", n_subjects=1, n_stories=1, duration_s=10.0,
+                                   seed=6)
+        capsys.readouterr()
+        assert cli.main([*evaluate, "--manifest", str(tiny)]) == 2
+        err = capsys.readouterr().err
+        assert "sub00/sub00_story00: recording of 640 frames holds no triple" in err, err
+        assert cache_files(out) == cached
+
+    def test_evaluate_refuses_a_cell_without_its_training_eeg(self, dataset, tmp_path, capsys):
+        """Without ``inputs: eeg`` a new listener cannot be told from a trained one."""
+        out = tmp_path / "out"
+        model = out / "models" / "vad"
+        (out / "cache").mkdir(parents=True)
+        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
+        cell = {"feature": "vad", "chain": pipeline.CHAIN_VERSION,
+                "version": feature_versions("vad"), "inputs": {"features": {}}}
+        (model / "cell.yaml").write_text(yaml.safe_dump({"key": "0", "best_epoch": 1,
+                                                          "cell": cell}))
+        rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(model / "cell.yaml") in err and "train the model again" in err, err
+        assert not list((out / "cache").rglob("*"))
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("parent", ["a", "models"])
     def test_evaluate_refuses_a_model_outside_models(self, dataset, tmp_path, capsys, parent):
         cfg, out = write_experiment(dataset, tmp_path)
@@ -1039,6 +1103,8 @@ class TestCli:
         "experiment not YAML", "manifest not YAML", "inventory not a mapping",
         "inventory without symbols", "recordings of a story name other files",
         "audio cut inside its data chunk", "alignment time not finite",
+        "arch lstm_units unlike embed_dim", "arch embed_dim unlike lstm_units",
+        "windowing window under a frame", "windowing gap under a frame",
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
         raw = absolute_manifest(dataset)
@@ -1090,6 +1156,15 @@ class TestCli:
             block, key = case.split()[0], "fs" if case.startswith("windowing") else "target_fs"
             exp[block] = {key: 128.0}
             named = [str(cfg), block, f"'{key}'"]
+        elif case.startswith("arch"):  # the head compares the EEG embedding with the LSTM state
+            key = case.split()[1]
+            exp["arch"] = {key: 8}
+            named = [str(cfg), "arch", "lstm_units 8 != embed_dim 16" if key == "lstm_units"
+                     else "lstm_units 16 != embed_dim 8"]
+        elif case.endswith("under a frame"):  # 0.005 s and 0.001 s round to 0 frames at 64 Hz
+            key = "window_s" if case.split()[1] == "window" else "gap_s"
+            exp["windowing"] = {key: 0.005 if key == "window_s" else 0.001}
+            named = [str(cfg), "windowing", "at least one frame"]
         else:
             rows = Path(raw["subjects"]["sub00"][0]["phonemes"]).read_text().splitlines()
             start, end, label = rows[2].split("\t")
@@ -1107,7 +1182,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
-        if case.startswith(("train", "removed", "preproc", "windowing", "experiment")):
+        if case.startswith(("train", "removed", "preproc", "windowing", "experiment", "arch")):
             assert not out.exists()
 
     def test_recording_too_short_for_the_split_is_named(self, tmp_path, capsys):

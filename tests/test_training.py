@@ -214,7 +214,7 @@ class TestTriplePass:
         assert len(segments) < 2 * idx.size
         _, trace = _forward(params, eeg, [segments], match_row, mismatch_row)
         got = backward_batch(params, trace, loss_grad(trace.p, 1.0) / idx.size)
-        eeg, match, mismatch = ws.gather_triples(idx)
+        eeg, match, mismatch = ws.gather_triples(idx, np.float64)
         p, trace = forward_batch(params, eeg, match, mismatch)
         want = backward_batch(params, trace, loss_grad(p, 1.0) / idx.size)
         assert_same_gradients(got, want)
@@ -233,7 +233,7 @@ class TestTriplePass:
 
     def test_epoch_visits_every_triple_once_in_matched_order(self, noise_sets, monkeypatch):
         ws = noise_sets["train"]
-        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
+        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples), np.float64)
         triple_of = {window.tobytes(): j for j, window in enumerate(eeg)}
         assert len(triple_of) == ws.n_triples
         calls = self.record_forward(monkeypatch)
@@ -311,7 +311,7 @@ class TestEvaluation:
         ref = np.empty(ws.n_samples, dtype=bool)
         for lo in range(0, ws.n_triples, batch // 2):
             idx = np.arange(lo, min(lo + batch // 2, ws.n_triples))
-            eeg, match, mismatch = ws.gather_triples(idx)
+            eeg, match, mismatch = ws.gather_triples(idx, np.float64)
             p, _ = forward_batch(params, eeg, match, mismatch)
             q, _ = forward_batch(params, eeg, mismatch, match)
             losses[2 * idx], losses[2 * idx + 1] = loss(p, 1.0), loss(q, 0.0)
@@ -325,7 +325,7 @@ class TestEvaluation:
         """Both orders' probabilities, the correctness and the mean loss of
         ``evaluate_set`` in blocks of ``block_rows`` distinct segments equal
         to ``forward_batch`` over all triples at once."""
-        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples))
+        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples), np.float64)
         p, _ = forward_batch(params, eeg, match, mismatch)
         q, _ = forward_batch(params, eeg, mismatch, match)
         monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", block_rows)

@@ -13,6 +13,7 @@ from eegmatch.windows import (
     assemble_dataset,
     make_windows,
     split_recording,
+    window_set,
     window_starts,
 )
 
@@ -50,6 +51,28 @@ class TestWindowingSpec:
         with pytest.raises(InvalidSpecError):
             WindowingSpec(overlap_frac=1.0)
 
+    @pytest.mark.parametrize("setting", [{"window_s": 0.005}, {"gap_s": 0.001}, {"gap_s": 0.0},
+                                         {"window_s": -5.0}])
+    def test_a_window_or_gap_under_one_frame_is_refused(self, setting):
+        with pytest.raises(InvalidSpecError, match="at least one frame"):
+            WindowingSpec(**setting)
+        assert WindowingSpec(gap_s=1 / 64).gap_frames == 1
+
+
+class TestWindowSet:
+    def test_every_triple_of_each_range_in_recording_order(self):
+        recs = [recording(2000, seed=1), recording(1500, seed=2), recording(900, seed=3)]
+        ranges = [[(0, 800), (1000, 2000)], [], [(100, 900)]]
+        ws = window_set(recs, ranges, SPEC)
+        want = [(r, s) for r, rngs in enumerate(ranges) for lo, hi in rngs
+                for s in range(lo, hi - 703, 32)]
+        assert list(zip(ws.rec_index.tolist(), ws.start_frame.tolist())) == want
+        assert ws.rec_index.dtype == ws.start_frame.dtype == np.int64
+
+    def test_no_range_gives_an_empty_set(self):
+        ws = window_set([recording(2000)], [[]], SPEC)
+        assert ws.n_triples == 0 and ws.rec_index.dtype == ws.start_frame.dtype == np.int64
+
 
 class TestWindowStarts:
     @pytest.mark.parametrize(
@@ -75,7 +98,7 @@ class TestMakeWindows:
             TimeSeriesTensor(rec.eeg, 64.0), TimeSeriesTensor(rec.feature, 64.0), SPEC
         )
         assert ws.n_triples == 1
-        eeg, match, mismatch = ws.gather_triples(np.array([0]))
+        eeg, match, mismatch = ws.gather_triples(np.array([0]), np.float64)
         np.testing.assert_array_equal(eeg[0], rec.eeg[:, :320])
         np.testing.assert_array_equal(match[0], rec.feature[:, :320])
         np.testing.assert_array_equal(mismatch[0], rec.feature[:, 384:704])
