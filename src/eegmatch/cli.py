@@ -9,7 +9,8 @@ from pathlib import Path
 
 from . import pipeline
 from .checkpoint import load_checkpoint
-from .errors import EegMatchError, InvalidInputError
+from .errors import EegMatchError, InvalidInputError, refused_as
+from .features import canonical_parts
 from .stats import compare, violin
 from .synth import write_synth_dataset
 from .training import evaluate_per_subject, read_subject_results, write_subject_results
@@ -30,6 +31,14 @@ def _accuracies(path: Path) -> dict[str, float]:
 
 
 def cmd_synth_make(args) -> int:
+    """A synthetic dataset in ``--out``; what it cannot make is refused before ``--out`` is made."""
+    for flag, value in (("--subjects", args.subjects), ("--stories", args.stories)):
+        if value < 1:
+            raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+    if not args.duration > 0:
+        raise InvalidInputError(f"--duration must be positive, got {args.duration}")
+    with refused_as("--coupling"):
+        canonical_parts(args.coupling)
     path = write_synth_dataset(
         args.out,
         n_subjects=args.subjects,

@@ -1,6 +1,7 @@
 """Exception types shared across the pipeline, and the refusal of malformed input files by name."""
 
 import struct
+import typing
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -73,6 +74,19 @@ def check_keys(raw, required: tuple[str, ...], optional: tuple[str, ...] | None 
         unknown = [repr(key) for key in raw if key not in required + optional]
         if unknown:
             raise InvalidInputError(f"{at}unknown key(s) {', '.join(unknown)}")
+    return raw
+
+
+def check_types(cls, raw: dict) -> dict:
+    """``raw``, refused where it gives an ``int`` field of the dataclass ``cls`` anything but an
+    int, or a ``float`` field anything but an int or a float. A bool is neither.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, value in check_keys(raw, ()).items():
+        kinds = {int: (int,), float: (int, float)}.get(hints.get(key))
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            want = "an integer" if hints[key] is int else "a number"
+            raise InvalidInputError(f"{key!r} must be {want}, got {type(value).__name__} {value!r}")
     return raw
 
 

@@ -13,10 +13,12 @@ difference, so the head has none, and the output probability is exactly
 antisymmetric in the two speech inputs. Everything is computed in 64-bit
 floats unless the architecture selects 32-bit.
 
-One forward, :func:`_forward`, runs the EEG front once, the speech fronts
-once per input block and the LSTM once over all their rows;
-:func:`forward_batch` is the adapter over it that training uses, and
-:func:`backward_batch` differentiates it.
+The two forwards differ only in how they run the fronts: both check their
+inputs in :func:`_check_inputs` and end in :func:`_tail`, the LSTM and the
+head. :func:`_forward` runs the EEG front once, the speech fronts once per
+input block and the LSTM once over all their rows; :func:`forward_batch` is
+the adapter over it that training uses, and :func:`backward_batch`
+differentiates it.
 :func:`forward_windows` scores window sets without gradients. The EEG path
 and the conv and no-conv speech fronts run once over the frames that a
 recording's windows cover, and each window is sliced from them. A window's
@@ -49,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError, refused_as
 from .windows import DecisionWindowSet, gather_windows
 
 COSINE_EPS = 1e-8
@@ -440,16 +442,13 @@ class ForwardTrace:
     consumed: bool = False
 
 
-def _check_batch_shapes(config: ArchitectureConfig, eeg, blocks, batch_sizes) -> None:
-    want_eeg = (config.eeg_channels, config.frames)
-    want_sp = (config.feature_dim, config.frames)
-    if eeg.shape[1:] != want_eeg:
-        raise InvalidInputError(f"EEG batch shape {eeg.shape[1:]} != {want_eeg}")
-    for arr in blocks:
-        if arr.shape[1:] != want_sp:
-            raise InvalidInputError(f"speech batch shape {arr.shape[1:]} != {want_sp}")
-    if any(n != eeg.shape[0] for n in batch_sizes):
-        raise InvalidInputError("batch sizes disagree")
+def _check_inputs(config: ArchitectureConfig, eeg: tuple, *speech: tuple) -> None:
+    """Refuse EEG or speech windows whose (channels, frames) are not the architecture's."""
+    for what, got, want in (("EEG", eeg, (config.eeg_channels, config.frames)),
+                            *(("speech", x, (config.feature_dim, config.frames)) for x in speech)):
+        if tuple(got) != want:
+            raise InvalidInputError(f"{what} windows of {tuple(got)} (channels, frames), "
+                                    f"but the model takes {want}")
 
 
 def _front(params: ModelParams, name: str, variant: str, x: np.ndarray):
@@ -506,17 +505,20 @@ def _front_bwd(params: ModelParams, name: str, variant: str, cache, dout: np.nda
         grads[f"{name}_conv_b"] += db
 
 
-def _head(params: ModelParams, r_eeg: np.ndarray, rep_a: np.ndarray, rep_b: np.ndarray):
-    """Logit that ``a`` is the match, and the cosine caches behind it.
+def _tail(params: ModelParams, r_eeg: np.ndarray, speech: np.ndarray,
+          match_row: np.ndarray, mismatch_row: np.ndarray):
+    """Logits of the LSTM over the (T, N, I) ``speech`` fronts and the head, and both caches.
 
-    One shared weight on the difference of the similarity sequences, so the
-    logit is exactly antisymmetric under swapping a and b.
+    Triple ``j`` compares ``r_eeg[:, j]`` with rows ``match_row[j]`` and
+    ``mismatch_row[j]``; one weight on the difference of the two similarity
+    sequences makes its logit exactly antisymmetric under swapping them.
     """
-    sim_a, cos_a = _cosine_seq(r_eeg, rep_a)
-    sim_b, cos_b = _cosine_seq(r_eeg, rep_b)
+    t = params.tensors
+    hs, lstm = _lstm(speech, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    sim_a, cos_a = _cosine_seq(r_eeg, hs[:, match_row])
+    sim_b, cos_b = _cosine_seq(r_eeg, hs[:, mismatch_row])
     diff = sim_a - sim_b
-    m = params.tensors["head_w"][0] * diff.mean(axis=0)
-    return m, (cos_a, cos_b, diff)
+    return t["head_w"][0] * diff.mean(axis=0), lstm, (cos_a, cos_b, diff)
 
 
 def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
@@ -533,7 +535,9 @@ def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
     dt = cfg.np_dtype
     eeg = np.ascontiguousarray(eeg, dtype=dt)
     blocks = [np.ascontiguousarray(x, dtype=dt) for x in blocks]
-    _check_batch_shapes(cfg, eeg, blocks, (len(match_row), len(mismatch_row)))
+    _check_inputs(cfg, eeg.shape[1:], *(x.shape[1:] for x in blocks))
+    if len(match_row) != len(eeg) or len(mismatch_row) != len(eeg):
+        raise InvalidInputError("batch sizes disagree")
 
     def run(name, variant, x):
         act, cache = _front(params, name, variant, x)
@@ -552,9 +556,8 @@ def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
             caches.append(cache)
         lstm_in.append(np.concatenate(outs, axis=2))
         fronts.append((len(x), caches))
-    t = params.tensors
-    hs, lstm_cache = _lstm(np.concatenate(lstm_in, axis=1), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    m, sims = _head(params, r_eeg, hs[:, match_row], hs[:, mismatch_row])
+    m, lstm_cache, sims = _tail(params, r_eeg, np.concatenate(lstm_in, axis=1), match_row,
+                                mismatch_row)
     trace = ForwardTrace(
         eeg=eeg_front,
         fronts=fronts,
@@ -661,11 +664,15 @@ def forward_windows(params: ModelParams, ws: DecisionWindowSet) -> tuple[np.ndar
     ``ws.mismatch_offset`` frames later (the mismatch). A pooled config
     pools each sliced window from its first frame. The LSTM and head run on
     blocks of consecutive triples, by recording and start, holding at most
-    :data:`SCORE_BLOCK_ROWS` distinct segments (see :func:`_blocks`).
+    :data:`SCORE_BLOCK_ROWS` distinct segments (see :func:`_blocks`). A
+    recording whose windows the model does not take is refused by name.
     """
     cfg = params.config
     dt = cfg.np_dtype
     n_t = cfg.frames
+    for r in ws.recordings:
+        with refused_as(f"{r.subject_id}/{r.recording_id}"):
+            _check_inputs(cfg, *((len(x), ws.spec.window_frames) for x in (r.eeg, r.feature)))
     eeg = [r.eeg for r in ws.recordings]
     stride = max(x.shape[1] for x in eeg)
     order = np.lexsort((ws.start_frame, ws.rec_index))
@@ -687,7 +694,6 @@ def forward_windows(params: ModelParams, ws: DecisionWindowSet) -> tuple[np.ndar
             inputs = _FrameTrack(path, inputs, reach, keys, stride, n_t, dt)
         tracks.append((name, variant, inputs))
 
-    t = params.tensors
     m = np.empty(ws.n_triples, dtype=dt)
     for a, b in _blocks(eeg_key, mismatch_key, SCORE_BLOCK_ROWS):
         keys = np.union1d(eeg_key[a:b], mismatch_key[a:b])
@@ -701,9 +707,8 @@ def forward_windows(params: ModelParams, ws: DecisionWindowSet) -> tuple[np.ndar
                 act = _front(params, name, variant, segments)[0]
             reps.append(_pool_after(cfg, variant, act)[0])
         r_eeg, *outs = reps
-        hs, _ = _lstm(np.concatenate(outs, axis=2), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
         rows = np.searchsorted(keys, np.stack([eeg_key[a:b], mismatch_key[a:b]]))
-        m[order[a:b]], _ = _head(params, r_eeg, hs[:, rows[0]], hs[:, rows[1]])
+        m[order[a:b]] = _tail(params, r_eeg, np.concatenate(outs, axis=2), *rows)[0]
     return _sigmoid(m), _sigmoid(-m)
 
 

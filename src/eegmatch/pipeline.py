@@ -30,11 +30,13 @@ from .acoustic import read_wav
 from .alignments import read_alignment, read_embeddings, read_inventory
 from .categorical import concat_features
 from .checkpoint import save_checkpoint
-from .errors import DegenerateSampleError, InvalidInputError, check_keys, read_yaml, refused_as
+from .errors import (
+    DegenerateSampleError, InvalidInputError, check_keys, check_types, read_yaml, refused_as,
+)
 from .features import (
     StoryAssets, canonical_parts, extract_feature, feature_dims, feature_versions,
 )
-from .model import ModelParams, config_for_feature, init_params
+from .model import ArchitectureConfig, ModelParams, config_for_feature, init_params
 from .preproc import CHAIN_VERSION, PreprocConfig, preprocess_eeg
 from .stats import compare, violin
 from .tensors import (
@@ -169,6 +171,8 @@ class ExperimentSpec:
     preproc: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.features, list) and all(isinstance(n, str) for n in self.features)):
+            raise InvalidInputError(f"features must be a list of names, got {self.features!r}")
         if not self.features:
             raise InvalidInputError("experiment needs at least one feature")
         named = {}  # two features of one slug or one list of parts would share a cell
@@ -177,19 +181,22 @@ class ExperimentSpec:
                 if named.setdefault(key, i) != i:
                     raise InvalidInputError(
                         f"features {self.features[named[key]]!r} and {name!r} name one cell")
-        self.seed, self.dtype = int(self.seed), str(self.dtype)
+        check_types(ExperimentSpec, {key: getattr(self, key) for key in CELL_SETTINGS})
+        with refused_as("dtype"):
+            ArchitectureConfig(dtype=self.dtype)
         # build each block once, so that a typo or a bad value is refused before
         # anything is written; what is built is not a field, so no cell key moves
         with refused_as("windowing"):
-            self.windowing_spec = WindowingSpec(**self.windowing)
+            self.windowing_spec = WindowingSpec(**check_types(WindowingSpec, self.windowing))
         with refused_as("split"):
-            self.split_spec = SplitSpec(**self.split)
+            self.split_spec = SplitSpec(**check_types(SplitSpec, self.split))
         with refused_as("preproc"):
-            self.preproc_config = PreprocConfig(**self.preproc)
+            self.preproc_config = PreprocConfig(**check_types(PreprocConfig, self.preproc))
         with refused_as("train"):
-            TrainConfig(rng_seed=0, **self.train)
+            TrainConfig(rng_seed=0, **check_types(TrainConfig, self.train))
         with refused_as("arch"):
-            config_for_feature([1], [False], dtype=self.dtype, **_settable_arch(self.arch),
+            arch = check_types(ArchitectureConfig, _settable_arch(self.arch))
+            config_for_feature([1], [False], dtype=self.dtype, **arch,
                                frames=self.windowing_spec.window_frames)
 
     def cell(self, feature: str, inputs: dict) -> dict:
@@ -221,7 +228,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     base = path.parent
     with refused_as(path):
         return ExperimentSpec(
-            features=list(raw["features"]),
+            features=raw["features"],
             manifest=(base / raw["manifest"]).resolve(),
             out_dir=(base / raw["out"]).resolve(),
             **{key: raw[key] for key in CELL_SETTINGS if key in raw},
@@ -374,10 +381,16 @@ def build_recordings(
 
 def _check_lengths(manifest: DatasetManifest,
                    ranges: Callable[[RecordingEntry, int], object]) -> None:
-    """Refuse by name, before any cache is written, a recording whose frames ``ranges`` refuses."""
+    """Refuse by name, before any cache is written, a recording whose frames ``ranges`` refuses
+    or whose EEG channels are not the first recording's."""
+    first = None
     for entry in manifest.recordings:
-        eeg = TimeSeriesFile.open(entry.eeg_path)
-        with refused_as(f"{entry.subject_id}/{entry.recording_id}"):
+        eeg, name = TimeSeriesFile.open(entry.eeg_path), f"{entry.subject_id}/{entry.recording_id}"
+        first = first or (name, eeg.n_channels)
+        if eeg.n_channels != first[1]:
+            raise InvalidInputError(f"{name} has {eeg.n_channels} EEG channels, but {first[0]} "
+                                    f"has {first[1]}: one model takes one channel count")
+        with refused_as(name):
             ranges(entry, frame_count(eeg.n_samples, eeg.fs))
 
 

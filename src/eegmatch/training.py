@@ -114,12 +114,6 @@ def evaluate_set(params: ModelParams, ws: DecisionWindowSet) -> tuple[float, flo
     """
     if ws.n_samples == 0:
         raise InvalidInputError("cannot evaluate an empty window set")
-    cfg = params.config
-    for what, got, want in (("window length", ws.spec.window_frames, cfg.frames),
-                            ("EEG channel count", ws.eeg_channels, cfg.eeg_channels),
-                            ("feature dimension", ws.feature_dim, cfg.feature_dim)):
-        if got != want:
-            raise InvalidInputError(f"window set's {what} {got} != the model's {want}")
     p_match, p_swapped = forward_windows(params, ws)
     losses = np.empty(ws.n_samples)
     losses[0::2] = loss(p_match, 1.0)
@@ -227,6 +221,8 @@ def write_subject_results(path: str | Path, results: list[SubjectResult]) -> Non
 
 
 def read_subject_results(path: str | Path) -> list[SubjectResult]:
+    """The results CSV at ``path``; a missing column, a value out of range or a subject
+    listed twice is refused by name."""
     results = []
     with open(path, newline="", encoding="utf-8") as fh, refused_as(path):
         reader = csv.DictReader(fh)
@@ -234,14 +230,14 @@ def read_subject_results(path: str | Path) -> list[SubjectResult]:
         if missing:
             raise InvalidInputError(f"not a results CSV: no {sorted(missing)} column")
         for row in reader:
-            results.append(
-                SubjectResult(
-                    subject_id=row["subject"],
-                    test_accuracy=float(row["accuracy"]),
-                    n_windows=int(row["n_windows"]),
-                    feature_name=row.get("feature", ""),
-                )
-            )
+            r = SubjectResult(row["subject"], float(row["accuracy"]), int(row["n_windows"]),
+                              row.get("feature", ""))
+            if not 0.0 <= r.test_accuracy <= 1.0:
+                raise InvalidInputError(f"subject {r.subject_id}: accuracy {row['accuracy']} "
+                                        "outside [0, 1]")
+            if r.n_windows < 1:
+                raise InvalidInputError(f"subject {r.subject_id}: n_windows {r.n_windows} below 1")
+            results.append(r)
         if len({r.subject_id for r in results}) != len(results):
             raise InvalidInputError("a subject is listed twice")
     return results

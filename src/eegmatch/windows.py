@@ -140,14 +140,6 @@ class DecisionWindowSet:
         return 2 * self.n_triples
 
     @property
-    def feature_dim(self) -> int:
-        return self.recordings[0].feature.shape[0] if self.recordings else 0
-
-    @property
-    def eeg_channels(self) -> int:
-        return self.recordings[0].eeg.shape[0] if self.recordings else 0
-
-    @property
     def mismatch_offset(self) -> int:
         """Frames from a triple's matched segment to its mismatched one."""
         return self.spec.window_frames + self.spec.gap_frames

@@ -18,10 +18,12 @@ from eegmatch.model import (
     backward_batch,
     config_for_feature,
     forward_batch,
+    forward_windows,
     init_params,
     loss,
     loss_grad,
 )
+from eegmatch.windows import RecordingData, WindowingSpec, window_set
 
 TINY = dict(
     eeg_channels=4, frames=20, eeg_conv_filters=3, eeg_conv_kernel=4,
@@ -407,6 +409,44 @@ class TestForwardInvariants:
         sb = rng.standard_normal((300, 320))
         _, trace = forward(params, eeg, sa, sb)
         assert trace.sims[2].shape == (106, 1)
+
+
+class TestInputCheck:
+    """One check refuses EEG or speech windows unlike the model, per batch and per recording."""
+
+    CFG = tiny_cfg((SpeechPart(2, "conv"),))  # (4, 20) EEG windows, (2, 20) speech windows
+    REFUSED = r"windows of \(\d+, \d+\) \(channels, frames\), but the model takes \(\d+, 20\)$"
+
+    @pytest.mark.parametrize("which, shape, what", [
+        (0, (4, 5, 20), "EEG"), (0, (4, 4, 19), "EEG"),
+        (1, (4, 3, 20), "speech"), (2, (4, 2, 21), "speech"),
+    ], ids=["eeg-channels", "eeg-frames", "speech-channels", "speech-frames"])
+    def test_batch_unlike_the_model_is_refused(self, which, shape, what):
+        params, rng = generic_params(self.CFG, 11)
+        inputs = [rng.standard_normal((4, c, self.CFG.frames)) for c in (4, 2, 2)]
+        inputs[which] = rng.standard_normal(shape)
+        with pytest.raises(InvalidInputError, match=f"^{what} {self.REFUSED}"):
+            forward_batch(params, *inputs)
+
+    @pytest.mark.parametrize("eeg_ch, feat_dim, window_s, named", [
+        ((5, 4), (2, 2), 20 / 64, "s0/r0: EEG"),
+        ((4, 4), (2, 2), 19 / 64, "s0/r0: EEG"),
+        ((4, 4), (3, 3), 20 / 64, "s0/r0: speech"),
+        ((4, 5), (2, 2), 20 / 64, "s1/r1: EEG"),
+        ((4, 4), (2, 1), 20 / 64, "s1/r1: speech"),
+    ], ids=["eeg-channels", "frames", "speech-channels", "second-recording-eeg",
+            "second-recording-speech"])
+    def test_window_set_unlike_the_model_is_refused_by_recording(self, eeg_ch, feat_dim,
+                                                                 window_s, named):
+        rng = np.random.default_rng(12)
+        recs = [RecordingData(f"s{k}", f"r{k}", rng.standard_normal((c, 200)),
+                              rng.standard_normal((f, 200)))
+                for k, (c, f) in enumerate(zip(eeg_ch, feat_dim))]
+        ws = window_set(recs, [[(0, 200)]] * 2, WindowingSpec(window_s=window_s, gap_s=0.1))
+        assert ws.n_triples > 0
+        params, _ = generic_params(self.CFG, 13)
+        with pytest.raises(InvalidInputError, match=f"^{named} {self.REFUSED}"):
+            forward_windows(params, ws)
 
 
 class TestBackward:

@@ -29,7 +29,9 @@ from eegmatch.features import (
 from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
 from eegmatch.preproc import PreprocConfig
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
-from eegmatch.tensors import frame_count, read_timeseries, write_tensor
+from eegmatch.tensors import (
+    TimeSeriesTensor, frame_count, read_timeseries, write_tensor, write_timeseries,
+)
 from eegmatch.training import read_subject_results
 
 
@@ -174,6 +176,34 @@ class TestManifest:
 
 # ``arch`` fields a cell derives, each with a value that a run would otherwise use
 DERIVED_ARCH_VALUES = [("frames", 100), ("eeg_channels", 32), ("dtype", "float64")]
+
+
+# experiment settings whose type the cell does not use: (key, value, refusal)
+SETTINGS_OF_A_WRONG_TYPE = {
+    "train batch_size a float": ("train", {"batch_size": 4.5},
+                                 "train: 'batch_size' must be an integer, got float 4.5"),
+    "train max_epochs a float": ("train", {"max_epochs": 1.5},
+                                 "train: 'max_epochs' must be an integer, got float 1.5"),
+    "train batch_size a bool": ("train", {"batch_size": True},
+                                "train: 'batch_size' must be an integer, got bool True"),
+    # PyYAML reads 1e-3, which has no dot, as a string
+    "train learning_rate a string": ("train", {"learning_rate": "1e-3"},
+                                     "train: 'learning_rate' must be a number, got str '1e-3'"),
+    "arch widths floats": ("arch", {"embed_dim": 4.0, "lstm_units": 4.0},
+                           "arch: 'embed_dim' must be an integer, got float 4.0"),
+    "arch kernel a float": ("arch", {"eeg_conv_kernel": 2.5},
+                            "arch: 'eeg_conv_kernel' must be an integer, got float 2.5"),
+    "seed a float": ("seed", 1.7, "'seed' must be an integer, got float 1.7"),
+    "seed a bool": ("seed", True, "'seed' must be an integer, got bool True"),
+    "features a string": ("features", "mel", "features must be a list of names, got 'mel'"),
+    "dtype float16": ("dtype", "float16", "dtype: dtype must be float64|float32, got 'float16'"),
+}
+
+
+RESULTS_HEADER = "subject,accuracy,n_windows,feature\n"
+# results CSV rows that no scoring writes
+BAD_RESULT_ROWS = {"accuracy nan": "s5,nan,10,y\n", "accuracy inf": "s6,inf,10,y\n",
+                   "accuracy above 1": "s7,1.7,10,y\n", "n_windows below 1": "s8,0.6,-3,y\n"}
 
 
 def experiment_yaml(dataset, out_dir, features=("vad",), max_epochs=2):
@@ -720,6 +750,19 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert out.endswith("manifest.yaml")
 
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--subjects", "0", "--subjects must be at least 1, got 0"),
+        ("--stories", "0", "--stories must be at least 1, got 0"),
+        ("--duration", "-5", "--duration must be positive, got -5.0"),
+        ("--duration", "0", "--duration must be positive, got 0.0"),
+        ("--coupling", "nope", "--coupling: unknown feature 'nope'"),
+    ], ids=["subjects 0", "stories 0", "duration -5", "duration 0", "unknown coupling"])
+    def test_synth_make_refuses_what_it_cannot_make(self, tmp_path, capsys, flag, value, refusal):
+        out = tmp_path / "ds"
+        assert cli.main(["synth", "make", "--duration", "12", flag, value, "--out", str(out)]) == 2
+        assert refusal in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stats_compare(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -749,7 +792,9 @@ class TestCli:
         "subject,accuracy\n" + "".join(f"s{i},0.{60 + i}\n" for i in range(6)),
         "subject,accuracy,n_windows,feature\n" + "".join(f"s{min(i, 4)},0.{60 + i},10,y\n"
                                                          for i in range(6)),
-    ], ids=["no n_windows", "a subject twice"])
+        *(RESULTS_HEADER + "".join(f"s{i},0.{60 + i},10,y\n" for i in range(5)) + bad
+          for bad in BAD_RESULT_ROWS.values()),
+    ], ids=["no n_windows", "a subject twice", *BAD_RESULT_ROWS])
     def test_stats_compare_needs_results_csvs(self, tmp_path, capsys, b_rows):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("subject,accuracy,n_windows,feature\n"
@@ -758,6 +803,17 @@ class TestCli:
         rc = cli.main(["stats", "compare", "--a", str(a), "--b", str(b)])
         assert rc == 2
         assert str(b) in capsys.readouterr().err
+
+    def test_stats_violin_refuses_accuracies_outside_0_to_1(self, tmp_path, capsys):
+        d = tmp_path / "res"
+        d.mkdir()
+        (d / "vad.csv").write_text(RESULTS_HEADER + "".join(f"s{i},0.{60 + i},10,vad\n"
+                                                           for i in range(4)))
+        (d / "mel.csv").write_text(RESULTS_HEADER + "".join(BAD_RESULT_ROWS.values()))
+        svg = tmp_path / "violin.svg"
+        assert cli.main(["stats", "violin", "--in", str(d), "--out", str(svg)]) == 2
+        assert f"{d / 'mel.csv'}: subject s5: accuracy nan" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_stats_violin(self, tmp_path, capsys):
         d = tmp_path / "res"
@@ -1088,6 +1144,16 @@ class TestCli:
         assert f"{cfg}: arch: '{key}'" in err, err
         assert not out.exists()
 
+    def test_readme_experiment_is_read(self, tmp_path):
+        """The README's ``experiment.yaml`` example stays inside the rules it is read by."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("`experiment.yaml` drives a grid", 1)[1]
+        example = example.split("```yaml\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "experiment.yaml").write_text(example, encoding="utf-8")
+        spec = pipeline.load_experiment(tmp_path / "experiment.yaml")
+        assert spec.features == ["vad", "envelope", "mel", "env+bpc"]
+        assert spec.train["learning_rate"] == 1e-3
+
     def test_unknown_experiment_key_is_refused(self, dataset, tmp_path, capsys):
         """A typo such as ``sed: 3`` is refused by name, before anything is written."""
         cfg, out = write_experiment(dataset, tmp_path, sed=3)
@@ -1104,7 +1170,7 @@ class TestCli:
         "inventory without symbols", "recordings of a story name other files",
         "audio cut inside its data chunk", "alignment time not finite",
         "arch lstm_units unlike embed_dim", "arch embed_dim unlike lstm_units",
-        "windowing window under a frame", "windowing gap under a frame",
+        "windowing window under a frame", "windowing gap under a frame", *SETTINGS_OF_A_WRONG_TYPE,
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
         raw = absolute_manifest(dataset)
@@ -1114,6 +1180,10 @@ class TestCli:
         if case == "experiment not YAML":
             text[cfg] = "features: [vad\n"
             named = [str(cfg)]
+        elif case in SETTINGS_OF_A_WRONG_TYPE:
+            key, value, refusal = SETTINGS_OF_A_WRONG_TYPE[case]
+            exp[key] = {**exp[key], **value} if key in ("train", "arch") else value
+            named = [f"{cfg}: {refusal}"]
         elif case == "manifest not YAML":
             text[manifest] = "subjects: {sub00: [\n"
             named = [str(manifest.resolve())]
@@ -1182,7 +1252,8 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
-        if case.startswith(("train", "removed", "preproc", "windowing", "experiment", "arch")):
+        if case.startswith(("train", "removed", "preproc", "windowing", "experiment", "arch",
+                            "seed", "features", "dtype")):
             assert not out.exists()
 
     def test_recording_too_short_for_the_split_is_named(self, tmp_path, capsys):
@@ -1197,6 +1268,22 @@ class TestCli:
         assert "val has 384 frames" in err and "test has 384 frames" in err, err
         assert "train" not in err and "a triple spans 704 frames" in err, err
         # refused before any cache is written
+        for cache in (pipeline.PREPROC_CACHE, pipeline.FEATURE_CACHE):
+            assert not list((out / cache).glob("*")), cache
+
+    def test_recordings_of_other_channel_counts_are_refused(self, dataset, tmp_path, capsys):
+        """sub01's EEG cut to 32 of its 64 channels: refused by both names, before any cache."""
+        raw = absolute_manifest(dataset)
+        entry = raw["subjects"]["sub01"][0]
+        eeg = read_timeseries(entry["eeg"])
+        entry["eeg"] = str(tmp_path / "sub01_32ch.ndmm")
+        write_timeseries(entry["eeg"], TimeSeriesTensor(eeg.data[:32], eeg.fs))
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(raw))
+        cfg, out = write_experiment(manifest, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "sub01/sub01_story00 has 32 EEG channels, but sub00/sub00_story00 has 64" in err, err
         for cache in (pipeline.PREPROC_CACHE, pipeline.FEATURE_CACHE):
             assert not list((out / cache).glob("*")), cache
 

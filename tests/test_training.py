@@ -408,7 +408,7 @@ class TestEvaluation:
     ], ids=["window-length", "eeg-channels", "feature-dim"])
     def test_window_set_unlike_the_model_is_refused(self, noise_sets, field, value):
         params = init_params(replace(small_arch(), **{field: value}), np.random.default_rng(68))
-        with pytest.raises(InvalidInputError, match="window set's"):
+        with pytest.raises(InvalidInputError, match="^s0/s0_r0: .* but the model takes"):
             evaluate_set(params, noise_sets["test"])
 
     def test_peak_memory_of_a_long_recording_is_bounded(self):

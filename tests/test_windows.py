@@ -237,8 +237,8 @@ def where_gather(ws, sample_idx):
     off = w + ws.spec.gap_frames
     triples = sample_idx // 2
     swapped = (sample_idx % 2).astype(bool)
-    eeg = np.empty((len(triples), ws.eeg_channels, w))
-    match = np.empty((len(triples), ws.feature_dim, w))
+    eeg = np.empty((len(triples), len(ws.recordings[0].eeg), w))
+    match = np.empty((len(triples), len(ws.recordings[0].feature), w))
     mismatch = np.empty_like(match)
     for j, i in enumerate(triples):
         rec = ws.recordings[ws.rec_index[i]]
