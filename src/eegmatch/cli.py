@@ -86,8 +86,8 @@ def cmd_evaluate(args) -> int:
     spec, trained_eeg = pipeline.trained_cell(args.model, args.manifest)
     feature = spec.features[0]
     params = load_checkpoint(args.model)
-    results = evaluate_per_subject(params, pipeline.scoring_set(spec, trained_eeg),
-                                   feature_name=feature)
+    scored = pipeline.scoring_set(spec, trained_eeg, params.config.eeg_channels)
+    results = evaluate_per_subject(params, scored, feature_name=feature)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{pipeline.feature_slug(feature)}.csv"
     write_subject_results(path, results)

@@ -13,20 +13,18 @@ difference, so the head has none, and the output probability is exactly
 antisymmetric in the two speech inputs. Everything is computed in 64-bit
 floats unless the architecture selects 32-bit.
 
-The two forwards differ only in how they run the fronts: both check their
-inputs in :func:`_check_inputs` and end in :func:`_tail`, the LSTM and the
-head. :func:`_forward` runs the EEG front once, the speech fronts once per
-input block and the LSTM once over all their rows; :func:`forward_batch` is
-the adapter over it that training uses, and :func:`backward_batch`
-differentiates it.
-:func:`forward_windows` scores window sets without gradients. The EEG path
-and the conv and no-conv speech fronts run once over the frames that a
-recording's windows cover, and each window is sliced from them. A window's
-first and last few frames read its own zero padding, so they are computed
-again from its own inputs. The word-embedding front pools before its dense
-layer, so it runs per segment; the LSTM restarts at every window, so it and
-the head run per segment, on blocks of segments. The probabilities are bit
-for bit those of :func:`forward_batch`.
+The forwards differ only in how they run the fronts: each checks its
+inputs in :func:`_check_inputs` and ends in :func:`_tail`, the LSTM and the
+head. :func:`_forward`, behind :func:`forward_batch`, runs the fronts on
+windows gathered one by one: the reference that the other two match bit
+for bit. :func:`forward_triples` (a training step, which
+:func:`backward_batch` differentiates) and :func:`forward_windows`
+(scoring) run the EEG path and the conv and no-conv speech fronts once over
+the frames that their windows cover (:class:`_FrameTrack`), and recompute
+a window's edge frames inside a run. The word-embedding front pools before
+its dense layer, and the LSTM restarts at every window, so both run per
+segment; a segment that is one triple's match and another's mismatch runs
+through the LSTM once, and scoring runs it on blocks of segments.
 
 Layout. The API takes EEG and speech batches as (B, C, T). Inside, every
 activation is time-major, (T, B, C), from the first layer to the head: a
@@ -47,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -432,8 +431,8 @@ def loss_grad(p: float | np.ndarray, label: float | np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Cached activations of one forward call; consumed once by backward."""
 
-    eeg: tuple  # the EEG front's (name, variant, cache)
-    fronts: list  # per speech block: its rows and each part's (name, variant, cache)
+    eeg: tuple  # the EEG front's (pool cache, backward), see :func:`_run_fronts`
+    fronts: list  # per speech block: its rows and each part's (pool cache, backward)
     lstm: dict
     match_row: np.ndarray
     mismatch_row: np.ndarray
@@ -489,10 +488,8 @@ def _pool_after(config: ArchitectureConfig, variant: str, act: np.ndarray):
 
 def _front_bwd(params: ModelParams, name: str, variant: str, cache, dout: np.ndarray,
                grads: dict) -> None:
-    """Add front ``name``'s gradients, given d(loss)/d(its output after :func:`_pool_after`)."""
+    """Add front ``name``'s gradients, given d(loss)/d(the output of :func:`_front`)."""
     t = params.tensors
-    if cache["pool"] is not None:
-        dout = _maxpool_bwd(dout, cache["pool"])
     dout = _relu_bwd(dout, cache["dense_mask"])
     dw, db = _td_dense_bwd(dout, cache["dense_x"])
     grads[f"{name}_dense_w"] += dw
@@ -541,8 +538,8 @@ def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
 
     def run(name, variant, x):
         act, cache = _front(params, name, variant, x)
-        act, cache["pool"] = _pool_after(cfg, variant, act)
-        return act, (name, variant, cache)
+        act, pool = _pool_after(cfg, variant, act)
+        return act, (pool, partial(_front_bwd, params, name, variant, cache))
 
     (name, _, variant, _, _), *parts = _fronts(cfg)
     r_eeg, eeg_front = run(name, variant, eeg)
@@ -583,53 +580,92 @@ def forward_batch(
 
 
 class _FrameTrack:
-    """A frame-wise path run once over the frames its windows cover.
+    """Frame-wise front ``name`` run once over the frames its windows cover.
 
-    ``path`` maps a (B, C, T) input to (T, B, D) activations, each frame
-    computed from ``reach`` = (before, after) frames around it, with zeros
-    beyond the input's ends. Windows are keyed ``recording * stride +
-    start``; ``keys`` (sorted, distinct) are merged into runs of
-    overlapping or touching windows, and ``path`` runs once over each run.
+    Windows are keyed ``recording * stride + start``; ``keys`` (sorted,
+    distinct) are merged into runs of overlapping windows. Each output frame
+    is computed from ``reach`` = (before, after) input frames around it, so
+    a training step (``keep``) lays its runs ``max(reach)`` zero frames
+    apart, for their zero padding, in one :func:`_front` pass whose cache
+    :meth:`backward` reads. Scoring runs and holds one run at a time.
     """
 
-    def __init__(self, path, inputs, reach, keys, stride, n_frames, dtype):
-        self.path, self.inputs, self.reach = path, inputs, reach
-        self.keys, self.stride, self.n_frames, self.dtype = keys, stride, n_frames, dtype
+    def __init__(self, params, name, variant, kernel, inputs, keys, stride, keep):
+        self.params, self.name, self.variant, self.inputs = params, name, variant, inputs
+        self.keys, self.stride, self.n_frames = keys, stride, params.config.frames
+        n_t = self.n_frames
+        reach = _conv_reach(kernel) if variant == "conv" else (0, 0)
+        self.before, self.after = (min(r, n_t) for r in reach)
+        self.width = min(sum(reach), n_t)
         rec, start = np.divmod(keys, stride)
         first = np.ones(keys.size, dtype=bool)
-        first[1:] = (rec[1:] != rec[:-1]) | (start[1:] > start[:-1] + n_frames)
+        first[1:] = (rec[1:] != rec[:-1]) | (start[1:] >= start[:-1] + n_t)
         heads = np.flatnonzero(first)
         run = np.cumsum(first) - 1
         lo = start[heads]
-        hi = start[np.append(heads[1:], keys.size) - 1] + n_frames
-        base = np.cumsum(hi - lo) - (hi - lo)
+        hi = start[np.append(heads[1:], keys.size) - 1] + n_t
+        span, gap = hi - lo, max(reach) if keep else 0
+        base = np.cumsum(span + gap) - span - gap  # each run's first row
+        acts = []
+        for runs in np.array_split(np.arange(heads.size), 1 if keep else heads.size):
+            rows = (base[runs] - base[runs[0]]).tolist()
+            x = np.zeros((1, len(inputs[0]), rows[-1] + span[runs[-1]]), params.config.np_dtype)
+            for r, a, b, row in zip(rec[heads[runs]].tolist(), lo[runs], hi[runs], rows):
+                x[0, :, row : row + b - a] = inputs[r][:, a:b]
+            act, cache = _front(params, name, variant, x)
+            acts.append(act[:, 0])
+        self.frames, self.cache = np.concatenate(acts), cache if keep else None
         self.pos = base[run] + start - lo[run]  # row of each window's first frame
-        self.frames = np.concatenate([
-            path(np.asarray(inputs[r][None, :, a:b], dtype=dtype))[:, 0]
-            for r, a, b in zip(rec[heads].tolist(), lo.tolist(), hi.tolist())
-        ])
+        # windows whose first or last frames lie inside their run
+        self.inner = ((self.width > 0) & (start > lo[run]),
+                      (self.width > 0) & (start + n_t < hi[run]))
 
-    def windows(self, keys: np.ndarray) -> np.ndarray:
-        """(T, B, D) activations of windows ``keys``, bit for bit as ``path`` gives them alone.
+    def windows(self, keys: np.ndarray):
+        """(T, B, D) activations of windows ``keys``, bit for bit as :func:`_front` gives
+        them alone, and the state :meth:`backward` reads.
 
-        Interior frames are sliced from the runs. A window's first ``before``
-        and last ``after`` frames read its zero padding, so they are computed
-        again from its own first and last ``before + after`` frames.
+        Frames are sliced from the runs. A window's first ``before`` and last
+        ``after`` frames read its zero padding, so inside a run they are
+        computed again from its own first and last ``width`` frames.
         """
-        n_t = self.n_frames
-        pos = self.pos[np.searchsorted(self.keys, keys)]
+        n_t, before, after, width = self.n_frames, self.before, self.after, self.width
+        at = np.searchsorted(self.keys, keys)
+        pos = self.pos[at]
         out = self.frames[pos + np.arange(n_t)[:, None]]
-        before, after = self.reach
-        width = min(before + after, n_t)
-        if width:
+        head, tail = (np.flatnonzero(inner[at]) for inner in self.inner)
+        edges = None
+        if head.size or tail.size:
             rec, start = np.divmod(keys, self.stride)
-            edges = self.path(gather_windows(self.inputs, np.concatenate([rec, rec]),
-                                             np.concatenate([start, start + n_t - width]),
-                                             width, self.dtype))
-            before, after = min(before, n_t), min(after, n_t)
-            out[:before] = edges[:before, : keys.size]
-            out[n_t - after :] = edges[width - after :, keys.size :]
-        return out
+            x = gather_windows(self.inputs, np.concatenate([rec[head], rec[tail]]),
+                               np.concatenate([start[head], start[tail] + n_t - width]),
+                               width, self.frames.dtype)
+            act, edges = _front(self.params, self.name, self.variant, x)
+            out[:before, head] = act[:before, : head.size]
+            out[n_t - after :, tail] = act[width - after :, head.size :]
+        return out, (pos, head, tail, edges)
+
+    def backward(self, state, dout: np.ndarray, grads: dict) -> None:
+        """Add the gradients of the windows :meth:`windows` gave, given d(loss)/d(them).
+
+        Each frame's gradient goes onto the row of the pass that made it: the
+        edge pass for a recomputed edge frame, else the run pass, where
+        overlapping windows add up. :func:`_front_bwd` runs once per pass.
+        """
+        pos, head, tail, edges = state
+        n_t, before, after, width = self.n_frames, self.before, self.after, self.width
+        if edges is not None:
+            dout = dout.copy()
+            dedge = np.zeros((width, head.size + tail.size, dout.shape[2]), dtype=dout.dtype)
+            # tail edges were written last, so where a window's two edges meet the tail's count
+            dedge[width - after :, head.size :] = dout[n_t - after :, tail]
+            dout[n_t - after :, tail] = 0.0
+            dedge[:before, : head.size] = dout[:before, head]
+            dout[:before, head] = 0.0
+            _front_bwd(self.params, self.name, self.variant, edges, dedge, grads)
+        drun = np.zeros(self.frames.shape, dtype=dout.dtype)
+        for b, row in enumerate(pos.tolist()):
+            drun[row : row + n_t] += dout[:, b]
+        _front_bwd(self.params, self.name, self.variant, self.cache, drun[:, None], grads)
 
 
 def _conv_reach(k: int) -> tuple[int, int]:
@@ -656,59 +692,107 @@ def _blocks(match_key: np.ndarray, mismatch_key: np.ndarray, rows: int):
     return zip(bounds, bounds[1:] + [match_key.size])
 
 
+def _keyed(params: ModelParams, ws: DecisionWindowSet, idx: np.ndarray):
+    """Keys ``recording * stride + start`` of triples ``idx``'s EEG windows and mismatched
+    segments, and the stride; a recording unlike the model is refused by name."""
+    cfg = params.config
+    for r in ws.recordings:
+        with refused_as(f"{r.subject_id}/{r.recording_id}"):
+            _check_inputs(cfg, *((len(x), ws.spec.window_frames) for x in (r.eeg, r.feature)))
+    stride = max(r.eeg.shape[1] for r in ws.recordings)
+    eeg_key = ws.rec_index[idx] * stride + ws.start_frame[idx]
+    return eeg_key, eeg_key + ws.mismatch_offset, stride
+
+
+def _tracks(params: ModelParams, ws: DecisionWindowSet, eeg_keys, segment_keys, stride,
+            keep: bool) -> list:
+    """Per front: its name, variant and a frame-wise front's :class:`_FrameTrack` over
+    the EEG windows or speech segments of ``ws`` keyed so in order, or a
+    maxpool part's inputs."""
+    tracks, lo = [], 0
+    for name, dim, variant, _, kernel in _fronts(params.config):
+        if name == "eeg":
+            inputs, keys = [r.eeg for r in ws.recordings], eeg_keys
+        else:
+            inputs, keys = [r.feature[lo : lo + dim] for r in ws.recordings], segment_keys
+            lo += dim
+        if variant != "maxpool":
+            inputs = _FrameTrack(params, name, variant, kernel, inputs, keys, stride, keep)
+        tracks.append((name, variant, inputs))
+    return tracks
+
+
+def _run_fronts(params: ModelParams, tracks: list, eeg_keys, segment_keys, stride):
+    """The EEG front over windows ``eeg_keys`` and the speech fronts, side by side,
+    over segments ``segment_keys``, on the model's time axis, and the (pool
+    cache, backward) of the EEG front and of each part.
+
+    A maxpool part gathers its segments; the other fronts slice theirs from
+    their tracks, and a pooled config pools each from its first frame.
+    """
+    cfg = params.config
+    acts, backs = [], []
+    for name, variant, track in tracks:
+        keys = eeg_keys if name == "eeg" else segment_keys
+        if isinstance(track, _FrameTrack):
+            act, state = track.windows(keys)
+            back = partial(track.backward, state)
+        else:
+            segments = gather_windows(track, *np.divmod(keys, stride), cfg.frames, cfg.np_dtype)
+            act, cache = _front(params, name, variant, segments)
+            back = partial(_front_bwd, params, name, variant, cache)
+        act, pool = _pool_after(cfg, variant, act)
+        acts.append(act)
+        backs.append((pool, back))
+    (r_eeg, *outs), (eeg_back, *part_backs) = acts, backs
+    return r_eeg, np.concatenate(outs, axis=2), eeg_back, part_backs
+
+
+def forward_triples(params: ModelParams, ws: DecisionWindowSet,
+                    idx: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+    """Probabilities that triples ``idx`` of ``ws`` match in the (match, mismatch) order,
+    and the trace that :func:`backward_batch` differentiates.
+
+    A training step: each frame-wise front runs once over the frames that its
+    windows cover (see :class:`_FrameTrack`), and a segment that is one
+    triple's match and another's mismatch runs through the LSTM once. The
+    probabilities are bit for bit :func:`forward_batch`'s over the same
+    triples. A triple taken twice is refused.
+    """
+    eeg_key, mismatch_key, stride = _keyed(params, ws, np.asarray(idx, dtype=np.int64))
+    windows = np.unique(eeg_key)
+    if windows.size < eeg_key.size:
+        raise InvalidInputError("a step takes a triple twice")
+    keys = np.union1d(eeg_key, mismatch_key)
+    tracks = _tracks(params, ws, windows, keys, stride, keep=True)
+    r_eeg, speech, eeg_back, part_backs = _run_fronts(params, tracks, eeg_key, keys, stride)
+    match_row, mismatch_row = np.searchsorted(keys, np.stack([eeg_key, mismatch_key]))
+    m, lstm, sims = _tail(params, r_eeg, speech, match_row, mismatch_row)
+    trace = ForwardTrace(eeg=eeg_back, fronts=[(keys.size, part_backs)], lstm=lstm,
+                         match_row=match_row, mismatch_row=mismatch_row, sims=sims, p=_sigmoid(m))
+    return trace.p, trace
+
+
 def forward_windows(params: ModelParams, ws: DecisionWindowSet) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of both orders of every triple of ``ws``, with fronts run per recording.
 
     Triple ``j`` pairs its recording's EEG window at its start frame with
     that recording's feature segments at the same start (the match) and
-    ``ws.mismatch_offset`` frames later (the mismatch). A pooled config
-    pools each sliced window from its first frame. The LSTM and head run on
-    blocks of consecutive triples, by recording and start, holding at most
-    :data:`SCORE_BLOCK_ROWS` distinct segments (see :func:`_blocks`). A
+    ``ws.mismatch_offset`` frames later (the mismatch). The LSTM and head run
+    on blocks of consecutive triples, by recording and start, holding at
+    most :data:`SCORE_BLOCK_ROWS` distinct segments (see :func:`_blocks`). A
     recording whose windows the model does not take is refused by name.
     """
-    cfg = params.config
-    dt = cfg.np_dtype
-    n_t = cfg.frames
-    for r in ws.recordings:
-        with refused_as(f"{r.subject_id}/{r.recording_id}"):
-            _check_inputs(cfg, *((len(x), ws.spec.window_frames) for x in (r.eeg, r.feature)))
-    eeg = [r.eeg for r in ws.recordings]
-    stride = max(x.shape[1] for x in eeg)
     order = np.lexsort((ws.start_frame, ws.rec_index))
-    eeg_key = (ws.rec_index * stride + ws.start_frame)[order]
-    mismatch_key = eeg_key + ws.mismatch_offset
-    segment_keys = np.union1d(eeg_key, mismatch_key)
-
-    tracks = []  # per front: a frame-wise front's track, or a maxpool part's inputs
-    lo = 0
-    for name, dim, variant, _, kernel in _fronts(cfg):
-        if name == "eeg":
-            inputs, keys = eeg, np.unique(eeg_key)
-        else:
-            inputs, keys = [r.feature[lo : lo + dim] for r in ws.recordings], segment_keys
-            lo += dim
-        if variant != "maxpool":
-            reach = _conv_reach(kernel) if variant == "conv" else (0, 0)
-            path = lambda x, name=name, variant=variant: _front(params, name, variant, x)[0]
-            inputs = _FrameTrack(path, inputs, reach, keys, stride, n_t, dt)
-        tracks.append((name, variant, inputs))
-
-    m = np.empty(ws.n_triples, dtype=dt)
+    eeg_key, mismatch_key, stride = _keyed(params, ws, order)
+    tracks = _tracks(params, ws, np.unique(eeg_key), np.union1d(eeg_key, mismatch_key), stride,
+                     keep=False)
+    m = np.empty(ws.n_triples, dtype=params.config.np_dtype)
     for a, b in _blocks(eeg_key, mismatch_key, SCORE_BLOCK_ROWS):
         keys = np.union1d(eeg_key[a:b], mismatch_key[a:b])
-        reps = []
-        for name, variant, track in tracks:
-            window_keys = eeg_key[a:b] if name == "eeg" else keys
-            if isinstance(track, _FrameTrack):
-                act = track.windows(window_keys)
-            else:
-                segments = gather_windows(track, *np.divmod(window_keys, stride), n_t, dt)
-                act = _front(params, name, variant, segments)[0]
-            reps.append(_pool_after(cfg, variant, act)[0])
-        r_eeg, *outs = reps
+        r_eeg, speech, _, _ = _run_fronts(params, tracks, eeg_key[a:b], keys, stride)
         rows = np.searchsorted(keys, np.stack([eeg_key[a:b], mismatch_key[a:b]]))
-        m[order[a:b]] = _tail(params, r_eeg, np.concatenate(outs, axis=2), *rows)[0]
+        m[order[a:b]] = _tail(params, r_eeg, speech, *rows)[0]
     return _sigmoid(m), _sigmoid(-m)
 
 
@@ -745,10 +829,15 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     grads["lstm_wx"] += dwx
     grads["lstm_wh"] += dwh
     grads["lstm_b"] += db
+
+    def front_bwd(front, dout):
+        pool, back = front
+        back(dout if pool is None else _maxpool_bwd(dout, pool), grads)
+
     d, lo = cfg.embed_dim, 0
-    for rows, caches in trace.fronts:
-        for k, front in enumerate(caches):
-            _front_bwd(params, *front, dlstm_in[:, lo : lo + rows, k * d : (k + 1) * d], grads)
+    for rows, parts in trace.fronts:
+        for k, front in enumerate(parts):
+            front_bwd(front, dlstm_in[:, lo : lo + rows, k * d : (k + 1) * d])
         lo += rows
-    _front_bwd(params, *trace.eeg, du_a + du_b, grads)
+    front_bwd(trace.eeg, du_a + du_b)
     return grads

@@ -379,27 +379,28 @@ def build_recordings(
     return recordings
 
 
-def _check_lengths(manifest: DatasetManifest,
-                   ranges: Callable[[RecordingEntry, int], object]) -> None:
+def _check_lengths(manifest: DatasetManifest, ranges: Callable[[RecordingEntry, int], object],
+                   channels: int | None = None) -> None:
     """Refuse by name, before any cache is written, a recording whose frames ``ranges`` refuses
-    or whose EEG channels are not the first recording's."""
-    first = None
+    or whose EEG channels are not ``channels`` (by default, the first recording's)."""
+    want = None if channels is None else ("the model takes", channels)
     for entry in manifest.recordings:
         eeg, name = TimeSeriesFile.open(entry.eeg_path), f"{entry.subject_id}/{entry.recording_id}"
-        first = first or (name, eeg.n_channels)
-        if eeg.n_channels != first[1]:
-            raise InvalidInputError(f"{name} has {eeg.n_channels} EEG channels, but {first[0]} "
-                                    f"has {first[1]}: one model takes one channel count")
+        want = want or (f"{name} has", eeg.n_channels)
+        if eeg.n_channels != want[1]:
+            raise InvalidInputError(f"{name} has {eeg.n_channels} EEG channels, but {want[0]} "
+                                    f"{want[1]}: one model takes one channel count")
         with refused_as(name):
             ranges(entry, frame_count(eeg.n_samples, eeg.fs))
 
 
-def scoring_set(spec: ExperimentSpec, trained_eeg: list[str]) -> DecisionWindowSet:
+def scoring_set(spec: ExperimentSpec, trained_eeg: list[str], channels: int) -> DecisionWindowSet:
     """The triples that ``evaluate`` scores over ``spec.manifest`` with the cell ``spec``.
 
     A recording whose EEG hash is in ``trained_eeg`` is scored on its test
     partition only: more would score triples the cell was trained or stopped
-    on. Any other recording is scored on all its triples, or refused if none.
+    on. Any other recording is scored on all its triples, or refused if none,
+    and so is one without the model's ``channels`` EEG channels.
     """
     manifest = load_manifest(spec.manifest)
     loader, win = spec.loader(manifest), spec.windowing_spec
@@ -412,7 +413,7 @@ def scoring_set(spec: ExperimentSpec, trained_eeg: list[str]) -> DecisionWindowS
                                     f"a triple spans {win.span_frames} frames")
         return [(0, length)]
 
-    _check_lengths(manifest, ranges)
+    _check_lengths(manifest, ranges, channels)
     recordings = build_recordings(manifest, spec.features[0], loader, spec.preproc_config,
                                   spec.out_dir)
     scored = []

@@ -21,7 +21,7 @@ from .errors import InvalidInputError, TrainingDivergedError, refused_as
 from .model import (
     ModelParams,
     backward_batch,
-    forward_batch,
+    forward_triples,
     forward_windows,
     loss,
     loss_grad,
@@ -124,6 +124,21 @@ def evaluate_set(params: ModelParams, ws: DecisionWindowSet) -> tuple[float, flo
     return float(losses.mean()), float(correct.mean()), correct
 
 
+def _step(params: ModelParams, adam: AdamState, train_set: DecisionWindowSet,
+          triples: np.ndarray, where: str) -> float:
+    """One Adam step on ``triples``; the sum of their losses in the (match, mismatch) order.
+
+    Nothing of a step outlives it: its arrays change size with its runs of
+    windows, and held into the next step they fragment the heap for good.
+    """
+    p, trace = forward_triples(params, train_set, triples)
+    losses = loss(p, 1.0)
+    if not np.isfinite(np.mean(losses)):
+        raise TrainingDivergedError(f"non-finite loss at {where}")
+    adam.update(params, backward_batch(params, trace, loss_grad(p, 1.0) / triples.size))
+    return float(losses.sum())
+
+
 def train(
     init: ModelParams,
     train_set: DecisionWindowSet,
@@ -141,6 +156,11 @@ def train(
     orders as separate samples would visit each triple twice per epoch, in
     different steps; an epoch here takes as many steps, of half as many
     triples each, and so does half that training.
+
+    A step (:func:`~eegmatch.model.forward_triples`) runs the frame-wise
+    fronts once over the frames its windows cover, recomputes a window's
+    edge frames inside a run, and runs a shared segment through the LSTM
+    once; its probabilities are bit for bit those of its windows alone.
     """
     if train_set.n_samples == 0 or val_set.n_samples == 0:
         raise InvalidInputError("train and validation partitions must be non-empty")
@@ -158,19 +178,8 @@ def train(
         order = rng.permutation(train_set.n_triples)
         total = 0.0
         for batch_no, lo in enumerate(range(0, train_set.n_triples, per_step)):
-            triples = order[lo : lo + per_step]
-            eeg, match, mismatch = train_set.gather_triples(triples, params.config.np_dtype)
-            p, trace = forward_batch(params, eeg, match, mismatch)
-            batch_losses = loss(p, 1.0)
-            batch_loss = float(np.mean(batch_losses))
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                )
-            total += 2.0 * batch_losses.sum()
-            dloss = loss_grad(p, 1.0) / triples.size
-            grads = backward_batch(params, trace, dloss)
-            adam.update(params, grads)
+            total += 2.0 * _step(params, adam, train_set, order[lo : lo + per_step],
+                                 f"epoch {epoch}, batch {batch_no}")
         train_loss = total / train_set.n_samples
         val_loss, val_acc, _ = evaluate_set(params, val_set)
         log.append(EpochLog(epoch, float(train_loss), val_loss, val_acc))

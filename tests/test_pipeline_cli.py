@@ -969,6 +969,30 @@ class TestCli:
         assert "sub00/sub00_story00: recording of 640 frames holds no triple" in err, err
         assert cache_files(out) == cached
 
+    def test_evaluate_refuses_a_listener_of_another_channel_count(self, dataset, tmp_path,
+                                                                  capsys):
+        """A new listener with 32 of the model's 64 EEG channels: refused by name, before
+        ``evaluate`` writes any cache."""
+        cfg, out = write_experiment(dataset, tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        raw = absolute_manifest(dataset)
+        del raw["subjects"]["sub01"]
+        entry = raw["subjects"]["sub00"][0]
+        eeg = read_timeseries(entry["eeg"])
+        entry["eeg"] = str(tmp_path / "sub00_32ch.ndmm")
+        write_timeseries(entry["eeg"], TimeSeriesTensor(eeg.data[:32], eeg.fs))
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(raw))
+        cached = cache_files(out)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--model", str(out / "models" / "vad"),
+                       "--manifest", str(manifest), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sub00/sub00_story00 has 32 EEG channels, but the model takes 64" in err, err
+        assert cache_files(out) == cached
+        assert not (tmp_path / "eval").exists()
+
     def test_evaluate_refuses_a_cell_without_its_training_eeg(self, dataset, tmp_path, capsys):
         """Without ``inputs: eeg`` a new listener cannot be told from a trained one."""
         out = tmp_path / "out"

@@ -12,8 +12,10 @@ from eegmatch.model import (
     ArchitectureConfig,
     SpeechPart,
     _forward,
+    _conv_reach,
     backward_batch,
     forward_batch,
+    forward_triples,
     forward_windows,
     init_params,
     loss,
@@ -79,12 +81,27 @@ EVERY_FRONT = pytest.mark.parametrize("parts", [
 ], ids=["conv", "no-conv", "maxpool", "1+4"])
 
 
-def assert_same_gradients(got, want):
-    """Every tensor equal to 1e-12 of its largest entry, none all zero."""
+def assert_same_gradients(got, want, rel=1e-12):
+    """Every tensor equal to ``rel`` of its largest entry, none all zero."""
     for key, w in want.items():
         scale = np.abs(w).max()
         assert scale > 0, key
-        assert np.abs(got[key] - w).max() <= 1e-12 * scale, key
+        assert np.abs(got[key] - w).max() <= rel * scale, key
+
+
+def whole_recordings(lengths, feat_dim, seed) -> DecisionWindowSet:
+    """Every triple of each recording, recordings in turn."""
+    recs = noise_recordings(n_subjects=len(lengths), length=max(lengths),
+                            feat_dim=feat_dim, seed=seed)
+    starts = []
+    for rec, n in zip(recs, lengths):
+        rec.eeg, rec.feature = rec.eeg[:, :n], rec.feature[:, :n]
+        starts.append(window_starts(n, WindowingSpec()))
+    return DecisionWindowSet(
+        WindowingSpec(), recs,
+        rec_index=np.repeat(np.arange(len(recs)), [s.size for s in starts]),
+        start_frame=np.concatenate(starts),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -220,43 +237,43 @@ class TestTriplePass:
         assert_same_gradients(got, want)
 
     @staticmethod
-    def record_forward(monkeypatch) -> list:
-        """The (eeg, a, b) inputs of every ``forward_batch`` call of ``train``."""
-        calls = []
+    def record_steps(monkeypatch) -> list:
+        """The triple indices, a copy of the parameters and the probabilities of every
+        step of ``train``."""
+        steps = []
 
-        def recording(params, eeg, a, b):
-            calls.append((eeg.copy(), a.copy(), b.copy()))
-            return forward_batch(params, eeg, a, b)
+        def recording(params, ws, idx):
+            p, trace = forward_triples(params, ws, idx)
+            steps.append((np.array(idx), params.copy(), p.copy()))
+            return p, trace
 
-        monkeypatch.setattr(training, "forward_batch", recording)
-        return calls
+        monkeypatch.setattr(training, "forward_triples", recording)
+        return steps
 
     def test_epoch_visits_every_triple_once_in_matched_order(self, noise_sets, monkeypatch):
+        """Each step's probabilities are ``forward_batch``'s over its triples'
+        (eeg, match, mismatch) windows; swapped, they would be 1 - p."""
         ws = noise_sets["train"]
-        eeg, match, mismatch = ws.gather_triples(np.arange(ws.n_triples), np.float64)
-        triple_of = {window.tobytes(): j for j, window in enumerate(eeg)}
-        assert len(triple_of) == ws.n_triples
-        calls = self.record_forward(monkeypatch)
+        steps = self.record_steps(monkeypatch)
         init = init_params(small_arch(dtype="float64"), np.random.default_rng(43))
         train(init, ws, noise_sets["val"],
               TrainConfig(rng_seed=44, batch_size=32, max_epochs=1))
-        assert len(calls) == -(-ws.n_triples // 16)
+        assert len(steps) == -(-ws.n_triples // 16)
         seen = []
-        for batch_eeg, a, b in calls:
-            assert len(batch_eeg) <= 16
-            for row in range(len(batch_eeg)):
-                j = triple_of[batch_eeg[row].tobytes()]
-                np.testing.assert_array_equal(a[row], match[j])
-                np.testing.assert_array_equal(b[row], mismatch[j])
-                seen.append(j)
+        for idx, params, p in steps:
+            assert idx.size <= 16
+            want, _ = forward_batch(params, *ws.gather_triples(idx, np.float64))
+            np.testing.assert_array_equal(p, want)
+            assert (p != 0.5).all()
+            seen.extend(idx.tolist())
         assert sorted(seen) == list(range(ws.n_triples))
 
     def test_batch_of_one_sample_takes_one_triple_per_step(self, noise_sets, monkeypatch):
-        calls = self.record_forward(monkeypatch)
+        steps = self.record_steps(monkeypatch)
         init = init_params(small_arch(), np.random.default_rng(45))
         train(init, noise_sets["train"], noise_sets["val"],
               TrainConfig(rng_seed=46, batch_size=1, max_epochs=1))
-        assert [len(eeg) for eeg, _, _ in calls] == [1] * noise_sets["train"].n_triples
+        assert [idx.size for idx, _, _ in steps] == [1] * noise_sets["train"].n_triples
 
     def test_logged_train_loss_is_the_both_order_mean(self, noise_sets, monkeypatch):
         monkeypatch.setattr(training.AdamState, "update", lambda self, params, grads: None)
@@ -266,6 +283,107 @@ class TestTriplePass:
                        TrainConfig(rng_seed=48, batch_size=32, max_epochs=1))
         mean_loss, _, _ = evaluate_set(init, noise_sets["train"])
         assert result.log[0].train_loss == pytest.approx(mean_loss, rel=1e-9)
+
+
+class TestSharedFrameStep:
+    """A training step runs each frame-wise front once over the frames its
+    triples cover: its probabilities are ``forward_batch``'s bit for bit,
+    its gradients those of the same triples gathered per window."""
+
+    @staticmethod
+    def assert_steps_as_forward_batch(params, ws, idx):
+        p, trace = forward_triples(params, ws, idx)
+        got = backward_batch(params, trace, loss_grad(p, 1.0) / idx.size)
+        q, trace = forward_batch(params, *ws.gather_triples(idx, params.config.np_dtype))
+        want = backward_batch(params, trace, loss_grad(q, 1.0) / idx.size)
+        np.testing.assert_array_equal(p, q)
+        # float32: the gradient-fidelity criterion
+        assert_same_gradients(got, want, 1e-12 if params.config.dtype == "float64" else 1e-4)
+
+    @staticmethod
+    def params_for(parts, dtype, seed):
+        params = init_params(replace(small_arch(dtype=dtype), parts=parts),
+                             np.random.default_rng(seed))
+        params.tensors["head_w"][:] = 3.0  # spread p away from 0.5
+        return params
+
+    @EVERY_FRONT
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_steps_match_forward_batch(self, parts, dtype):
+        """Windows at frame 0 and mismatches ending on their recording's last
+        frame; two recordings whose segment keys touch (the first is the
+        longest, so its last segment ends on the key stride, where the second's
+        first begins); a step of one triple; triple j with j + 12, whose
+        mismatch is j + 12's match; and one triple from each recording, where
+        no windows overlap."""
+        ws = whole_recordings([1984, 1184, 1184], sum(p.dim for p in parts), 71)
+        ends = ws.start_frame + ws.mismatch_offset + ws.spec.window_frames
+        assert [ends[ws.rec_index == r].max() for r in range(3)] == [1984, 1184, 1184]
+        first = np.flatnonzero(ws.start_frame == 0)
+        assert first.size == 3
+        params = self.params_for(parts, dtype, 72)
+        shuffled = np.random.default_rng(73).permutation(ws.n_triples)
+        steps = {
+            "every triple, shuffled": shuffled,
+            "touching recordings": np.flatnonzero(ws.rec_index < 2),
+            "one triple": shuffled[:1],
+            "j and j + 12": np.array([first[1] + 3, first[1] + 15]),
+            "one per recording": first,
+        }
+        for case, idx in steps.items():
+            try:
+                self.assert_steps_as_forward_batch(params, ws, idx)
+            except AssertionError as e:
+                raise AssertionError(case) from e
+
+    def test_a_triple_taken_twice_is_refused(self):
+        ws = whole_recordings([2000], 3, 78)
+        params = self.params_for((SpeechPart(3, "conv"),), "float64", 79)
+        with pytest.raises(InvalidInputError, match="takes a triple twice"):
+            forward_triples(params, ws, np.array([4, 9, 4]))
+
+    @staticmethod
+    def conv_rows(monkeypatch) -> dict:
+        """Rows (frames of every window) that each ``_conv1d_same`` call runs, by input channels."""
+        rows: dict = {}
+
+        def recording(x, w, b):
+            rows.setdefault(x.shape[1], []).append(x.shape[0] * x.shape[2])
+            return conv(x, w, b)
+
+        conv = model._conv1d_same
+        monkeypatch.setattr(model, "_conv1d_same", recording)
+        return rows
+
+    def test_overlapping_triples_share_the_eeg_conv(self, monkeypatch):
+        """20 consecutive triples cover 928 EEG frames, against 20 windows of 320 each;
+        19 first and 19 last edges lie inside the run and take 7 frames each."""
+        ws = whole_recordings([2000], 3, 74)
+        params = self.params_for((SpeechPart(3, "conv"),), "float32", 75)
+        rows = self.conv_rows(monkeypatch)
+        forward_triples(params, ws, np.arange(20))
+        assert rows[6] == [19 * 32 + 320, 38 * sum(_conv_reach(8))]
+        assert sum(rows[6]) < 20 * 320
+
+    def test_triples_that_do_not_overlap_recompute_no_edge(self, monkeypatch):
+        """One triple from each of three recordings: one conv pass per front, over
+        each window's frames and the zero gaps between them."""
+        ws = whole_recordings([2000, 1184, 1184], 3, 76)
+        params = self.params_for((SpeechPart(3, "conv"),), "float32", 77)
+        rows = self.conv_rows(monkeypatch)
+        forward_triples(params, ws, np.flatnonzero(ws.start_frame == 0))
+        gap = max(_conv_reach(8))
+        assert rows == {6: [3 * 320 + 2 * gap], 3: [6 * 320 + 5 * gap]}
+
+    def test_scoring_runs_one_pass_per_run(self, monkeypatch):
+        """Scoring keeps no cache, so it runs each recording's EEG windows in a pass of
+        their own, without zero gaps, and holds one run's layers at a time."""
+        ws = whole_recordings([2000, 1184, 1184], 3, 80)
+        params = self.params_for((SpeechPart(3, "conv"),), "float32", 81)
+        rows = self.conv_rows(monkeypatch)
+        forward_windows(params, ws)
+        covered = [ws.start_frame[ws.rec_index == r].max() + 320 for r in range(3)]
+        assert rows[6][:3] == covered
 
 
 class TestEvaluation:
@@ -341,27 +459,12 @@ class TestEvaluation:
         assert mean_loss == float(losses.mean())
         assert acc == correct.mean()
 
-    @staticmethod
-    def whole_recordings(lengths, feat_dim, seed) -> DecisionWindowSet:
-        """Every triple of each recording, recordings in turn."""
-        recs = noise_recordings(n_subjects=len(lengths), length=max(lengths),
-                                feat_dim=feat_dim, seed=seed)
-        starts = []
-        for rec, n in zip(recs, lengths):
-            rec.eeg, rec.feature = rec.eeg[:, :n], rec.feature[:, :n]
-            starts.append(window_starts(n, WindowingSpec()))
-        return DecisionWindowSet(
-            WindowingSpec(), recs,
-            rec_index=np.repeat(np.arange(len(recs)), [s.size for s in starts]),
-            start_frame=np.concatenate(starts),
-        )
-
     @EVERY_FRONT
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_per_recording_fronts_match_forward_batch_bit_for_bit(self, parts, dtype, monkeypatch):
         """Windows at frame 0, a recording of one triple, mismatched windows
         ending on their recording's last frame, starts at every residue mod 3."""
-        ws = self.whole_recordings([2000, 704, 704 + 15 * 32], sum(p.dim for p in parts), 61)
+        ws = whole_recordings([2000, 704, 704 + 15 * 32], sum(p.dim for p in parts), 61)
         offset = ws.mismatch_offset
         ends = ws.start_frame + offset + ws.spec.window_frames
         assert (ws.start_frame == 0).sum() == 3
@@ -396,10 +499,10 @@ class TestEvaluation:
         params = init_params(replace(small_arch(dtype=dtype), parts=(SpeechPart(3, "conv"),)),
                              np.random.default_rng(65))
         params.tensors["head_w"][:] = 30.0
-        one = self.whole_recordings([704], 3, 66)
+        one = whole_recordings([704], 3, 66)
         assert one.n_triples == 1
         self.assert_scores_as_forward_batch(monkeypatch, params, one, 256)
-        thirteen = self.whole_recordings([704 + 12 * 32], 3, 67)
+        thirteen = whole_recordings([704 + 12 * 32], 3, 67)
         assert thirteen.n_triples == 13
         self.assert_scores_as_forward_batch(monkeypatch, params, thirteen, 24)
 
