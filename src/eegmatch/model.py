@@ -13,15 +13,16 @@ difference, so the head has none, and the output probability is exactly
 antisymmetric in the two speech inputs. Everything is computed in 64-bit
 floats unless the architecture selects 32-bit.
 
-The forwards differ only in how they run the fronts: each checks its
-inputs in :func:`_check_inputs` and ends in :func:`_tail`, the LSTM and the
-head. :func:`_forward`, behind :func:`forward_batch`, runs the fronts on
-windows gathered one by one: the reference that the other two match bit
-for bit. :func:`forward_triples` (a training step, which
-:func:`backward_batch` differentiates) and :func:`forward_windows`
-(scoring) run the EEG path and the conv and no-conv speech fronts once over
-the frames that their windows cover (:class:`_FrameTrack`), and recompute
-a window's edge frames inside a run. The word-embedding front pools before
+The three forwards share one core: each checks its inputs in
+:func:`_check_inputs`, runs the fronts in :func:`_run_fronts` and ends in
+:func:`_tail`, the LSTM and the head. :func:`forward_batch` gathers every
+window on its own: the per-window reference that the other two match bit
+for bit. :func:`forward_triples` (a training step) and
+:func:`forward_windows` (scoring) run the EEG path and the conv and no-conv
+speech fronts once over the frames their windows cover (:class:`_FrameTrack`)
+and recompute a window's edge frames inside a run. The reference and a step
+build the trace that :func:`backward_batch` differentiates in
+:func:`_forward`; scoring builds none. The word-embedding front pools before
 its dense layer, and the LSTM restarts at every window, so both run per
 segment; a segment that is one triple's match and another's mismatch runs
 through the LSTM once, and scoring runs it on blocks of segments.
@@ -432,7 +433,7 @@ class ForwardTrace:
     """Cached activations of one forward call; consumed once by backward."""
 
     eeg: tuple  # the EEG front's (pool cache, backward), see :func:`_run_fronts`
-    fronts: list  # per speech block: its rows and each part's (pool cache, backward)
+    parts: list  # each speech part's (pool cache, backward)
     lstm: dict
     match_row: np.ndarray
     mismatch_row: np.ndarray
@@ -475,17 +476,6 @@ def _front(params: ModelParams, name: str, variant: str, x: np.ndarray):
     return act, cache
 
 
-def _pool_after(config: ArchitectureConfig, variant: str, act: np.ndarray):
-    """A front's output on the model's time axis, and the pool's cache (None if unpooled).
-
-    A maxpool part sets that axis, so the frame-wise fronts are pooled after
-    their dense layer.
-    """
-    if config.pooled and variant != "maxpool":
-        return _maxpool(act)
-    return act, None
-
-
 def _front_bwd(params: ModelParams, name: str, variant: str, cache, dout: np.ndarray,
                grads: dict) -> None:
     """Add front ``name``'s gradients, given d(loss)/d(the output of :func:`_front`)."""
@@ -516,67 +506,6 @@ def _tail(params: ModelParams, r_eeg: np.ndarray, speech: np.ndarray,
     sim_b, cos_b = _cosine_seq(r_eeg, hs[:, mismatch_row])
     diff = sim_a - sim_b
     return t["head_w"][0] * diff.mean(axis=0), lstm, (cos_a, cos_b, diff)
-
-
-def _forward(params: ModelParams, eeg: np.ndarray, blocks: Sequence[np.ndarray],
-             match_row: np.ndarray, mismatch_row: np.ndarray):
-    """Logit that triple ``j``'s matched segment is the match, and the trace.
-
-    Triple ``j`` pairs ``eeg[j]`` with rows ``match_row[j]`` and
-    ``mismatch_row[j]`` of the speech ``blocks`` stacked in order. The EEG
-    front runs once, each speech front once per block on its part's
-    channels, and the shared LSTM once over the stacked speech fronts, so
-    its time loop runs once however many blocks there are.
-    """
-    cfg = params.config
-    dt = cfg.np_dtype
-    eeg = np.ascontiguousarray(eeg, dtype=dt)
-    blocks = [np.ascontiguousarray(x, dtype=dt) for x in blocks]
-    _check_inputs(cfg, eeg.shape[1:], *(x.shape[1:] for x in blocks))
-    if len(match_row) != len(eeg) or len(mismatch_row) != len(eeg):
-        raise InvalidInputError("batch sizes disagree")
-
-    def run(name, variant, x):
-        act, cache = _front(params, name, variant, x)
-        act, pool = _pool_after(cfg, variant, act)
-        return act, (pool, partial(_front_bwd, params, name, variant, cache))
-
-    (name, _, variant, _, _), *parts = _fronts(cfg)
-    r_eeg, eeg_front = run(name, variant, eeg)
-    lstm_in, fronts = [], []
-    for x in blocks:
-        outs, caches, lo = [], [], 0
-        for name, dim, variant, _, _ in parts:
-            act, cache = run(name, variant, x[:, lo : lo + dim])
-            lo += dim
-            outs.append(act)
-            caches.append(cache)
-        lstm_in.append(np.concatenate(outs, axis=2))
-        fronts.append((len(x), caches))
-    m, lstm_cache, sims = _tail(params, r_eeg, np.concatenate(lstm_in, axis=1), match_row,
-                                mismatch_row)
-    trace = ForwardTrace(
-        eeg=eeg_front,
-        fronts=fronts,
-        lstm=lstm_cache,
-        match_row=match_row,
-        mismatch_row=mismatch_row,
-        sims=sims,
-        p=_sigmoid(m),
-    )
-    return m, trace
-
-
-def forward_batch(
-    params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Probabilities that each sample's input ``a`` is the matched segment.
-
-    ``speech_a`` and ``speech_b`` are the two input blocks.
-    """
-    n_a, n_b = len(speech_a), len(speech_b)
-    _, trace = _forward(params, eeg, [speech_a, speech_b], np.arange(n_a), n_a + np.arange(n_b))
-    return trace.p, trace
 
 
 class _FrameTrack:
@@ -727,8 +656,9 @@ def _run_fronts(params: ModelParams, tracks: list, eeg_keys, segment_keys, strid
     over segments ``segment_keys``, on the model's time axis, and the (pool
     cache, backward) of the EEG front and of each part.
 
-    A maxpool part gathers its segments; the other fronts slice theirs from
-    their tracks, and a pooled config pools each from its first frame.
+    A front slices its windows from its :class:`_FrameTrack`, or else gathers
+    them from its inputs, one (C, L) array per recording. A maxpool part sets
+    the time axis, so a pooled config pools the other fronts after their dense layer.
     """
     cfg = params.config
     acts, backs = [], []
@@ -741,11 +671,46 @@ def _run_fronts(params: ModelParams, tracks: list, eeg_keys, segment_keys, strid
             segments = gather_windows(track, *np.divmod(keys, stride), cfg.frames, cfg.np_dtype)
             act, cache = _front(params, name, variant, segments)
             back = partial(_front_bwd, params, name, variant, cache)
-        act, pool = _pool_after(cfg, variant, act)
+        act, pool = _maxpool(act) if cfg.pooled and variant != "maxpool" else (act, None)
         acts.append(act)
         backs.append((pool, back))
     (r_eeg, *outs), (eeg_back, *part_backs) = acts, backs
     return r_eeg, np.concatenate(outs, axis=2), eeg_back, part_backs
+
+
+def _forward(params: ModelParams, tracks: list, eeg_key, mismatch_key, stride) -> ForwardTrace:
+    """The trace of the triples whose EEG window and match are keyed ``eeg_key`` and whose
+    mismatch is keyed ``mismatch_key``; each distinct segment runs through the LSTM once."""
+    keys = np.union1d(eeg_key, mismatch_key)
+    r_eeg, speech, eeg_back, part_backs = _run_fronts(params, tracks, eeg_key, keys, stride)
+    match_row, mismatch_row = np.searchsorted(keys, np.stack([eeg_key, mismatch_key]))
+    m, lstm, sims = _tail(params, r_eeg, speech, match_row, mismatch_row)
+    return ForwardTrace(eeg=eeg_back, parts=part_backs, lstm=lstm, match_row=match_row,
+                        mismatch_row=mismatch_row, sims=sims, p=_sigmoid(m))
+
+
+def forward_batch(
+    params: ModelParams, eeg: np.ndarray, speech_a: np.ndarray, speech_b: np.ndarray
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Probabilities that each sample's input ``a`` is the matched segment, and the
+    trace that :func:`backward_batch` differentiates.
+
+    The per-window reference that a step and scoring match bit for bit:
+    sample ``j`` is window ``j`` of each (B, C, T) input, and each front
+    gathers its windows one by one in :func:`_run_fronts`, never from a
+    :class:`_FrameTrack`, before the same :func:`_tail`.
+    """
+    cfg = params.config
+    eeg, speech_a, speech_b = (np.asarray(x) for x in (eeg, speech_a, speech_b))
+    _check_inputs(cfg, eeg.shape[1:], speech_a.shape[1:], speech_b.shape[1:])
+    n = len(eeg)
+    if len(speech_a) != n or len(speech_b) != n:
+        raise InvalidInputError("batch sizes disagree")
+    cuts = np.cumsum([p.dim for p in cfg.parts])[:-1]
+    inputs = [eeg, *np.split(np.concatenate([speech_a, speech_b]), cuts, axis=1)]
+    tracks = [(name, variant, x) for (name, _, variant, _, _), x in zip(_fronts(cfg), inputs)]
+    trace = _forward(params, tracks, np.arange(n), n + np.arange(n), stride=1)
+    return trace.p, trace
 
 
 def forward_triples(params: ModelParams, ws: DecisionWindowSet,
@@ -754,22 +719,17 @@ def forward_triples(params: ModelParams, ws: DecisionWindowSet,
     and the trace that :func:`backward_batch` differentiates.
 
     A training step: each frame-wise front runs once over the frames that its
-    windows cover (see :class:`_FrameTrack`), and a segment that is one
-    triple's match and another's mismatch runs through the LSTM once. The
-    probabilities are bit for bit :func:`forward_batch`'s over the same
-    triples. A triple taken twice is refused.
+    windows cover (see :class:`_FrameTrack`), and the step builds its trace in
+    :func:`_forward`, as :func:`forward_batch` does. Its probabilities are
+    :func:`forward_batch`'s over the same triples bit for bit. A triple taken
+    twice is refused.
     """
     eeg_key, mismatch_key, stride = _keyed(params, ws, np.asarray(idx, dtype=np.int64))
     windows = np.unique(eeg_key)
     if windows.size < eeg_key.size:
         raise InvalidInputError("a step takes a triple twice")
-    keys = np.union1d(eeg_key, mismatch_key)
-    tracks = _tracks(params, ws, windows, keys, stride, keep=True)
-    r_eeg, speech, eeg_back, part_backs = _run_fronts(params, tracks, eeg_key, keys, stride)
-    match_row, mismatch_row = np.searchsorted(keys, np.stack([eeg_key, mismatch_key]))
-    m, lstm, sims = _tail(params, r_eeg, speech, match_row, mismatch_row)
-    trace = ForwardTrace(eeg=eeg_back, fronts=[(keys.size, part_backs)], lstm=lstm,
-                         match_row=match_row, mismatch_row=mismatch_row, sims=sims, p=_sigmoid(m))
+    tracks = _tracks(params, ws, windows, np.union1d(eeg_key, mismatch_key), stride, keep=True)
+    trace = _forward(params, tracks, eeg_key, mismatch_key, stride)
     return trace.p, trace
 
 
@@ -834,10 +794,8 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
         pool, back = front
         back(dout if pool is None else _maxpool_bwd(dout, pool), grads)
 
-    d, lo = cfg.embed_dim, 0
-    for rows, parts in trace.fronts:
-        for k, front in enumerate(parts):
-            front_bwd(front, dlstm_in[:, lo : lo + rows, k * d : (k + 1) * d])
-        lo += rows
+    d = cfg.embed_dim
+    for k, front in enumerate(trace.parts):
+        front_bwd(front, dlstm_in[:, :, k * d : (k + 1) * d])
     front_bwd(trace.eeg, du_a + du_b)
     return grads

@@ -354,7 +354,10 @@ def write_synth_dataset(
     """Emit a full synthetic dataset plus its manifest; returns the manifest path.
 
     The EEG-to-feature mixing matrix is drawn once per dataset (shared head
-    topography), while the noise differs per subject and story. Every stage
+    topography), while the noise differs per subject and story. It is drawn
+    from ``seed`` and ``coupling`` alone, so new listeners share a model's
+    head only if they are made with its training set's ``seed`` and
+    ``coupling``, for example by making more subjects. Every stage
     command reads the manifest. Each file is written under a temporary name
     and renamed, so re-making a dataset in place leaves every file whole.
     """

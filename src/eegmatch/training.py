@@ -109,8 +109,9 @@ def evaluate_set(params: ModelParams, ws: DecisionWindowSet) -> tuple[float, flo
     with its edge frames recomputed from its own inputs; the LSTM and head
     run on blocks of at most :data:`~eegmatch.model.SCORE_BLOCK_ROWS`
     distinct segments, pooled across recordings (see :func:`forward_windows`).
-    Each probability is bit for bit what :func:`forward_batch` gives its
-    sample among others.
+    Each probability is bit for bit what :func:`forward_batch`, the per-window
+    reference on the same fronts and tail, gives its sample among others.
+    Scoring builds no trace.
     """
     if ws.n_samples == 0:
         raise InvalidInputError("cannot evaluate an empty window set")

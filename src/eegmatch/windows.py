@@ -95,7 +95,8 @@ def split_recording(
 def gather_windows(arrays, rec_idx: np.ndarray, starts: np.ndarray, width: int,
                    dtype) -> np.ndarray:
     """(N, C, width) stack of ``arrays[rec_idx[j]][:, starts[j]:][:, :width]`` in ``dtype``."""
-    out = np.empty((len(starts), arrays[0].shape[0], width), dtype=dtype)
+    channels = len(arrays[0]) if len(arrays) else np.shape(arrays)[1]  # an empty (B, C, T) batch
+    out = np.empty((len(starts), channels, width), dtype=dtype)
     for j, (r, s) in enumerate(zip(rec_idx.tolist(), starts.tolist())):
         out[j] = arrays[r][:, s : s + width]
     return out

@@ -37,24 +37,6 @@ def backward(params, trace, dloss):
     return backward_batch(params, trace, np.array([dloss]))
 
 
-def gather_segments(ws, idx, dtype):
-    """(eeg, segments, match_row, mismatch_row) of triples ``idx`` of window set ``ws``.
-
-    ``segments`` holds each distinct speech segment of the triples once;
-    triple ``j``'s matched segment is ``segments[match_row[j]]`` and its
-    mismatched one ``segments[mismatch_row[j]]``.
-    """
-    rec, start = ws.rec_index[idx], ws.start_frame[idx]
-    w = ws.spec.window_frames
-    keys = sorted({(r, s) for r, s0 in zip(rec, start) for s in (s0, s0 + ws.mismatch_offset)})
-    row = {key: k for k, key in enumerate(keys)}
-    segments = np.stack([ws.recordings[r].feature[:, s : s + w] for r, s in keys]).astype(dtype)
-    eeg = np.stack([ws.recordings[r].eeg[:, s : s + w] for r, s in zip(rec, start)]).astype(dtype)
-    match_row = np.array([row[r, s] for r, s in zip(rec, start)])
-    mismatch_row = np.array([row[r, s + ws.mismatch_offset] for r, s in zip(rec, start)])
-    return eeg, segments, match_row, mismatch_row
-
-
 def generic_params(cfg: ArchitectureConfig, seed: int = 0):
     """Random parameters with biases moved off the exact ReLU kink.
 

@@ -428,6 +428,21 @@ class TestInputCheck:
         with pytest.raises(InvalidInputError, match=f"^{what} {self.REFUSED}"):
             forward_batch(params, *inputs)
 
+    @pytest.mark.parametrize("which", [1, 2], ids=["speech_a", "speech_b"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_batch_sizes_that_disagree_are_refused(self, which, n):
+        params, rng = generic_params(self.CFG, 12)
+        inputs = [rng.standard_normal((4, c, self.CFG.frames)) for c in (4, 2, 2)]
+        inputs[which] = rng.standard_normal((n, 2, self.CFG.frames))
+        with pytest.raises(InvalidInputError, match="^batch sizes disagree$"):
+            forward_batch(params, *inputs)
+
+    def test_an_empty_batch_gives_no_probabilities(self):
+        params, _ = generic_params(self.CFG, 13)
+        p, trace = forward_batch(params, *(np.zeros((0, c, self.CFG.frames)) for c in (4, 2, 2)))
+        assert p.shape == (0,)
+        assert not any(g.any() for g in backward_batch(params, trace, p).values())
+
     @pytest.mark.parametrize("eeg_ch, feat_dim, window_s, named", [
         ((5, 4), (2, 2), 20 / 64, "s0/r0: EEG"),
         ((4, 4), (2, 2), 19 / 64, "s0/r0: EEG"),

@@ -4,14 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import gather_segments
 
 from eegmatch import model, training
 from eegmatch.errors import InvalidInputError, TrainingDivergedError
 from eegmatch.model import (
     ArchitectureConfig,
     SpeechPart,
-    _forward,
     _conv_reach,
     backward_batch,
     forward_batch,
@@ -217,25 +215,6 @@ class TestTriplePass:
         want = backward_batch(params, trace, loss_grad(q, labels) / (2 * n))
         assert_same_gradients(got, want)
 
-    @EVERY_FRONT
-    def test_shared_segment_gradient_matches_forward_batch(self, parts):
-        """A segment that is one triple's match and another's mismatch runs
-        once and gets the gradient of both uses."""
-        recs = noise_recordings(length=12000, feat_dim=sum(p.dim for p in parts), seed=50)
-        ws = assemble_dataset(recs, seed=8)["train"]
-        params = init_params(replace(small_arch(dtype="float64"), parts=parts),
-                             np.random.default_rng(51))
-        params.tensors["head_w"][:] = 3.0
-        idx = np.arange(20)  # consecutive: triple j's mismatch is triple j + 12's match
-        eeg, segments, match_row, mismatch_row = gather_segments(ws, idx, np.float64)
-        assert len(segments) < 2 * idx.size
-        _, trace = _forward(params, eeg, [segments], match_row, mismatch_row)
-        got = backward_batch(params, trace, loss_grad(trace.p, 1.0) / idx.size)
-        eeg, match, mismatch = ws.gather_triples(idx, np.float64)
-        p, trace = forward_batch(params, eeg, match, mismatch)
-        want = backward_batch(params, trace, loss_grad(p, 1.0) / idx.size)
-        assert_same_gradients(got, want)
-
     @staticmethod
     def record_steps(monkeypatch) -> list:
         """The triple indices, a copy of the parameters and the probabilities of every
@@ -335,6 +314,28 @@ class TestSharedFrameStep:
                 self.assert_steps_as_forward_batch(params, ws, idx)
             except AssertionError as e:
                 raise AssertionError(case) from e
+
+    @EVERY_FRONT
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_forward_batch_builds_no_frame_track(self, parts, dtype, monkeypatch):
+        """The reference gathers every window on its own, so it stays independent of
+        the frame tracks that a step and scoring run: with no track to build,
+        ``forward_batch`` and ``backward_batch`` still run, and a step does not."""
+
+        class NoTrack:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a _FrameTrack was built")
+
+        ws = whole_recordings([1984, 1184], sum(p.dim for p in parts), 82)
+        params = self.params_for(parts, dtype, 83)
+        idx = np.random.default_rng(84).permutation(ws.n_triples)[:24]
+        monkeypatch.setattr(model, "_FrameTrack", NoTrack)
+        p, trace = forward_batch(params, *ws.gather_triples(idx, params.config.np_dtype))
+        grads = backward_batch(params, trace, loss_grad(p, 1.0) / idx.size)
+        assert p.shape == (idx.size,) and np.isfinite(p).all()
+        assert all(np.isfinite(g).all() and g.any() for g in grads.values())
+        with pytest.raises(AssertionError, match="_FrameTrack was built"):
+            forward_triples(params, ws, idx)
 
     def test_a_triple_taken_twice_is_refused(self):
         ws = whole_recordings([2000], 3, 78)
