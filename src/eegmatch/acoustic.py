@@ -72,20 +72,21 @@ def _check_data_chunk(path: str | Path) -> None:
 
 
 def read_wav(path: str | Path) -> TimeSeriesTensor:
-    """Mono WAV (16-bit or float PCM) as a 1 x T tensor in [-1, 1].
+    """Mono WAV (signed integer or float PCM) as a 1 x T tensor in [-1, 1].
 
-    A file cut inside its data chunk is refused, not read short.
+    Integer samples are scaled by their full scale. Any other sample type
+    (8-bit PCM is unsigned) and a file cut inside its data chunk are refused.
     """
     with refused_as(path):
         _check_data_chunk(path)
         fs, data = wavfile.read(path)
         if data.ndim != 1:
             raise InvalidInputError(f"expected mono audio, got shape {data.shape}")
-        if data.dtype == np.int16:
-            data = data.astype(np.float64) / 32768.0
-        else:
-            data = data.astype(np.float64)
-        return TimeSeriesTensor(data[None, :], float(fs))
+        if data.dtype.kind not in "if":
+            raise InvalidInputError(f"{data.dtype} samples are not read; "
+                                    "write signed integer or float PCM")
+        scale = -float(np.iinfo(data.dtype).min) if data.dtype.kind == "i" else 1.0
+        return TimeSeriesTensor(data[None, :].astype(np.float64) / scale, float(fs))
 
 
 def write_wav(path: str | Path, audio: TimeSeriesTensor) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,8 @@ def cmd_synth_make(args) -> int:
             raise InvalidInputError(f"{flag} must be at least 1, got {value}")
     if not args.duration > 0:
         raise InvalidInputError(f"--duration must be positive, got {args.duration}")
+    if math.isnan(args.snr_db):
+        raise InvalidInputError("--snr-db must be a number or +-inf, got nan")
     with refused_as("--coupling"):
         canonical_parts(args.coupling)
     path = write_synth_dataset(

@@ -2,7 +2,7 @@
 
 A feature name is one part of :data:`PARTS` or several joined with ``+``
 (``env+bpc``); each part keeps its own channels and the model gives each its
-own front, so part dimensions are reported alongside the stacked tensor.
+own front, the one its entry names (:func:`speech_parts`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .categorical import (
     word_embedding_sequence,
 )
 from .errors import InvalidSpecError
+from .model import SpeechPart
 from .preproc import PreprocConfig
 from .tensors import TimeSeriesTensor, frame_count
 
@@ -56,16 +57,18 @@ class StoryAssets:
 
 
 class Part(NamedTuple):
-    """A feature part: its channel count, its extractor of (assets, band) and its version.
+    """A feature part: its channel count, its extractor of (assets, band), its version and front.
 
-    The version counts the part's definitions: feature cache keys and trained
-    cells record it, so a changed definition misses the cache once and a
-    model refuses features of a definition it was not trained on.
+    The front is the model's speech-path variant for the part. The version
+    counts the part's definitions: feature cache keys and trained cells record
+    it, so a changed definition misses the cache once and a model refuses
+    features of a definition it was not trained on.
     """
 
     channels: int
     extract: Callable[[StoryAssets, PreprocConfig], TimeSeriesTensor]
     version: int = 1
+    front: str = "conv"
 
 
 def _phonemes(assets: StoryAssets) -> TimeSeriesTensor:
@@ -81,8 +84,7 @@ def _word_embeddings(assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTenso
 
 def _onset(base: Part) -> Part:
     """The onset variant of a phoneme-derived part: its channels, pulses at phoneme starts."""
-    return Part(base.channels, lambda a, cfg: onset_variant(base.extract(a, cfg), a.phonemes),
-                base.version)
+    return base._replace(extract=lambda a, cfg: onset_variant(base.extract(a, cfg), a.phonemes))
 
 
 # Each extractor looks its acoustic or categorical function up by name when
@@ -90,15 +92,16 @@ def _onset(base: Part) -> Part:
 # The acoustic parts are band-limited to the experiment's band ``cfg``. The
 # envelope's version 2 runs each gammatone band at a rate below the audio's.
 PARTS = {
-    "envelope": Part(1, lambda a, cfg: envelope_powerlaw(a.audio, cfg), version=2),
+    "envelope": Part(1, lambda a, cfg: envelope_powerlaw(a.audio, cfg), version=2,
+                     front="no-conv"),
     "mel": Part(MEL_BANDS, lambda a, cfg: mel_spectrogram(a.audio, cfg)),
-    "vad": Part(1, lambda a, cfg: vad(a.audio)),
+    "vad": Part(1, lambda a, cfg: vad(a.audio), front="no-conv"),
     "phoneme": Part(INVENTORY_SIZE, lambda a, cfg: _phonemes(a)),
     "bpc": Part(len(BPC_ROWS), lambda a, cfg: map_bpc(_phonemes(a), a.inventory)),
     "vowel_consonant": Part(len(VC_ROWS),
                             lambda a, cfg: map_vowel_consonant(_phonemes(a), a.inventory)),
     "anyphoneme": Part(len(ANYPH_ROWS), lambda a, cfg: map_anyphoneme(_phonemes(a))),
-    "wordemb": Part(EMBEDDING_DIM, _word_embeddings),
+    "wordemb": Part(EMBEDDING_DIM, _word_embeddings, front="maxpool"),
 }
 PARTS.update({f"{b}_onset": _onset(PARTS[b]) for b in ("bpc", "vowel_consonant", "anyphoneme")})
 
@@ -117,22 +120,14 @@ def canonical_parts(name: str) -> list[str]:
     return parts
 
 
-def feature_dims(name: str) -> tuple[list[int], list[bool]]:
-    """Per-part channel counts and word-embedding flags for the model config."""
-    parts = canonical_parts(name)
-    return [PARTS[p].channels for p in parts], [p == "wordemb" for p in parts]
+def speech_parts(name: str) -> tuple[SpeechPart, ...]:
+    """The channels and model front of each part of a feature, in the order of its name."""
+    return tuple(SpeechPart(PARTS[p].channels, PARTS[p].front) for p in canonical_parts(name))
 
 
 def feature_versions(name: str) -> list[int]:
     """The version of each part of a feature, in the order of its name."""
     return [PARTS[p].version for p in canonical_parts(name)]
-
-
-def extract_part(part: str, assets: StoryAssets, cfg: PreprocConfig) -> TimeSeriesTensor:
-    """One feature part of :data:`PARTS`."""
-    if part not in PARTS:
-        raise InvalidSpecError(f"unknown feature part {part!r}")
-    return PARTS[part].extract(assets, cfg)
 
 
 def extract_feature(
@@ -144,5 +139,5 @@ def extract_feature(
     share with the EEG. Every part has the story's :attr:`~StoryAssets.n_frames`
     frames, so the parts stack as they are.
     """
-    parts = [extract_part(p, assets, cfg) for p in canonical_parts(name)]
+    parts = [PARTS[p].extract(assets, cfg) for p in canonical_parts(name)]
     return parts[0] if len(parts) == 1 else concat_features(parts)

@@ -6,12 +6,12 @@ or a stride-3 max-pool (word embeddings), then a time-distributed dense
 layer and a ReLU. The EEG path is the conv front ``eeg``, built, run and
 differentiated by the same code as each speech part's front ``sp{i}``
 (:func:`_fronts`, :func:`_front`, :func:`_front_bwd`); the speech fronts
-then share an LSTM. Per-step cosine similarity between the EEG and each
-speech representation gives two similarity sequences; the head scales the
-mean of their difference by one weight. A bias would cancel in that
-difference, so the head has none, and the output probability is exactly
-antisymmetric in the two speech inputs. Everything is computed in 64-bit
-floats unless the architecture selects 32-bit.
+then share an LSTM as wide as the EEG embedding (``embed_dim``). Per-step
+cosine similarity between the EEG and each speech representation gives two
+similarity sequences; the head scales the mean of their difference by one
+weight. A bias would cancel in that difference, so the head has none, and the
+output probability is exactly antisymmetric in the two speech inputs.
+Everything is computed in 64-bit floats unless the architecture selects 32-bit.
 
 The three forwards share one core: each checks its inputs in
 :func:`_check_inputs`, runs the fronts in :func:`_run_fronts` and ends in
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +88,6 @@ class ArchitectureConfig:
     eeg_conv_filters: int = 16
     eeg_conv_kernel: int = 8
     embed_dim: int = 16
-    lstm_units: int = 16
     speech_conv_filters: int = 16
     speech_conv_kernel: int = 8
     parts: tuple[SpeechPart, ...] = (SpeechPart(28, "conv"),)
@@ -98,13 +96,10 @@ class ArchitectureConfig:
     def __post_init__(self) -> None:
         for name in (
             "eeg_channels", "frames", "eeg_conv_filters", "eeg_conv_kernel",
-            "embed_dim", "lstm_units", "speech_conv_filters", "speech_conv_kernel",
+            "embed_dim", "speech_conv_filters", "speech_conv_kernel",
         ):
             if getattr(self, name) < 1:
                 raise InvalidSpecError(f"{name} must be >= 1")
-        if self.lstm_units != self.embed_dim:
-            raise InvalidSpecError(f"lstm_units {self.lstm_units} != embed_dim {self.embed_dim}: "
-                                   "the head compares the EEG embedding with the LSTM state")
         if not self.parts:
             raise InvalidSpecError("at least one speech part is required")
         if self.dtype not in ("float64", "float32"):
@@ -127,16 +122,6 @@ class ArchitectureConfig:
         return self.embed_dim * len(self.parts)
 
 
-def config_for_feature(dims: Sequence[int], wordemb_flags: Sequence[bool],
-                       **overrides) -> ArchitectureConfig:
-    """Architecture for a (possibly concatenated) feature given part dims."""
-    parts = tuple(
-        SpeechPart(d, "maxpool" if w else "no-conv" if d == 1 else "conv")
-        for d, w in zip(dims, wordemb_flags)
-    )
-    return ArchitectureConfig(parts=parts, **overrides)
-
-
 @dataclass
 class ModelParams:
     """All trainable tensors keyed by name, plus the architecture."""
@@ -157,7 +142,7 @@ def _fronts(config: ArchitectureConfig):
 
 def param_shapes(config: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every trainable tensor by name, in the order :func:`init_params` makes them."""
-    d, h = config.embed_dim, config.lstm_units
+    d = config.embed_dim
     shapes = {}
     for name, dim, variant, filters, kernel in _fronts(config):
         if variant == "conv":
@@ -165,8 +150,8 @@ def param_shapes(config: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{name}_conv_b"] = (filters,)
         shapes[f"{name}_dense_w"] = (d, filters if variant == "conv" else dim)
         shapes[f"{name}_dense_b"] = (d,)
-    return {**shapes, "lstm_wx": (4 * h, config.lstm_input_dim), "lstm_wh": (4 * h, h),
-            "lstm_b": (4 * h,), "head_w": (1,)}
+    return {**shapes, "lstm_wx": (4 * d, config.lstm_input_dim), "lstm_wh": (4 * d, d),
+            "lstm_b": (4 * d,), "head_w": (1,)}
 
 
 def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
@@ -181,7 +166,7 @@ def init_params(config: ArchitectureConfig, rng: np.random.Generator) -> ModelPa
             t[name] = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dt)
         else:
             t[name] = np.zeros(shape, dtype=dt)
-    t["lstm_b"][config.lstm_units : 2 * config.lstm_units] = 1.0
+    t["lstm_b"][config.embed_dim : 2 * config.embed_dim] = 1.0
     t["head_w"][:] = 1.0
     return ModelParams(config, t)
 
@@ -782,7 +767,7 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, dloss: np.ndarray) 
     t = params.tensors
     # A segment used as a match and as a mismatch gets both gradients; rows
     # are distinct within each map, so each += touches a row once.
-    dhs = np.zeros(trace.lstm["x"].shape[:2] + (cfg.lstm_units,), dtype=dv_a.dtype)
+    dhs = np.zeros(trace.lstm["x"].shape[:2] + (cfg.embed_dim,), dtype=dv_a.dtype)
     dhs[:, trace.match_row] += dv_a
     dhs[:, trace.mismatch_row] += dv_b
     dlstm_in, dwx, dwh, db = _lstm_bwd(dhs, trace.lstm, t["lstm_wx"], t["lstm_wh"])

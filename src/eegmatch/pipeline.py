@@ -34,9 +34,9 @@ from .errors import (
     DegenerateSampleError, InvalidInputError, check_keys, check_types, read_yaml, refused_as,
 )
 from .features import (
-    StoryAssets, canonical_parts, extract_feature, feature_dims, feature_versions,
+    StoryAssets, canonical_parts, extract_feature, feature_versions, speech_parts,
 )
-from .model import ArchitectureConfig, ModelParams, config_for_feature, init_params
+from .model import ArchitectureConfig, ModelParams, init_params
 from .preproc import CHAIN_VERSION, PreprocConfig, preprocess_eeg
 from .stats import compare, violin
 from .tensors import (
@@ -148,8 +148,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def _settable_arch(arch: dict) -> dict:
-    """``arch``, refused if it sets what a cell derives: its frames, EEG channels or dtype."""
-    derived = [repr(key) for key in ("frames", "eeg_channels", "dtype") if key in arch]
+    """``arch``, refused if it sets what a cell derives: frames, EEG channels, dtype or parts."""
+    derived = [repr(key) for key in ("frames", "eeg_channels", "dtype", "parts") if key in arch]
     if derived:
         raise ValueError(f"{', '.join(derived)} derived by the cell, not a setting")
     return arch
@@ -196,8 +196,7 @@ class ExperimentSpec:
             TrainConfig(rng_seed=0, **check_types(TrainConfig, self.train))
         with refused_as("arch"):
             arch = check_types(ArchitectureConfig, _settable_arch(self.arch))
-            config_for_feature([1], [False], dtype=self.dtype, **arch,
-                               frames=self.windowing_spec.window_frames)
+            ArchitectureConfig(dtype=self.dtype, **arch, frames=self.windowing_spec.window_frames)
 
     def cell(self, feature: str, inputs: dict) -> dict:
         """What ``feature``'s cell key hashes and its ``cell.yaml`` records.
@@ -449,9 +448,9 @@ def build_cell(
                                   spec.out_dir)
     seed = child_seed(spec.seed, feature_name)
     sets = assemble_dataset(recordings, win, split, seed=seed)
-    dims, flags = feature_dims(feature_name)
-    arch = config_for_feature(dims, flags, dtype=spec.dtype, frames=win.window_frames,
-                              eeg_channels=recordings[0].eeg.shape[0], **spec.arch)
+    arch = ArchitectureConfig(parts=speech_parts(feature_name), dtype=spec.dtype,
+                              frames=win.window_frames, eeg_channels=recordings[0].eeg.shape[0],
+                              **spec.arch)
     params0 = init_params(arch, np.random.default_rng(seed))
     return sets, params0, TrainConfig(rng_seed=seed, **spec.train)
 

@@ -194,7 +194,6 @@ def tiny_config_kwargs():
         eeg_conv_filters=3,
         eeg_conv_kernel=4,
         embed_dim=3,
-        lstm_units=3,
         speech_conv_filters=3,
         speech_conv_kernel=4,
     )

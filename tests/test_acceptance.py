@@ -23,8 +23,8 @@ from conftest import (
     wilcoxon_exact,
 )
 from eegmatch.acoustic import vad_frames
-from eegmatch.features import StoryAssets, extract_feature, feature_dims
-from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
+from eegmatch.features import StoryAssets, extract_feature, speech_parts
+from eegmatch.model import ArchitectureConfig, SpeechPart, init_params
 from eegmatch.preproc import PreprocConfig, band_sos, preprocess_eeg, to_frame_rate
 from eegmatch.stats import wilcoxon_signed_rank
 from eegmatch.synth import (
@@ -132,8 +132,7 @@ def build_dataset(
 
 
 def train_and_score(sets, feature_name: str, max_epochs: int = 8) -> float:
-    dims, flags = feature_dims(feature_name)
-    arch = config_for_feature(dims, flags, dtype="float32")
+    arch = ArchitectureConfig(parts=speech_parts(feature_name), dtype="float32")
     params0 = init_params(arch, np.random.default_rng(RUN_SEED))
     cfg = TrainConfig(
         rng_seed=RUN_SEED, batch_size=128, learning_rate=1e-3,
@@ -154,7 +153,7 @@ class TestGradientFidelity:
         t0 = time.perf_counter()
         tiny = dict(
             eeg_channels=4, frames=20, eeg_conv_filters=3, eeg_conv_kernel=4,
-            embed_dim=3, lstm_units=3, speech_conv_filters=3, speech_conv_kernel=4,
+            embed_dim=3, speech_conv_filters=3, speech_conv_kernel=4,
         )
         cases = {
             1: (SpeechPart(1, "no-conv"),),
@@ -383,7 +382,7 @@ class TestModelSymmetry:
     def test_order_swap_complements_probability(self):
         cfg = ArchitectureConfig(
             eeg_channels=4, frames=20, eeg_conv_filters=3, eeg_conv_kernel=4,
-            embed_dim=3, lstm_units=3, speech_conv_filters=3, speech_conv_kernel=4,
+            embed_dim=3, speech_conv_filters=3, speech_conv_kernel=4,
             parts=(SpeechPart(2, "conv"),),
         )
         worst = 0.0

@@ -354,3 +354,18 @@ class TestWavRoundtrip:
         back = read_wav(tmp_path / "b.wav")
         assert back.data.max() <= 1.0
         assert back.data.min() >= -1.0
+
+    def test_int32_reads_as_int16_does(self, tmp_path):
+        """24- and 32-bit PCM read as int32, scaled by their full scale as 16-bit PCM is."""
+        sine = 0.5 * np.sin(2 * np.pi * 440 * np.arange(8000) / 8000.0)
+        wavfile.write(tmp_path / "16.wav", 8000, np.round(sine * 2**15).astype(np.int16))
+        wavfile.write(tmp_path / "32.wav", 8000, np.round(sine * 2**31).astype(np.int32))
+        np.testing.assert_allclose(read_wav(tmp_path / "32.wav").data,
+                                   read_wav(tmp_path / "16.wav").data, rtol=0, atol=2.0**-15)
+
+    def test_unsigned_pcm_is_refused_by_path(self, tmp_path):
+        """8-bit PCM is unsigned, centred on 128: refused, not read as a level."""
+        path = tmp_path / "u8.wav"
+        wavfile.write(path, 8000, np.full(800, 128, dtype=np.uint8))
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: uint8 samples")):
+            read_wav(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import backward, forward, generic_params, max_relative_error, numeric_gradients
 from eegmatch.errors import InvalidInputError, InvalidSpecError
-from eegmatch.features import feature_dims
+from eegmatch.features import speech_parts
 from eegmatch.model import (
     POOL,
     ArchitectureConfig,
@@ -16,7 +17,6 @@ from eegmatch.model import (
     _maxpool,
     _maxpool_bwd,
     backward_batch,
-    config_for_feature,
     forward_batch,
     forward_windows,
     init_params,
@@ -27,7 +27,7 @@ from eegmatch.windows import RecordingData, WindowingSpec, window_set
 
 TINY = dict(
     eeg_channels=4, frames=20, eeg_conv_filters=3, eeg_conv_kernel=4,
-    embed_dim=3, lstm_units=3, speech_conv_filters=3, speech_conv_kernel=4,
+    embed_dim=3, speech_conv_filters=3, speech_conv_kernel=4,
 )
 
 
@@ -573,11 +573,10 @@ class TestFloat32:
         of its largest entry), so the time-major model's tanh-form gates and
         its row order must too.
         """
-        dims, flags = feature_dims(feature)
-        cfg32 = config_for_feature(dims, flags, dtype="float32")
+        cfg32 = ArchitectureConfig(parts=speech_parts(feature), dtype="float32")
         rng = np.random.default_rng(21)
         params32 = init_params(cfg32, rng)
-        params64 = ModelParams(config_for_feature(dims, flags, dtype="float64"),
+        params64 = ModelParams(dataclasses.replace(cfg32, dtype="float64"),
                                {k: v.astype(np.float64) for k, v in params32.tensors.items()})
         inputs = [rng.standard_normal((64, d, cfg32.frames)).astype(np.float32)
                   for d in (cfg32.eeg_channels, cfg32.feature_dim, cfg32.feature_dim)]
@@ -595,11 +594,6 @@ class TestFloat32:
 
 
 class TestConfigValidation:
-    def test_lstm_width_must_equal_the_embedding_width(self):
-        """The head takes the cosine of the EEG embedding and the LSTM state."""
-        with pytest.raises(InvalidSpecError, match="lstm_units 8 != embed_dim 16"):
-            ArchitectureConfig(lstm_units=8)
-
     def test_variant_dimension_consistency(self):
         with pytest.raises(InvalidSpecError):
             SpeechPart(1, "conv")

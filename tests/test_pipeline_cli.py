@@ -22,11 +22,10 @@ from eegmatch.features import (
     StoryAssets,
     canonical_parts,
     extract_feature,
-    extract_part,
-    feature_dims,
     feature_versions,
+    speech_parts,
 )
-from eegmatch.model import ArchitectureConfig, SpeechPart, config_for_feature, init_params
+from eegmatch.model import ArchitectureConfig, SpeechPart, init_params
 from eegmatch.preproc import PreprocConfig
 from eegmatch.synth import default_inventory, default_lexicon, generate_story, synth_embeddings, write_synth_dataset
 from eegmatch.tensors import (
@@ -68,22 +67,30 @@ class TestFeatureRegistry:
         with pytest.raises(InvalidSpecError):
             canonical_parts("spectrogram")
 
-    def test_dims_and_wordemb_flags(self):
-        dims, flags = feature_dims("env+phoneme+mel")
-        assert dims == [1, 40, 28]
-        assert flags == [False, False, False]
-        dims, flags = feature_dims("wordemb")
-        assert dims == [300]
-        assert flags == [True]
+    def test_every_part_names_its_front(self):
+        """One-channel parts take no conv, word embeddings a max-pool, every other part a conv."""
+        assert {name: speech_parts(name) for name in PARTS} == {
+            "envelope": (SpeechPart(1, "no-conv"),),
+            "mel": (SpeechPart(28, "conv"),),
+            "vad": (SpeechPart(1, "no-conv"),),
+            "phoneme": (SpeechPart(40, "conv"),),
+            "bpc": (SpeechPart(6, "conv"),),
+            "vowel_consonant": (SpeechPart(3, "conv"),),
+            "anyphoneme": (SpeechPart(2, "conv"),),
+            "wordemb": (SpeechPart(300, "maxpool"),),
+            "bpc_onset": (SpeechPart(6, "conv"),),
+            "vowel_consonant_onset": (SpeechPart(3, "conv"),),
+            "anyphoneme_onset": (SpeechPart(2, "conv"),),
+        }
 
     def test_dims_follow_the_parts_in_order(self):
-        dims, flags = feature_dims("env+bpc")
-        assert dims == [PARTS["envelope"].channels, PARTS["bpc"].channels] == [1, 6]
-        assert flags == [False, False]
+        assert speech_parts("env+bpc") == (SpeechPart(1, "no-conv"), SpeechPart(6, "conv"))
+        assert speech_parts("env+phoneme+mel") == (
+            SpeechPart(1, "no-conv"), SpeechPart(40, "conv"), SpeechPart(28, "conv"))
 
     @pytest.mark.parametrize("base", ["bpc", "vowel_consonant", "anyphoneme"])
     def test_onset_part_has_its_base_channels(self, story_assets, base):
-        onset = extract_part(f"{base}_onset", story_assets, PreprocConfig())
+        onset = extract_feature(f"{base}_onset", story_assets, PreprocConfig())
         assert PARTS[f"{base}_onset"].channels == PARTS[base].channels == onset.n_channels
 
     @pytest.mark.parametrize(
@@ -114,7 +121,7 @@ class TestFeatureRegistry:
         assert assets.n_frames == n
         assert len(PARTS) == 11
         for name, part in PARTS.items():
-            out = extract_part(name, assets, PreprocConfig())
+            out = extract_feature(name, assets, PreprocConfig())
             assert (out.n_channels, out.n_samples) == (part.channels, n), name
 
     def test_concat_parts_align(self, story_assets):
@@ -164,8 +171,7 @@ class TestManifest:
         elif what == "experiment":
             path = write_experiment(dataset, tmp_path)[0]
         elif what == "checkpoint":
-            arch = config_for_feature([28, 1], [False, False], dtype="float32", frames=320,
-                                      eeg_channels=64)
+            arch = ArchitectureConfig(parts=speech_parts("mel+vad"), dtype="float32")
             path = save_checkpoint(tmp_path / "model", init_params(arch, np.random.default_rng(0)))
         fast = read(path)
         monkeypatch.setattr(errors, "_SafeLoader", yaml.SafeLoader)
@@ -175,7 +181,8 @@ class TestManifest:
 
 
 # ``arch`` fields a cell derives, each with a value that a run would otherwise use
-DERIVED_ARCH_VALUES = [("frames", 100), ("eeg_channels", 32), ("dtype", "float64")]
+DERIVED_ARCH_VALUES = [("frames", 100), ("eeg_channels", 32), ("dtype", "float64"),
+                       ("parts", [{"dim": 1, "variant": "no-conv"}])]
 
 
 # experiment settings whose type the cell does not use: (key, value, refusal)
@@ -189,7 +196,7 @@ SETTINGS_OF_A_WRONG_TYPE = {
     # PyYAML reads 1e-3, which has no dot, as a string
     "train learning_rate a string": ("train", {"learning_rate": "1e-3"},
                                      "train: 'learning_rate' must be a number, got str '1e-3'"),
-    "arch widths floats": ("arch", {"embed_dim": 4.0, "lstm_units": 4.0},
+    "arch widths floats": ("arch", {"embed_dim": 4.0, "speech_conv_filters": 4.0},
                            "arch: 'embed_dim' must be an integer, got float 4.0"),
     "arch kernel a float": ("arch", {"eeg_conv_kernel": 2.5},
                             "arch: 'eeg_conv_kernel' must be an integer, got float 2.5"),
@@ -214,8 +221,7 @@ def experiment_yaml(dataset, out_dir, features=("vad",), max_epochs=2):
         "seed": 7,
         "dtype": "float32",
         "train": {"batch_size": 64, "max_epochs": max_epochs, "patience": 3},
-        "arch": {"eeg_conv_filters": 8, "embed_dim": 8, "lstm_units": 8,
-                 "speech_conv_filters": 8},
+        "arch": {"eeg_conv_filters": 8, "embed_dim": 8, "speech_conv_filters": 8},
     }
 
 
@@ -398,7 +404,7 @@ class TestRunPipeline:
         """A new seed or dtype, or one changed key of any block, gives a cell a new key."""
         spec = pipeline.load_experiment(write_experiment(dataset, tmp_path)[0])
         changes = {"seed": 8, "dtype": "float64", "train": {"patience": 4},
-                   "arch": {"embed_dim": 4, "lstm_units": 4}, "windowing": {"overlap_frac": 0.8},
+                   "arch": {"embed_dim": 4}, "windowing": {"overlap_frac": 0.8},
                    "split": {"train_frac": 0.7, "val_frac": 0.2}, "preproc": {"low_hz": 1.0}}
         assert set(changes) == set(pipeline.CELL_SETTINGS)
         key = pipeline.config_hash(spec.cell("vad", ["eeg-hash"]))
@@ -696,7 +702,7 @@ class TestAtomicWrites:
 class TestCheckpointRoundtrip:
     CONFIG = ArchitectureConfig(
         eeg_channels=6, frames=320, eeg_conv_filters=4, eeg_conv_kernel=8,
-        embed_dim=4, lstm_units=4, parts=(SpeechPart(1, "no-conv"),),
+        embed_dim=4, parts=(SpeechPart(1, "no-conv"),),
         dtype="float32",
     )
 
@@ -713,7 +719,9 @@ class TestCheckpointRoundtrip:
         ("head_w of another shape", "'head_w' has shape (2,)"),
         ("extra tensor", "tensors: unknown key(s) 'head_b'"),
         ("no architecture", "no 'architecture' key"),
-        ("architecture without lstm_units", "architecture: no 'lstm_units' key"),
+        ("architecture without embed_dim", "architecture: no 'embed_dim' key"),
+        # every checkpoint made while the LSTM width was a setting records it
+        ("architecture with lstm_units", "architecture: unknown key(s) 'lstm_units'"),
         ("unknown key", "unknown key(s) 'optimizer'"),
         ("not YAML", "checkpoint.yaml: "),
     ])
@@ -729,8 +737,10 @@ class TestCheckpointRoundtrip:
             manifest["tensors"]["head_b"] = "head_w.ndmm"
         elif case == "no architecture":
             del manifest["architecture"]
-        elif case == "architecture without lstm_units":
-            del manifest["architecture"]["lstm_units"]
+        elif case == "architecture without embed_dim":
+            del manifest["architecture"]["embed_dim"]
+        elif case == "architecture with lstm_units":
+            manifest["architecture"]["lstm_units"] = manifest["architecture"]["embed_dim"]
         elif case == "unknown key":
             manifest["optimizer"] = "adam"
         path.write_text("tensors: {head_w: [" if case == "not YAML" else yaml.safe_dump(manifest))
@@ -756,7 +766,8 @@ class TestCli:
         ("--duration", "-5", "--duration must be positive, got -5.0"),
         ("--duration", "0", "--duration must be positive, got 0.0"),
         ("--coupling", "nope", "--coupling: unknown feature 'nope'"),
-    ], ids=["subjects 0", "stories 0", "duration -5", "duration 0", "unknown coupling"])
+        ("--snr-db", "nan", "--snr-db must be a number or +-inf, got nan"),
+    ], ids=["subjects 0", "stories 0", "duration -5", "duration 0", "unknown coupling", "snr nan"])
     def test_synth_make_refuses_what_it_cannot_make(self, tmp_path, capsys, flag, value, refusal):
         out = tmp_path / "ds"
         assert cli.main(["synth", "make", "--duration", "12", flag, value, "--out", str(out)]) == 2
@@ -998,7 +1009,7 @@ class TestCli:
         out = tmp_path / "out"
         model = out / "models" / "vad"
         (out / "cache").mkdir(parents=True)
-        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        arch = ArchitectureConfig(parts=speech_parts("vad"), dtype="float32")
         save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
         cell = {"feature": "vad", "chain": pipeline.CHAIN_VERSION,
                 "version": feature_versions("vad"), "inputs": {"features": {}}}
@@ -1075,11 +1086,9 @@ class TestCli:
         assert not (tmp_path / "eval").exists()
 
     def test_evaluate_needs_the_cell_description(self, dataset, tmp_path, capsys):
-        from eegmatch.checkpoint import save_checkpoint
-        from eegmatch.model import config_for_feature, init_params
 
         model = tmp_path / "model"
-        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        arch = ArchitectureConfig(parts=speech_parts("vad"), dtype="float32")
         save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
         (model / "cell.yaml").write_text(yaml.safe_dump({"key": "36415dad68aa", "best_epoch": 1}))
         rc = cli.main(["evaluate", "--model", str(model), "--manifest", str(dataset),
@@ -1090,13 +1099,11 @@ class TestCli:
     @pytest.mark.parametrize("block, key", [("windowing", "fs"), ("preproc", "target_fs")])
     def test_evaluate_refuses_a_cell_that_sets_the_frame_rate(self, dataset, tmp_path, capsys,
                                                               block, key):
-        from eegmatch.checkpoint import save_checkpoint
-        from eegmatch.model import config_for_feature, init_params
 
         out = tmp_path / "out"
         model = out / "models" / "vad"
         (out / "cache").mkdir(parents=True)
-        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        arch = ArchitectureConfig(parts=speech_parts("vad"), dtype="float32")
         save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
         cell = {"feature": "vad", "seed": 7, "dtype": "float32", "train": {}, "arch": {},
                 "windowing": {}, "split": {}, "preproc": {}, "inputs": [], block: {key: 128.0}}
@@ -1112,13 +1119,11 @@ class TestCli:
     @pytest.mark.parametrize("key, value", DERIVED_ARCH_VALUES)
     def test_evaluate_refuses_a_cell_that_sets_a_derived_arch_field(self, dataset, tmp_path,
                                                                     capsys, key, value):
-        from eegmatch.checkpoint import save_checkpoint
-        from eegmatch.model import config_for_feature, init_params
 
         out = tmp_path / "out"
         model = out / "models" / "vad"
         (out / "cache").mkdir(parents=True)
-        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        arch = ArchitectureConfig(parts=speech_parts("vad"), dtype="float32")
         save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
         cell = {"feature": "vad", "seed": 7, "dtype": "float32", "train": {}, "arch": {key: value},
                 "windowing": {}, "split": {}, "preproc": {}, "inputs": []}
@@ -1137,13 +1142,11 @@ class TestCli:
                              ids=["unknown key", "unknown feature"])
     def test_evaluate_refuses_a_malformed_cell_by_its_path(self, dataset, tmp_path, capsys,
                                                            change, named):
-        from eegmatch.checkpoint import save_checkpoint
-        from eegmatch.model import config_for_feature, init_params
 
         out = tmp_path / "out"
         model = out / "models" / "vad"
         (out / "cache").mkdir(parents=True)
-        arch = config_for_feature([1], [False], dtype="float32", frames=320, eeg_channels=64)
+        arch = ArchitectureConfig(parts=speech_parts("vad"), dtype="float32")
         save_checkpoint(model, init_params(arch, np.random.default_rng(0)))
         cell = {"feature": "vad", "seed": 7, "dtype": "float32", "train": {}, "arch": {},
                 "windowing": {}, "split": {}, "preproc": {}, "inputs": [], **change}
@@ -1167,6 +1170,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{cfg}: arch: '{key}'" in err, err
         assert not out.exists()
+
+    def test_embed_dim_alone_sets_the_lstm_width(self, dataset, tmp_path):
+        """The head compares the LSTM state with the EEG embedding, so one width sets both."""
+        cfg, out = write_experiment(dataset, tmp_path, arch={"embed_dim": 8})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        params = load_checkpoint(out / "models" / "vad")
+        assert params.config.embed_dim == 8
+        assert params.tensors["lstm_wh"].shape == (32, 8)
 
     def test_readme_experiment_is_read(self, tmp_path):
         """The README's ``experiment.yaml`` example stays inside the rules it is read by."""
@@ -1193,7 +1204,7 @@ class TestCli:
         "experiment not YAML", "manifest not YAML", "inventory not a mapping",
         "inventory without symbols", "recordings of a story name other files",
         "audio cut inside its data chunk", "alignment time not finite",
-        "arch lstm_units unlike embed_dim", "arch embed_dim unlike lstm_units",
+        "arch sets lstm_units",
         "windowing window under a frame", "windowing gap under a frame", *SETTINGS_OF_A_WRONG_TYPE,
     ])
     def test_malformed_input_is_refused_by_name(self, dataset, tmp_path, capsys, case):
@@ -1250,11 +1261,9 @@ class TestCli:
             block, key = case.split()[0], "fs" if case.startswith("windowing") else "target_fs"
             exp[block] = {key: 128.0}
             named = [str(cfg), block, f"'{key}'"]
-        elif case.startswith("arch"):  # the head compares the EEG embedding with the LSTM state
-            key = case.split()[1]
-            exp["arch"] = {key: 8}
-            named = [str(cfg), "arch", "lstm_units 8 != embed_dim 16" if key == "lstm_units"
-                     else "lstm_units 16 != embed_dim 8"]
+        elif case == "arch sets lstm_units":  # the LSTM is as wide as the embedding
+            exp["arch"] = {"lstm_units": 8}
+            named = [str(cfg), "arch", "'lstm_units'"]
         elif case.endswith("under a frame"):  # 0.005 s and 0.001 s round to 0 frames at 64 Hz
             key = "window_s" if case.split()[1] == "window" else "gap_s"
             exp["windowing"] = {key: 0.005 if key == "window_s" else 0.001}

@@ -64,7 +64,6 @@ def small_arch(eeg_ch=6, feat_dim=1, dtype="float32"):
         eeg_conv_filters=4,
         eeg_conv_kernel=8,
         embed_dim=4,
-        lstm_units=4,
         speech_conv_filters=4,
         parts=(SpeechPart(feat_dim, variant),),
         dtype=dtype,
